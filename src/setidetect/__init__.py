@@ -15,14 +15,8 @@ from .distributions import (
     GammaDifference,
     NoncentralChi2C,
     ScaledGamma,
-    f_law_cdf,
-    gamma_diff_pdf_cdf,
     law_quantile,
     law_sample,
-    log_gamma,
-    nc_chi2_cdf,
-    reg_inc_beta,
-    reg_inc_gamma_lower,
 )
 from .roc import (
     DetectorComparison,
@@ -82,20 +76,14 @@ __all__ = [
     "detector_laws",
     "detector_stat",
     "energy_law",
-    "f_law_cdf",
     "f_ratio_law",
-    "gamma_diff_pdf_cdf",
     "law_quantile",
     "law_sample",
-    "log_gamma",
-    "nc_chi2_cdf",
     "off_distribution",
     "on_distribution",
     "onoff_law",
     "pd_pfa",
     "power_estimate",
-    "reg_inc_beta",
-    "reg_inc_gamma_lower",
     "roc_curve",
     "run_paired_estimates",
     "run_trials",

@@ -38,7 +38,14 @@ import numpy as np
 
 from . import __version__
 from .distributions import ComputationError, Law
-from .roc import DEFAULT_GRID, compare_detectors, pd_pfa, roc_curve, threshold_for_pfa
+from .roc import (
+    DEFAULT_GRID,
+    _named_computation,
+    compare_detectors,
+    pd_pfa,
+    roc_curve,
+    threshold_for_pfa,
+)
 from .scenario import (
     DetectorKind,
     Hypothesis,
@@ -473,30 +480,14 @@ def _sweep_points(config: ExperimentConfig) -> list[tuple[str, ScenarioSpec]]:
     return points
 
 
-def _named_computation(kind: DetectorKind, h0: Law, h1: Law):
-    """Context decorator: re-raise ComputationError naming the law pair."""
-
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc_type is not None and issubclass(exc_type, ComputationError):
-                raise ComputationError(
-                    f"{kind.value} law failed: {exc} (h0={h0!r}, h1={h1!r})",
-                    achieved=getattr(exc, "achieved", None),
-                ) from exc
-            return False
-
-    return _Ctx()
-
-
 def _empirical_curve(h0_stats: np.ndarray, h1_stats: np.ndarray, grid: int):
     """(thresholds, pfa, pd, auc) from Monte Carlo statistics alone."""
     targets = np.linspace(0.0, 1.0, grid + 2)[1:-1]
     ts = np.quantile(h0_stats, 1.0 - targets)
-    pfa = np.mean(h0_stats[None, :] > ts[:, None], axis=1)
-    pd = np.mean(h1_stats[None, :] > ts[:, None], axis=1)
+    # counts strictly above each threshold, from the sorted statistics
+    n0, n1 = h0_stats.size, h1_stats.size
+    pfa = (n0 - np.searchsorted(np.sort(h0_stats), ts, side="right")) / n0
+    pd = (n1 - np.searchsorted(np.sort(h1_stats), ts, side="right")) / n1
     order = np.argsort(pfa, kind="stable")
     thresholds = np.concatenate([[np.inf], ts[order], [-np.inf]])
     pfa = np.concatenate([[0.0], pfa[order], [1.0]])
@@ -590,7 +581,7 @@ def run_experiment(config: ExperimentConfig, *, ks_table: bool = False) -> list[
         for kind in config.detectors:
             h0, h1 = laws[kind]
             if run_analytic:
-                with _named_computation(kind, h0, h1):
+                with _named_computation(f"{kind.value} law", h0, h1):
                     curve = roc_curve(
                         h0, h1, grid=config.pfa_grid, detector=kind, spec=spec
                     )
@@ -630,7 +621,7 @@ def run_experiment(config: ExperimentConfig, *, ks_table: bool = False) -> list[
                     widths = np.diff(edges)
                     empirical = counts / (stats.size * widths)
                     mids = 0.5 * (edges[:-1] + edges[1:])
-                    with _named_computation(kind, h0, h1):
+                    with _named_computation(f"{kind.value} law", h0, h1):
                         analytic = np.atleast_1d(np.asarray(law.pdf(mids), dtype=float))
                     hist_path = (
                         config.output_dir / f"hist_{kind.value}_{hyp.value}_{tag}.csv"
@@ -642,7 +633,7 @@ def run_experiment(config: ExperimentConfig, *, ks_table: bool = False) -> list[
                     )
                     files.append(hist_path)
                     if ks_table:
-                        with _named_computation(kind, h0, h1):
+                        with _named_computation(f"{kind.value} law", h0, h1):
                             bound = _ks_bound(stats, law)
                         ks_rows.append(
                             (kind.value, hyp.value, *ident, stats.size, bound)

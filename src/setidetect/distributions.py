@@ -10,7 +10,28 @@ arise for the ON/OFF detectors:
 * :class:`FLaw` — a scaled, possibly doubly non-central F: the ratio of two
   independent power estimates.
 * :class:`GammaDifference` — the difference of two independent power
-  estimates, evaluated by characteristic-function inversion.
+  estimates.
+
+The two component laws are evaluated by `scipy.special` directly: the
+regularized incomplete gamma function and its inverse, and Boost's
+non-central χ² (`chndtr`/`chndtrix`).  Both paired laws (FLaw, except in the
+central case, which keeps its incomplete-beta closed form, and
+GammaDifference) are evaluated by one mechanism, conditioning on one
+component: with B the component of smaller (relative, for the ratio) spread
+and A the other,
+
+    cdf(t) = E_B[F_A(h(t, B))] ≈ Σᵢ wᵢ·F_A(h(t, yᵢ)),
+    pdf(t) = Σᵢ wᵢ·f_A(h(t, yᵢ))·∂h/∂t,
+
+with h = t + y for the difference and h = t·y for the ratio.  The nodes yᵢ
+and weights wᵢ are a Gauss–Hermite rule in B's normal score when both
+components have shape ≥ 16, and otherwise Gauss–Legendre panels over B's
+range split where F_A has its support edge or its mean: at small shapes the
+edge is a kink of the integrand, on which Gauss–Hermite converges slowly.
+Each law picks the smallest rule that agrees with the next larger one to a
+tenth of QUADRATURE_TOL at probe points spanning the law, and raises
+ComputationError with the disagreement it reached when the largest rule
+still misses.
 
 Conventions:  a complex sample CN(0, σ²) contributes two real Gaussian
 degrees of freedom of variance σ²/2 each, so N complex samples give a real
@@ -26,12 +47,13 @@ All evaluation functions are pure; sampling takes an explicit
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Union
 
 import numpy as np
+from numpy.polynomial.hermite import hermgauss
+from numpy.polynomial.legendre import leggauss
 from scipy import special
-from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 __all__ = [
@@ -40,35 +62,35 @@ __all__ = [
     "GammaDifference",
     "NoncentralChi2C",
     "ScaledGamma",
-    "f_law_cdf",
-    "gamma_diff_pdf_cdf",
     "law_quantile",
     "law_sample",
-    "log_gamma",
-    "nc_chi2_cdf",
-    "reg_inc_beta",
-    "reg_inc_gamma_lower",
 ]
 
 # ---------------------------------------------------------------------------
-# module tolerances (defaults; every evaluation call accepts an override)
+# module tolerances
 # ---------------------------------------------------------------------------
 
-#: Poisson tail mass allowed to be dropped in the non-central χ² series.
-POISSON_TAIL_CHI2 = 1e-12
-#: Combined Poisson tail mass allowed to be dropped in the double F series.
-POISSON_TAIL_F = 1e-10
-#: |∫pdf − 1| required of the characteristic-function inversion grid.
-CF_NORM_TOL = 1e-6
+#: |cdf| error targeted by a paired law's quadrature rule, which must agree
+#: with the next larger rule to a tenth of it at the law's probe points.
+QUADRATURE_TOL = 1e-9
 #: |cdf(quantile(p)) − p| required of quantile inversion.
 QUANTILE_TOL = 1e-10
 
-_MAX_WINDOW_WIDEN = 6
-_EVAL_CHUNK_FLOPS = 4_000_000  # bounds temporary arrays in the series evaluators
+# Rule sizes tried in turn: Gauss–Hermite nodes, or Gauss–Legendre nodes per panel.
+_RULE_SIZES = (16, 20, 24, 32, 48, 64, 96, 128)
+# Below this component shape the kink of F_A at its support edge can make a
+# Gauss–Hermite rule look settled at the probes while missing between them
+# (seen at shape 5); from 16 up it settles within the sizes above.
+_HERMITE_MIN_SHAPE = 16
+# Mass of B left outside each end of the Gauss–Legendre panels.
+_PANEL_TAIL = 1e-15
+# Probe points, in standard deviations (log-scale ones for the ratio) of the
+# conditioned law around its centre.
+_PROBES = np.linspace(-6.0, 6.0, 25)
 
 
 class ComputationError(RuntimeError):
-    """A series or grid failed to reach its error target.
+    """A special function or quadrature rule failed to reach its error target.
 
     The bound that was actually achieved is kept in :attr:`achieved` so
     callers can report how far off the computation ended up.
@@ -77,216 +99,6 @@ class ComputationError(RuntimeError):
     def __init__(self, message: str, achieved: float | None = None):
         super().__init__(message)
         self.achieved = achieved
-
-
-# ---------------------------------------------------------------------------
-# special-function core
-# ---------------------------------------------------------------------------
-
-
-def _as_float_or_array(out, like):
-    if np.ndim(like) == 0:
-        return float(out)
-    return out
-
-
-def log_gamma(x):
-    """Natural log of the Gamma function for x > 0.
-
-    Accepts a scalar or array; relative error stays below 1e-12 across
-    [1e-3, 1e6].
-    """
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
-        raise ValueError("log_gamma requires finite x > 0")
-    return _as_float_or_array(special.gammaln(arr), x)
-
-
-def reg_inc_beta(x, a, b):
-    """Regularized incomplete beta I_x(a, b) for x in [0, 1], a > 0, b > 0."""
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0) or np.any(xa > 1) or not np.all(np.isfinite(xa)):
-        raise ValueError("reg_inc_beta requires 0 <= x <= 1")
-    if not (np.all(np.asarray(a) > 0) and np.all(np.asarray(b) > 0)):
-        raise ValueError("reg_inc_beta requires a > 0 and b > 0")
-    return _as_float_or_array(special.betainc(a, b, xa), x)
-
-
-def reg_inc_gamma_lower(s, x):
-    """Regularized lower incomplete gamma P(s, x) for s > 0, x >= 0."""
-    if not np.all(np.asarray(s) > 0):
-        raise ValueError("reg_inc_gamma_lower requires s > 0")
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0) or not np.all(np.isfinite(xa)):
-        raise ValueError("reg_inc_gamma_lower requires finite x >= 0")
-    return _as_float_or_array(special.gammainc(s, xa), x)
-
-
-# ---------------------------------------------------------------------------
-# Poisson mixture weights
-# ---------------------------------------------------------------------------
-
-
-def _poisson_weights(mu: float, tail: float):
-    """Indices and weights of a Poisson(mu) window holding all but < tail mass.
-
-    The window is centred on mu with half-width 8·√mu + 25, which leaves far
-    less than 1e-12 outside for any mu; the mass check below is still
-    enforced, widening geometrically if it ever fails.
-    """
-    if mu <= 0:
-        return np.arange(1), np.ones(1)
-    miss = np.inf
-    for widen in range(_MAX_WINDOW_WIDEN):
-        half = int(np.ceil(8.0 * (2.0**widen) * np.sqrt(mu) + 25))
-        lo = max(int(np.floor(mu)) - half, 0)
-        hi = int(np.ceil(mu)) + half
-        j = np.arange(lo, hi + 1)
-        w = np.exp(-mu + j * np.log(mu) - special.gammaln(j + 1.0))
-        miss = 1.0 - w.sum()
-        if miss < tail:
-            return j, w
-    raise ComputationError(
-        f"Poisson window around mu={mu:g} left {miss:.3e} mass, target {tail:.3e}",
-        achieved=miss,
-    )
-
-
-# ---------------------------------------------------------------------------
-# mixture evaluators
-#
-# Both series below avoid calling an incomplete beta/gamma per mixture term.
-# Only the corner term is evaluated by scipy; neighbouring terms follow from
-# the exact one-step recurrences
-#
-#   P(a+1, x) = P(a, x) − x^a e^{−x} / Γ(a+1)
-#   I_u(a+1, b) = I_u(a, b) − u^a (1−u)^b Γ(a+b) / (Γ(a+1) Γ(b))
-#   I_u(a, b+1) = I_u(a, b) + u^a (1−u)^b Γ(a+b) / (Γ(a) Γ(b+1))
-#
-# whose correction terms themselves march by scalar ratios, so a whole
-# rectangular window costs one scipy call plus cumulative products.
-# ---------------------------------------------------------------------------
-
-
-def _gamma_mixture_cdf(x: np.ndarray, a0: float, wj: np.ndarray) -> np.ndarray:
-    """Σ_j wj[j] · P(a0 + j, x) on a grid of x ≥ 0."""
-    if wj.size == 1:
-        return wj[0] * special.gammainc(a0, x)
-    out = np.empty_like(x)
-    chunk = max(1, _EVAL_CHUNK_FLOPS // wj.size)
-    offsets = np.arange(wj.size, dtype=float)
-    for s in range(0, x.size, chunk):
-        xs = x[s : s + chunk]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d0 = np.exp(a0 * np.log(xs) - xs - special.gammaln(a0 + 1.0))
-        d0 = np.where(xs > 0, d0, 0.0)
-        # d_j = x^{a0+j} e^{-x} / Γ(a0+j+1), marching by x / (a0+j+1)
-        ratios = xs[None, :] / (a0 + offsets[1:, None] )
-        np.cumprod(ratios, axis=0, out=ratios)
-        dj = np.empty((wj.size, xs.size))
-        dj[0] = d0
-        dj[1:] = d0[None, :] * ratios
-        pj = special.gammainc(a0, xs)[None, :] - np.concatenate(
-            [np.zeros((1, xs.size)), np.cumsum(dj[:-1], axis=0)], axis=0
-        )
-        np.clip(pj, 0.0, 1.0, out=pj)
-        out[s : s + chunk] = wj @ pj
-    return out
-
-
-def _beta_mixture_cdf(
-    u: np.ndarray, a0: float, b0: float, wj: np.ndarray, wk: np.ndarray
-) -> np.ndarray:
-    """Σ_{j,k} wj[j] wk[k] · I_u(a0 + j, b0 + k) on a grid of u in [0, 1)."""
-    if wj.size == 1 and wk.size == 1:
-        return wj[0] * wk[0] * special.betainc(a0, b0, u)
-    a = a0 + np.arange(wj.size, dtype=float)
-    b = b0 + np.arange(wk.size, dtype=float)
-    W = wk.sum()
-    # R[m] = Σ_{k > m} wk[k]; swapping the order of the k-sum and the
-    # telescoping I-recurrence turns the inner sum into Σ_m R[m]·g(a_j, b_m).
-    R = np.concatenate([np.cumsum(wk[::-1])[::-1][1:], [0.0]])
-    out = np.empty_like(u)
-    chunk = max(1, _EVAL_CHUNK_FLOPS // max(wk.size, wj.size))
-    for s in range(0, u.size, chunk):
-        us = u[s : s + chunk]
-        with np.errstate(divide="ignore"):
-            lu = np.log(us)
-            l1u = np.log1p(-us)
-        lcorner = a[0] * lu + b[0] * l1u + special.gammaln(a[0] + b[0])
-        corner = special.betainc(a[0], b[0], us)
-        with np.errstate(invalid="ignore"):
-            f0 = np.exp(lcorner - special.gammaln(a[0] + 1.0) - special.gammaln(b[0]))
-            g0 = np.exp(lcorner - special.gammaln(a[0]) - special.gammaln(b[0] + 1.0))
-        f0 = np.where(us > 0, f0, 0.0)
-        g0 = np.where(us > 0, g0, 0.0)
-        # march I(a_j, b0) down the j axis
-        if wj.size > 1:
-            rf = us[None, :] * ((a[:-1, None] + b[0]) / a[1:, None])
-            np.cumprod(rf, axis=0, out=rf)
-            fj = np.concatenate([f0[None, :], f0[None, :] * rf], axis=0)
-            Ij = corner[None, :] - np.concatenate(
-                [np.zeros((1, us.size)), np.cumsum(fj[:-1], axis=0)], axis=0
-            )
-            np.clip(Ij, 0.0, 1.0, out=Ij)
-            rg = us[None, :] * ((a[:-1, None] + b[0]) / a[:-1, None])
-            np.cumprod(rg, axis=0, out=rg)
-            gj0 = np.concatenate([g0[None, :], g0[None, :] * rg], axis=0)
-        else:
-            Ij = corner[None, :]
-            gj0 = g0[None, :]
-        acc = W * (wj @ Ij)
-        if wk.size > 1:
-            one_minus_u = 1.0 - us
-            for jj in range(wj.size):
-                rk = one_minus_u[None, :] * ((a[jj] + b[:-1, None]) / b[1:, None])
-                np.cumprod(rk, axis=0, out=rk)
-                gm = np.concatenate([gj0[jj][None, :], gj0[jj][None, :] * rk], axis=0)
-                acc += wj[jj] * (R @ gm)
-        out[s : s + chunk] = acc
-    return np.clip(out, 0.0, 1.0)
-
-
-def _beta_mixture_pdf(
-    u: np.ndarray, a0: float, b0: float, wj: np.ndarray, wk: np.ndarray
-) -> np.ndarray:
-    """Σ_{j,k} wj[j] wk[k] · Beta pdf(u; a0 + j, b0 + k) on a grid of u in (0, 1)."""
-    a = a0 + np.arange(wj.size, dtype=float)
-    b = b0 + np.arange(wk.size, dtype=float)
-    out = np.empty_like(u)
-    chunk = max(1, _EVAL_CHUNK_FLOPS // max(wk.size, wj.size))
-    for s in range(0, u.size, chunk):
-        us = u[s : s + chunk]
-        with np.errstate(divide="ignore"):
-            lu = np.log(us)
-            l1u = np.log1p(-us)
-        lcorner = (
-            (a[0] - 1.0) * lu
-            + (b[0] - 1.0) * l1u
-            + special.gammaln(a[0] + b[0])
-            - special.gammaln(a[0])
-            - special.gammaln(b[0])
-        )
-        h0 = np.exp(lcorner)
-        # h(a+1,b)/h(a,b) = u(a+b)/a along j
-        if wj.size > 1:
-            rj = us[None, :] * ((a[:-1, None] + b[0]) / a[:-1, None])
-            np.cumprod(rj, axis=0, out=rj)
-            hj0 = np.concatenate([h0[None, :], h0[None, :] * rj], axis=0)
-        else:
-            hj0 = h0[None, :]
-        acc = np.zeros_like(us)
-        one_minus_u = 1.0 - us
-        for jj in range(wj.size):
-            if wk.size > 1:
-                rk = one_minus_u[None, :] * ((a[jj] + b[:-1, None]) / b[:-1, None])
-                np.cumprod(rk, axis=0, out=rk)
-                hm = np.concatenate([hj0[jj][None, :], hj0[jj][None, :] * rk], axis=0)
-                acc += wj[jj] * (wk @ hm)
-            else:
-                acc += wj[jj] * wk[0] * hj0[jj]
-        out[s : s + chunk] = acc
-    return np.clip(out, 0.0, None)
 
 
 # ---------------------------------------------------------------------------
@@ -343,24 +155,26 @@ class ScaledGamma:
         sd = np.sqrt(self.variance)
         return max(self.mean - 4.0 * sd, 0.0), self.mean + 4.0 * sd
 
-    def pdf(self, t):
-        def eval_(x):
-            out = np.zeros_like(x)
-            pos = x > 0
-            xs = x[pos] / self.scale
-            out[pos] = np.exp(
-                (self.shape - 1.0) * np.log(xs)
-                - xs
-                - special.gammaln(self.shape)
-            ) / self.scale
-            return out
+    def _pdf(self, x):
+        out = np.zeros_like(x)
+        pos = x > 0
+        xs = x[pos] / self.scale
+        out[pos] = np.exp(
+            (self.shape - 1.0) * np.log(xs) - xs - special.gammaln(self.shape)
+        ) / self.scale
+        return out
 
-        return _eval_1d(eval_, t)
+    def _cdf(self, x):
+        return special.gammainc(self.shape, np.maximum(x, 0.0) / self.scale)
+
+    def _ppf(self, p):
+        return special.gammaincinv(self.shape, p) * self.scale
+
+    def pdf(self, t):
+        return _eval_1d(self._pdf, t)
 
     def cdf(self, t):
-        return _eval_1d(
-            lambda x: special.gammainc(self.shape, np.maximum(x, 0.0) / self.scale), t
-        )
+        return _eval_1d(self._cdf, t)
 
     def quantile(self, p, tol: float = QUANTILE_TOL):
         return law_quantile(self, p, tol=tol)
@@ -420,34 +234,48 @@ class NoncentralChi2C:
             raise ValueError("only the central case reduces to ScaledGamma")
         return ScaledGamma(self.shape, self.power / self.shape)
 
-    def cdf(self, t, tail: float = POISSON_TAIL_CHI2):
-        wj_idx, wj = _poisson_weights(self.noncentrality / 2.0, tail)
-
-        def eval_(x):
-            xs = np.maximum(x, 0.0) * self.shape / self.power
-            return np.clip(_gamma_mixture_cdf(xs, self.shape + wj_idx[0], wj), 0.0, 1.0)
-
-        return _eval_1d(eval_, t)
-
-    def pdf(self, t, tail: float = POISSON_TAIL_CHI2):
-        wj_idx, wj = _poisson_weights(self.noncentrality / 2.0, tail)
-        shapes = self.shape + wj_idx.astype(float)
-        theta = self.power / self.shape
-
-        def eval_(x):
-            out = np.zeros_like(x)
-            pos = x > 0
-            xs = x[pos] / theta
-            # mixture of Gamma(shape + j, θ) densities, evaluated in log space
-            terms = np.exp(
-                (shapes[:, None] - 1.0) * np.log(xs)[None, :]
-                - xs[None, :]
-                - special.gammaln(shapes)[:, None]
+    def _checked(self, out):
+        # Boost's series gives NaN where it cannot converge (λ ≳ 5e10)
+        if np.any(np.isnan(out)):
+            raise ComputationError(
+                f"non-central χ² with 2N = {2.0 * self.shape:g}, "
+                f"λ = {self.noncentrality:g} could not be evaluated"
             )
-            out[pos] = (wj @ terms) / theta
-            return out
+        return out
 
-        return _eval_1d(eval_, t)
+    def _chi2(self, x):
+        """χ²_{2N} argument of the estimate value x (clamped at 0)."""
+        return np.maximum(x, 0.0) * (2.0 * self.shape / self.power)
+
+    def _cdf(self, x):
+        return self._checked(
+            special.chndtr(self._chi2(x), 2.0 * self.shape, self.noncentrality)
+        )
+
+    def _pdf(self, x):
+        # x·f_k = k·f_{k+2} + λ·f_{k+4} and F_k − F_{k+2} = 2·f_{k+2} give the
+        # density from three cdfs at any k > 0, without the Bessel function
+        # (whose exponentially scaled form underflows at large k)
+        out = np.zeros_like(x)
+        pos = x > 0
+        u = self._chi2(x[pos])
+        k, lam = 2.0 * self.shape, self.noncentrality
+        f0, f2, f4 = (self._checked(special.chndtr(u, k + d, lam)) for d in (0, 2, 4))
+        dens = (k * (f0 - f2) + lam * (f2 - f4)) / (2.0 * u)
+        out[pos] = np.maximum(dens, 0.0) * (2.0 * self.shape / self.power)
+        return out
+
+    def _ppf(self, p):
+        return self._checked(
+            special.chndtrix(p, 2.0 * self.shape, self.noncentrality)
+            * (self.power / (2.0 * self.shape))
+        )
+
+    def cdf(self, t):
+        return _eval_1d(self._cdf, t)
+
+    def pdf(self, t):
+        return _eval_1d(self._pdf, t)
 
     def quantile(self, p, tol: float = QUANTILE_TOL):
         return law_quantile(self, p, tol=tol)
@@ -459,6 +287,124 @@ class NoncentralChi2C:
             return rng.gamma(self.shape, self.power / self.shape, n)
         c = self.power / (2.0 * self.shape)
         return c * rng.noncentral_chisquare(2.0 * self.shape, self.noncentrality, n)
+
+
+LawSide = Union[ScaledGamma, NoncentralChi2C]
+
+
+@cache
+def _hermite(n: int):
+    """Nodes and weights of E[g(Z)], Z ~ N(0, 1), by n-point Gauss–Hermite."""
+    x, w = hermgauss(n)
+    return np.sqrt(2.0) * x, w / np.sqrt(np.pi)
+
+
+@dataclass(frozen=True)
+class _Conditioned:
+    """cdf and pdf of A − B (or A/B when `ratio`) by conditioning on B.
+
+    cdf(u) = E_B[F_A(h(u, B))] with h = u + y (difference) or u·y (ratio).
+    With `mirror` set the law is that of −(A − B) (or B/A), evaluated as
+    1 − cdf(−t) (or 1 − cdf(1/t)).  B should be the narrower component.
+    """
+
+    a: LawSide
+    b: LawSide
+    ratio: bool
+    mirror: bool
+
+    def _nodes(self, u, n: int):
+        """Nodes y and weights w of an n-point rule over B, one row per u
+        (or one row shared by all)."""
+        if min(self.a.shape, self.b.shape) >= _HERMITE_MIN_SHAPE:
+            z, w = _hermite(n)
+            # Φ(z) rounds to 1 beyond z ≈ 8.3; those nodes carry weight < 1e-16
+            p = np.minimum(special.ndtr(z), 1.0 - np.finfo(float).epsneg)
+            return self.b._ppf(p)[None, :], w[None, :]
+        # Panels split where h crosses A's support edge (a kink of F_A) and
+        # A's mean; the ratio's panels are uniform in log y.
+        x, w = leggauss(n)
+        lo, hi = self.b._ppf(np.array([_PANEL_TAIL, 1.0 - _PANEL_TAIL]))
+        cuts = [self.a.mean / u] if self.ratio else [-u, self.a.mean - u]
+        edges = np.sort(np.clip([np.full_like(u, lo), *cuts, np.full_like(u, hi)], lo, hi), 0).T
+        if self.ratio:
+            edges = np.log(edges)
+        half = 0.5 * np.diff(edges, axis=1)[..., None]
+        shape = (u.size, half.shape[1] * n)
+        v = (0.5 * (edges[:, 1:] + edges[:, :-1])[..., None] + half * x).reshape(shape)
+        y = np.exp(v) if self.ratio else v
+        w = (half * w).reshape(shape) * self.b._pdf(y)
+        if self.ratio:
+            w *= y
+        # unit total weight makes Σw·F_A = 1 − Σw·(1 − F_A) exactly, so the
+        # upper tail is as accurate as the lower one
+        return y, w / np.sum(w, axis=1, keepdims=True)
+
+    def _sum(self, u, n: int, density: bool):
+        y, w = self._nodes(u, n)
+        h = u[:, None] * y if self.ratio else u[:, None] + y
+        if not density:
+            return np.sum(self.a._cdf(h) * w, axis=1)
+        # ∂h/∂u is y for the ratio and 1 for the difference
+        return np.sum(self.a._pdf(h) * (y * w if self.ratio else w), axis=1)
+
+    def _centred(self, k):
+        """Points k spreads from the centre of the conditioned law."""
+        a, b = self.a, self.b
+        if self.ratio:
+            rel = np.sqrt(a.variance / a.mean**2 + b.variance / b.mean**2)
+            return a.mean / b.mean * np.exp(rel * k)
+        return a.mean - b.mean + np.sqrt(a.variance + b.variance) * k
+
+    @cached_property
+    def size(self) -> int:
+        """Smallest rule size that agrees with the next one at the probes."""
+        u = self._centred(_PROBES)
+        prev = self._sum(u, _RULE_SIZES[0], False)
+        for n, larger in zip(_RULE_SIZES, _RULE_SIZES[1:]):
+            nxt = self._sum(u, larger, False)
+            miss = float(np.max(np.abs(nxt - prev)))
+            # the rule error oscillates between probes, so demand a tenth
+            if miss <= 0.1 * QUADRATURE_TOL:
+                return n
+            prev = nxt
+        raise ComputationError(
+            f"conditional quadrature over {self.b!r} did not settle: rules of "
+            f"{_RULE_SIZES[-2]} and {_RULE_SIZES[-1]} nodes differ by {miss:.3e}",
+            achieved=miss,
+        )
+
+    def _args(self, t):
+        """(points inside the support, canonical arguments u, |du/dt|)."""
+        inside = t > 0 if self.ratio else np.ones(t.shape, dtype=bool)
+        ts = t[inside]
+        if not self.mirror:
+            return inside, ts, np.ones_like(ts)
+        if self.ratio:
+            return inside, 1.0 / ts, 1.0 / ts**2
+        return inside, -ts, np.ones_like(ts)
+
+    def cdf(self, t):
+        n = self.size
+        inside, u, _ = self._args(t)
+        out = np.zeros_like(t)
+        value = self._sum(u, n, False)
+        out[inside] = 1.0 - value if self.mirror else value
+        return np.clip(out, 0.0, 1.0)
+
+    def pdf(self, t):
+        n = self.size
+        inside, u, du = self._args(t)
+        out = np.zeros_like(t)
+        out[inside] = np.maximum(self._sum(u, n, True), 0.0) * du
+        return out
+
+
+def _mean_power(dof: float, scale: float, lam: float) -> LawSide:
+    """Law of scale·X/dof for X ~ χ²_dof(λ)."""
+    if lam == 0:
+        return ScaledGamma(dof / 2.0, 2.0 * scale / dof)
+    return NoncentralChi2C(dof / 2.0, scale, lam * scale / 2.0)
 
 
 @dataclass(frozen=True)
@@ -489,29 +435,33 @@ class FLaw:
 
     support_lo = 0.0
 
-    def _windows(self, tail: float):
-        # Half the combined budget per side keeps the total dropped mass
-        # (m₁ + m₂ − m₁m₂) under `tail`.
-        ij, wj = _poisson_weights(self.lambda_num / 2.0, tail / 2.0)
-        ik, wk = _poisson_weights(self.lambda_den / 2.0, tail / 2.0)
-        return ij, wj, ik, wk
+    @property
+    def _central(self) -> bool:
+        return self.lambda_num == 0 and self.lambda_den == 0
 
-    def cdf(self, t, tail: float = POISSON_TAIL_F):
-        ij, wj, ik, wk = self._windows(tail)
-        a0 = self.dof_num / 2.0 + ij[0]
-        b0 = self.dof_den / 2.0 + ik[0]
+    @cached_property
+    def _conditioned(self) -> _Conditioned:
+        num = _mean_power(self.dof_num, self.scale, self.lambda_num)
+        den = _mean_power(self.dof_den, 1.0, self.lambda_den)
+        if num.variance / num.mean**2 < den.variance / den.mean**2:
+            return _Conditioned(den, num, ratio=True, mirror=True)
+        return _Conditioned(num, den, ratio=True, mirror=False)
+
+    def cdf(self, t):
+        if not self._central:
+            return _eval_1d(self._conditioned.cdf, t)
+        a, b = self.dof_num / 2.0, self.dof_den / 2.0
 
         def eval_(x):
             xs = np.maximum(x, 0.0) / self.scale
-            u = self.dof_num * xs / (self.dof_num * xs + self.dof_den)
-            return _beta_mixture_cdf(u, a0, b0, wj, wk)
+            return special.betainc(a, b, self.dof_num * xs / (self.dof_num * xs + self.dof_den))
 
         return _eval_1d(eval_, t)
 
-    def pdf(self, t, tail: float = POISSON_TAIL_F):
-        ij, wj, ik, wk = self._windows(tail)
-        a0 = self.dof_num / 2.0 + ij[0]
-        b0 = self.dof_den / 2.0 + ik[0]
+    def pdf(self, t):
+        if not self._central:
+            return _eval_1d(self._conditioned.pdf, t)
+        a, b = self.dof_num / 2.0, self.dof_den / 2.0
         r = self.dof_num / self.dof_den
 
         def eval_(x):
@@ -519,7 +469,13 @@ class FLaw:
             pos = x > 0
             xs = x[pos] / self.scale
             u = r * xs / (r * xs + 1.0)
-            dens = _beta_mixture_pdf(u, a0, b0, wj, wk)
+            dens = np.exp(
+                (a - 1.0) * np.log(u)
+                + (b - 1.0) * np.log1p(-u)
+                + special.gammaln(a + b)
+                - special.gammaln(a)
+                - special.gammaln(b)
+            )
             # du/dx = r / (r x + 1)², then the outer 1/scale
             out[pos] = dens * r / (r * xs + 1.0) ** 2 / self.scale
             return out
@@ -557,43 +513,24 @@ class FLaw:
         return centre * np.exp(-4.0 * rel), centre * np.exp(4.0 * rel)
 
 
-LawSide = Union[ScaledGamma, NoncentralChi2C]
-
-
-def _side_params(side: LawSide):
-    """(N, σ², E) of either admissible component law."""
-    if isinstance(side, NoncentralChi2C):
-        return side.shape, side.power, side.noncentrality_energy
-    if isinstance(side, ScaledGamma):
-        return side.shape, side.shape * side.scale, 0.0
-    raise ValueError("GammaDifference sides must be ScaledGamma or NoncentralChi2C")
-
-
-def _phi_mean_power(omega: np.ndarray, n: float, sigma2: float, energy: float):
-    """Characteristic function of the mean-power estimate (N, σ², E)."""
-    c = sigma2 / (2.0 * n)
-    lam = 2.0 * energy / sigma2
-    z = 1.0 - 2.0j * c * omega
-    return np.exp(1j * c * lam * omega / z) * z ** (-n)
-
-
 @dataclass(frozen=True)
 class GammaDifference:
     """Law of pos − neg for independent mean-power estimates.
 
-    No closed form covers the non-central cases uniformly, so the pdf is
-    recovered by FFT inversion of the product characteristic function
-    φ_pos(ω)·conj(φ_neg(ω)) on a grid wide enough that the wrapped tail mass
-    is negligible; the cdf integrates that grid and both are interpolated
-    monotonically.  The grid is refined until |∫pdf − 1| meets its target.
+    No closed form covers the non-central cases uniformly, so cdf and pdf
+    come from conditioning on the narrower estimate (see the module
+    docstring).
     """
 
     pos: LawSide
     neg: LawSide
 
     def __post_init__(self):
-        _side_params(self.pos)
-        _side_params(self.neg)
+        for side in (self.pos, self.neg):
+            if not isinstance(side, (ScaledGamma, NoncentralChi2C)):
+                raise ValueError(
+                    "GammaDifference sides must be ScaledGamma or NoncentralChi2C"
+                )
 
     support_lo = -np.inf
 
@@ -609,84 +546,17 @@ class GammaDifference:
         sd = np.sqrt(self.variance)
         return self.mean - 4.0 * sd, self.mean + 4.0 * sd
 
-    def _invert(self, m: int, kspan: float):
-        np_, s2p, ep = _side_params(self.pos)
-        nn_, s2n, en = _side_params(self.neg)
-        sp = np.sqrt(self.pos.variance)
-        sn = np.sqrt(self.neg.variance)
-        t_lo = (self.pos.mean - kspan * sp) - (self.neg.mean + kspan * sn)
-        t_hi = (self.pos.mean + kspan * sp) - (self.neg.mean - kspan * sn)
-        dt = (t_hi - t_lo) / m
-        dw = 2.0 * np.pi / (m * dt)
-        idx = np.arange(m)
-        w = (idx - m / 2) * dw
-        phi = _phi_mean_power(w, np_, s2p, ep) * np.conj(
-            _phi_mean_power(w, nn_, s2n, en)
-        )
-        psi = phi * np.exp(-1j * w * t_lo)
-        sign = np.where(idx % 2 == 0, 1.0, -1.0)  # e^{iπ idx}, recentres ω = 0
-        pdf = (dw / (2.0 * np.pi)) * np.real(sign * np.fft.fft(psi))
-        return t_lo + idx * dt, pdf
-
     @cached_property
-    def _grid(self):
-        achieved = np.inf
-        for m, kspan in ((1 << 15, 20.0), (1 << 16, 28.0), (1 << 17, 40.0)):
-            t, pdf = self._invert(m, kspan)
-            pdf = np.clip(pdf, 0.0, None)
-            dt = t[1] - t[0]
-            norm = float(np.sum(0.5 * (pdf[1:] + pdf[:-1])) * dt)
-            achieved = abs(norm - 1.0)
-            if achieved <= CF_NORM_TOL:
-                cdf = np.concatenate(
-                    [[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * dt)]
-                )
-                cdf /= cdf[-1]
-                return {
-                    "t": t,
-                    "pdf": pdf / norm,
-                    "cdf": cdf,
-                    "pdf_ip": PchipInterpolator(t, pdf / norm, extrapolate=False),
-                    "cdf_ip": PchipInterpolator(t, cdf, extrapolate=False),
-                    "norm_err": achieved,
-                }
-        raise ComputationError(
-            f"characteristic-function grid refinement exhausted; |∫pdf−1| = {achieved:.3e}",
-            achieved=achieved,
-        )
+    def _conditioned(self) -> _Conditioned:
+        if self.pos.variance < self.neg.variance:
+            return _Conditioned(self.neg, self.pos, ratio=False, mirror=True)
+        return _Conditioned(self.pos, self.neg, ratio=False, mirror=False)
 
-    @property
-    def norm_error(self) -> float:
-        return self._grid["norm_err"]
+    def pdf(self, t):
+        return _eval_1d(self._conditioned.pdf, t)
 
-    def pdf(self, t, norm_tol: float = CF_NORM_TOL):
-        g = self._grid
-        self._check_norm(norm_tol)
-
-        def eval_(x):
-            out = g["pdf_ip"](x)
-            return np.where(np.isnan(out), 0.0, np.clip(out, 0.0, None))
-
-        return _eval_1d(eval_, t)
-
-    def cdf(self, t, norm_tol: float = CF_NORM_TOL):
-        g = self._grid
-        self._check_norm(norm_tol)
-        t0, t1 = g["t"][0], g["t"][-1]
-
-        def eval_(x):
-            out = g["cdf_ip"](x)
-            out = np.where(x <= t0, 0.0, np.where(x >= t1, 1.0, out))
-            return np.clip(out, 0.0, 1.0)
-
-        return _eval_1d(eval_, t)
-
-    def _check_norm(self, norm_tol: float):
-        if self._grid["norm_err"] > norm_tol:
-            raise ComputationError(
-                f"pdf normalization error {self._grid['norm_err']:.3e} exceeds {norm_tol:.1e}",
-                achieved=self._grid["norm_err"],
-            )
+    def cdf(self, t):
+        return _eval_1d(self._conditioned.cdf, t)
 
     def quantile(self, p, tol: float = QUANTILE_TOL):
         return law_quantile(self, p, tol=tol)
@@ -702,36 +572,6 @@ Law = Union[ScaledGamma, NoncentralChi2C, FLaw, GammaDifference]
 # ---------------------------------------------------------------------------
 # operations on any law
 # ---------------------------------------------------------------------------
-
-
-def nc_chi2_cdf(law: NoncentralChi2C, t, tail: float = POISSON_TAIL_CHI2):
-    """CDF of the mean-power estimate with a deterministic component.
-
-    Evaluated as the Poisson(λ/2)-weighted series of central Gamma cdfs,
-    truncated once the remaining Poisson mass drops below `tail`.
-    """
-    if not isinstance(law, NoncentralChi2C):
-        raise TypeError("nc_chi2_cdf expects a NoncentralChi2C law")
-    return law.cdf(t, tail=tail)
-
-
-def f_law_cdf(law: FLaw, t, tail: float = POISSON_TAIL_F):
-    """CDF of a scaled (doubly non-central) F law.
-
-    Evaluated as the double Poisson mixture
-    P(F ≤ x) = Σ_j Σ_k w_j(λ₁/2) w_k(λ₂/2) I_u(ν₁/2+j, ν₂/2+k) with
-    u = ν₁x/(ν₁x+ν₂), truncated once the combined dropped mass is < `tail`.
-    """
-    if not isinstance(law, FLaw):
-        raise TypeError("f_law_cdf expects an FLaw")
-    return law.cdf(t, tail=tail)
-
-
-def gamma_diff_pdf_cdf(law: GammaDifference, t, norm_tol: float = CF_NORM_TOL):
-    """(pdf, cdf) of pos − neg via characteristic-function inversion."""
-    if not isinstance(law, GammaDifference):
-        raise TypeError("gamma_diff_pdf_cdf expects a GammaDifference law")
-    return law.pdf(t, norm_tol=norm_tol), law.cdf(t, norm_tol=norm_tol)
 
 
 def law_quantile(law, p, tol: float = QUANTILE_TOL):

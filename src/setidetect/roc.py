@@ -9,6 +9,7 @@ keeps the trapezoid AUC stable under refinement.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -144,6 +145,17 @@ def roc_curve(
     )
 
 
+@contextmanager
+def _named_computation(label: str, h0: Law, h1: Law):
+    """Re-raise ComputationError naming the detector and its law pair."""
+    try:
+        yield
+    except ComputationError as exc:
+        raise ComputationError(
+            f"{label} failed: {exc} (h0={h0!r}, h1={h1!r})", achieved=exc.achieved
+        ) from exc
+
+
 @dataclass(eq=False)
 class DetectorComparison:
     """One row of a gain sweep: a detector's ROC at one interference gain."""
@@ -177,7 +189,8 @@ def compare_detectors(
     def curve_at(g: float, kind: DetectorKind) -> RocCurve:
         at_g = spec.with_gain(g)
         h0, h1 = detector_laws(at_g, kind, assumed_noise)
-        return roc_curve(h0, h1, grid=grid, detector=kind, spec=at_g)
+        with _named_computation(f"{kind.value} law at gain {g:g}", h0, h1):
+            return roc_curve(h0, h1, grid=grid, detector=kind, spec=at_g)
 
     baseline_curves = {kind: curve_at(1.0, kind) for kind in detectors}
     baseline = {kind: c.auc for kind, c in baseline_curves.items()}

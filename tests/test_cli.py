@@ -2,12 +2,15 @@
 
 import csv
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from setidetect import ChirpParams
+import setidetect.roc
+from setidetect import ChirpParams, ComputationError, ScaledGamma
 from setidetect.cli import (
     COMPARE_COLUMNS,
     HIST_COLUMNS,
@@ -15,6 +18,7 @@ from setidetect.cli import (
     ROC_COLUMNS,
     SUMMARY_COLUMNS,
     ConfigError,
+    _empirical_curve,
     emit_spectrogram_demo,
     load_config,
     main,
@@ -493,3 +497,79 @@ class TestCompareVerb:
         rows = read_csv(out / "compare.csv")
         assert len(rows) == 10
         assert sorted({float(r["gain"]) for r in rows}) == [0.8, 0.9, 1.0, 1.1, 1.25]
+
+    def test_single_sample_config_exits_zero(self, tmp_path, capsys):
+        # N = 1 with strong interference: the on_off conditional integrand
+        # kinks at the exponential's support edge
+        doc = {
+            "scenario": {
+                "rfi_kind": "wideband",
+                "et_kind": "wideband",
+                "noise_power": 1.0,
+                "rfi_power": 1e4,
+                "snr_db": -10.0,
+                "gain": 1.0,
+                "n_samples": 1,
+            },
+            "detectors": ["f_ratio", "on_off"],
+            "pfa_grid": 512,
+            "gains": [0.001, 0.01, 0.5, 1.0],
+        }
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        code = main(["compare", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 0, capsys.readouterr().err
+        rows = read_csv(tmp_path / "out" / "compare.csv")
+        assert len(rows) == 8
+        assert all(0.5 <= float(r["auc"]) <= 1.0 for r in rows)
+
+    def test_failing_law_is_named(self, tmp_path, capsys, monkeypatch):
+        class FailingLaw(ScaledGamma):
+            def cdf(self, t):
+                raise ComputationError("series did not settle", achieved=2e-3)
+
+        real_laws = setidetect.roc.detector_laws
+
+        def laws(spec, kind, assumed_noise=None):
+            if spec.gain == 0.9 and kind == "on_off":
+                return FailingLaw(4.0, 1.0), FailingLaw(4.0, 2.0)
+            return real_laws(spec, kind, assumed_noise)
+
+        monkeypatch.setattr(setidetect.roc, "detector_laws", laws)
+        cfg = write_json(tmp_path / "cfg.json", base_config(gains=[0.9, 1.0], pfa_grid=16))
+        code = main(["compare", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "on_off law at gain 0.9 failed: series did not settle" in err
+        assert "FailingLaw(shape=4.0, scale=1.0), h1=" in err
+        assert "FailingLaw(shape=4.0, scale=2.0))" in err
+
+
+class TestEmpiricalCurve:
+    def test_counts_match_broadcast_comparison(self):
+        # statistics rounded to 0.1 tie often, and many thresholds land on a
+        # tied value, where only a strict "above" gives the same counts
+        rng = np.random.default_rng(5)
+        h0 = np.round(rng.normal(size=301), 1)
+        h1 = np.round(rng.normal(0.7, 1.0, size=300), 1)
+        thresholds, pfa, pd, _ = _empirical_curve(h0, h1, 40)
+        ts = thresholds[1:-1]
+        assert np.isin(ts, h0).sum() > 10
+        pfa_ref = np.mean(h0[None, :] > ts[:, None], axis=1)
+        pd_ref = np.mean(h1[None, :] > ts[:, None], axis=1)
+        assert np.array_equal(pfa[1:-1], pfa_ref)
+        assert np.array_equal(pd[1:-1], pd_ref)
+
+
+class TestImportCost:
+    def test_cli_import_does_not_load_scipy_stats(self):
+        # scipy.stats adds about half a second to every CLI start-up
+        probe = "import sys, setidetect.cli; print('scipy.stats' in sys.modules)"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={"PYTHONPATH": src},
+        )
+        assert out.stdout.strip() == "False"

@@ -8,21 +8,17 @@ samplers, quoted with their ±3·standard-error bands.
 
 import numpy as np
 import pytest
+from scipy import special
 
 from setidetect.distributions import (
+    QUADRATURE_TOL,
     ComputationError,
     FLaw,
     GammaDifference,
     NoncentralChi2C,
     ScaledGamma,
-    f_law_cdf,
-    gamma_diff_pdf_cdf,
     law_quantile,
     law_sample,
-    log_gamma,
-    nc_chi2_cdf,
-    reg_inc_beta,
-    reg_inc_gamma_lower,
 )
 
 from conftest import ks_bound
@@ -52,80 +48,79 @@ def law_matrix():
     ]
 
 
-# --- special-function kernels ------------------------------------------------
+# --- special functions, through the law methods that use them ----------------
+#
+# ScaledGamma(a, 1).pdf(1) = exp(−1 − ln Γ(a)) carries the log-gamma oracles;
+# the central FLaw(2a, 2b).cdf at x = b·u / (a·(1 − u)) is I_u(a, b); and
+# ScaledGamma(s, 1).cdf(x) is the regularized lower incomplete gamma P(s, x).
+
+
+def unit_gamma_pdf_at_one(a):
+    return ScaledGamma(a, 1.0).pdf(1.0)
 
 
 class TestLogGamma:
     def test_one_is_zero(self):
-        assert log_gamma(1.0) == 0.0
+        assert unit_gamma_pdf_at_one(1.0) == pytest.approx(np.exp(-1.0), rel=1e-15)
 
     def test_half_log_sqrt_pi(self):
-        assert abs(log_gamma(0.5) - LOG_GAMMA_HALF) <= 1e-12
+        expected = np.exp(-1.0 - LOG_GAMMA_HALF)
+        assert unit_gamma_pdf_at_one(0.5) == pytest.approx(expected, rel=1e-12)
 
     def test_frozen_oracle(self):
-        assert abs(log_gamma(10.5) - LOG_GAMMA_10_5) <= abs(LOG_GAMMA_10_5) * 1e-12
+        expected = np.exp(-1.0 - LOG_GAMMA_10_5)
+        rel = abs(LOG_GAMMA_10_5) * 1e-12
+        assert unit_gamma_pdf_at_one(10.5) == pytest.approx(expected, rel=rel)
 
     def test_relative_error_across_range(self):
-        # spot the documented range against the arbitrary-precision anchor
-        # values via the functional equation ln Γ(x+1) = ln Γ(x) + ln x
+        # the functional equation ln Γ(x+1) = ln Γ(x) + ln x makes the
+        # Gamma(x+1) and Gamma(x) densities agree at t = x
         for x in (1e-3, 0.37, 5.5, 123.0, 1e6):
-            lhs = log_gamma(x + 1.0)
-            rhs = log_gamma(x) + np.log(x)
-            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+            lhs = ScaledGamma(x + 1.0, 1.0).pdf(x)
+            rhs = ScaledGamma(x, 1.0).pdf(x)
+            tol = 1e-12 * max(1.0, abs(special.gammaln(x + 1.0)))
+            assert lhs == pytest.approx(rhs, rel=tol)
 
     def test_array_input(self):
-        out = log_gamma(np.array([1.0, 2.0, 0.5]))
+        out = ScaledGamma(2.0, 1.0).pdf(np.array([1.0, 2.0, 0.5]))
         assert out.shape == (3,)
-        assert np.allclose(out, [0.0, 0.0, LOG_GAMMA_HALF], atol=1e-12)
+        ts = np.array([1.0, 2.0, 0.5])
+        assert np.allclose(out, ts * np.exp(-ts), atol=1e-12)
 
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            log_gamma(0.0)
-        with pytest.raises(ValueError):
-            log_gamma(-1.5)
+
+def inc_beta(u, a, b):
+    u = np.asarray(u, dtype=float)
+    return FLaw(2.0 * a, 2.0 * b).cdf(b * u / (a * (1.0 - u)))
 
 
 class TestRegIncBeta:
     def test_symmetry_at_half(self):
         for a in (0.5, 1.0, 3.7, 64.0):
-            assert abs(reg_inc_beta(0.5, a, a) - 0.5) <= 1e-12
+            assert abs(inc_beta(0.5, a, a) - 0.5) <= 1e-12
 
     def test_uniform_case(self):
-        xs = np.linspace(0.0, 1.0, 11)
-        assert np.allclose(reg_inc_beta(xs, 1.0, 1.0), xs, atol=1e-12)
+        us = np.linspace(0.0, 0.9, 10)
+        assert np.allclose(inc_beta(us, 1.0, 1.0), us, atol=1e-12)
 
     def test_frozen_oracle(self):
-        assert abs(reg_inc_beta(0.3, 2.5, 4.0) - INC_BETA_03_25_40) <= 1e-12
+        assert abs(FLaw(5, 8).cdf(2.4 / 3.5) - INC_BETA_03_25_40) <= 1e-12
 
     def test_endpoints(self):
-        assert reg_inc_beta(0.0, 2.0, 3.0) == 0.0
-        assert reg_inc_beta(1.0, 2.0, 3.0) == 1.0
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            reg_inc_beta(-0.1, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            reg_inc_beta(1.1, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            reg_inc_beta(0.5, 0.0, 1.0)
+        law = FLaw(4.0, 6.0)
+        assert law.cdf(0.0) == 0.0
+        assert law.cdf(1e300) == 1.0
 
 
 class TestRegIncGammaLower:
     def test_exponential_case(self):
         xs = np.linspace(0.0, 8.0, 17)
-        assert np.allclose(reg_inc_gamma_lower(1.0, xs), 1.0 - np.exp(-xs), atol=1e-12)
+        assert np.allclose(ScaledGamma(1.0, 1.0).cdf(xs), 1.0 - np.exp(-xs), atol=1e-12)
 
     def test_zero(self):
-        assert reg_inc_gamma_lower(3.0, 0.0) == 0.0
+        assert ScaledGamma(3.0, 1.0).cdf(0.0) == 0.0
 
     def test_frozen_oracle(self):
-        assert abs(reg_inc_gamma_lower(3.5, 2.2) - INC_GAMMA_35_22) <= 1e-12
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            reg_inc_gamma_lower(0.0, 1.0)
-        with pytest.raises(ValueError):
-            reg_inc_gamma_lower(2.0, -0.5)
+        assert abs(ScaledGamma(3.5, 1.0).cdf(2.2) - INC_GAMMA_35_22) <= 1e-12
 
 
 # --- law constructors and validation -----------------------------------------
@@ -177,39 +172,46 @@ class TestNcChi2Cdf:
         nc = NoncentralChi2C(shape=64, power=1.3, noncentrality_energy=0.0)
         sg = ScaledGamma(shape=64, scale=1.3 / 64)
         ts = np.linspace(0.4, 3.0, 200)
-        assert np.max(np.abs(nc_chi2_cdf(nc, ts) - sg.cdf(ts))) <= 1e-10
+        assert np.max(np.abs(nc.cdf(ts) - sg.cdf(ts))) <= 1e-10
 
     def test_exponential_median(self):
         law = NoncentralChi2C(shape=1, power=2.0, noncentrality_energy=0.0)
-        assert abs(nc_chi2_cdf(law, 2.0 * np.log(2.0)) - 0.5) <= 1e-12
+        assert abs(law.cdf(2.0 * np.log(2.0)) - 0.5) <= 1e-12
 
     def test_monte_carlo_oracle(self):
         law = NoncentralChi2C(shape=64, power=1.0, noncentrality_energy=16.0)
         est, band = NCX2C_64_1_16_CDF_AT_1_2
-        assert abs(nc_chi2_cdf(law, 1.2) - est) <= band
+        assert abs(law.cdf(1.2) - est) <= band
 
-    def test_rejects_wrong_law(self):
-        with pytest.raises(TypeError):
-            nc_chi2_cdf(ScaledGamma(2.0, 1.0), 1.0)
+
+    def test_unevaluable_noncentrality_raises(self):
+        # 2N = 2e5, λ = 2e11: Boost's series returns NaN at and above the mean
+        law = NoncentralChi2C(shape=1e5, power=1.0, noncentrality_energy=1e11)
+        for evaluate in (law.cdf, law.pdf):
+            with pytest.raises(ComputationError):
+                evaluate(law.mean)
+        pair = GammaDifference(pos=law, neg=ScaledGamma(1e5, 1e6 / 1e5))
+        with pytest.raises(ComputationError):
+            pair.cdf(pair.mean)
 
 
 class TestFLawCdf:
     def test_equal_dof_median(self):
         law = FLaw(dof_num=128, dof_den=128, scale=1.0, lambda_num=0.0, lambda_den=0.0)
-        assert abs(f_law_cdf(law, 1.0) - 0.5) <= 1e-12
+        assert abs(law.cdf(1.0) - 0.5) <= 1e-12
 
     def test_scale_identity(self):
         unit = FLaw(dof_num=64, dof_den=80, scale=1.0, lambda_num=3.0, lambda_den=1.0)
         scaled = FLaw(dof_num=64, dof_den=80, scale=2.7, lambda_num=3.0, lambda_den=1.0)
         for t in (0.2, 0.8, 1.0, 1.7, 4.0):
-            assert f_law_cdf(scaled, 2.7 * t) == pytest.approx(
-                f_law_cdf(unit, t), abs=1e-13
+            assert scaled.cdf(2.7 * t) == pytest.approx(
+                unit.cdf(t), abs=1e-13
             )
 
     def test_monte_carlo_oracle(self):
         law = FLaw(dof_num=128, dof_den=128, scale=1.0, lambda_num=8.0, lambda_den=4.0)
         est, band = DNCF_128_8_4_CDF_AT_1_1
-        assert abs(f_law_cdf(law, 1.1) - est) <= band
+        assert abs(law.cdf(1.1) - est) <= band
 
     def test_central_reduction_to_simple_f(self):
         # lambda_num = lambda_den = 0 must agree with the incomplete-beta
@@ -217,7 +219,7 @@ class TestFLawCdf:
         law = FLaw(dof_num=128, dof_den=128, scale=1.0, lambda_num=0.0, lambda_den=0.0)
         ts = np.linspace(0.3, 2.5, 100)
         u = 128 * ts / (128 * ts + 128)
-        expected = reg_inc_beta(u, 64.0, 64.0)
+        expected = special.betainc(64.0, 64.0, u)
         assert np.max(np.abs(law.cdf(ts) - expected)) <= 1e-12
 
     def test_singly_noncentral_reduction(self):
@@ -230,19 +232,19 @@ class TestFLawCdf:
 
     def test_negative_argument_is_zero(self):
         law = FLaw(dof_num=4, dof_den=4, scale=1.0, lambda_num=0.0, lambda_den=0.0)
-        assert f_law_cdf(law, -1.0) == 0.0
-        assert f_law_cdf(law, 0.0) == 0.0
+        assert law.cdf(-1.0) == 0.0
+        assert law.cdf(0.0) == 0.0
 
 
 class TestGammaDiffPdfCdf:
     def test_symmetric_case(self):
         part = ScaledGamma(shape=64, scale=1.0 / 64.0)
         law = GammaDifference(pos=part, neg=part)
-        _, cdf0 = gamma_diff_pdf_cdf(law, 0.0)
+        cdf0 = law.cdf(0.0)
         assert abs(cdf0 - 0.5) <= 1e-6
         ts = np.linspace(0.01, 0.5, 25)
-        pdf_pos = np.array([gamma_diff_pdf_cdf(law, t)[0] for t in ts])
-        pdf_neg = np.array([gamma_diff_pdf_cdf(law, -t)[0] for t in ts])
+        pdf_pos = np.array([law.pdf(t) for t in ts])
+        pdf_neg = np.array([law.pdf(-t) for t in ts])
         assert np.max(np.abs(pdf_pos - pdf_neg)) <= 1e-6 * np.max(pdf_pos)
 
     def test_integrated_mean_matches_moments(self):
@@ -263,7 +265,7 @@ class TestGammaDiffPdfCdf:
             neg=ScaledGamma(shape=64, scale=1.0 / 64.0),
         )
         est, band = GDIFF_64_15_10_CDF_AT_0_4
-        density, cdf = gamma_diff_pdf_cdf(law, 0.4)
+        density, cdf = law.pdf(0.4), law.cdf(0.4)
         assert abs(cdf - est) <= band
         assert density > 0
 
@@ -291,6 +293,23 @@ class TestGammaDiffPdfCdf:
         mean_num = float(np.sum(ts * pdf) * dt)
         var_num = float(np.sum((ts - mean_num) ** 2 * pdf) * dt)
         assert var_num == pytest.approx(law.variance, rel=1e-5)
+
+
+    @pytest.mark.parametrize("gain", [0.001, 0.01])
+    def test_single_sample_matches_exponential_closed_form(self, gain):
+        # on_off at N = 1 with interference power 1e4: a difference of two
+        # exponentials, whose cdf kinks at t = 0 in each conditional term.
+        # P(A − B ≤ t) = b/(a+b)·e^{t/b} (t < 0), 1 − a/(a+b)·e^{−t/a} (t ≥ 0)
+        for a in (1.0 + gain * 1e4, 1.0 + gain * 1e4 + 0.1):
+            b = 1.0 + 1e4
+            law = GammaDifference(pos=ScaledGamma(1, a), neg=ScaledGamma(1, b))
+            ts = np.concatenate([-np.geomspace(1e-3, 40 * b, 400), np.geomspace(1e-3, 40 * a, 400)])
+            lower = b / (a + b) * np.exp(np.minimum(ts, 0.0) / b)
+            upper = 1.0 - a / (a + b) * np.exp(-np.maximum(ts, 0.0) / a)
+            exact = np.where(ts < 0, lower, upper)
+            assert np.max(np.abs(law.cdf(ts) - exact)) <= QUADRATURE_TOL
+            density = np.where(ts < 0, lower / b, (1.0 - upper) / a)
+            assert np.max(np.abs(law.pdf(ts) - density)) <= QUADRATURE_TOL / a
 
 
 # --- quantiles and sampling ---------------------------------------------------
@@ -381,15 +400,7 @@ class TestLawInvariants:
         assert np.max(np.abs(nc.cdf(ts) - sg.cdf(ts))) <= 1e-10
         dncf0 = FLaw(dof_num=128, dof_den=128, scale=1.0, lambda_num=0.0, lambda_den=0.0)
         u = 128 * ts / (128 * ts + 128)
-        assert np.max(np.abs(dncf0.cdf(ts) - reg_inc_beta(u, 64.0, 64.0))) <= 1e-10
-
-    def test_tolerances_overridable_per_call(self):
-        nc = NoncentralChi2C(shape=64, power=1.0, noncentrality_energy=16.0)
-        default = nc_chi2_cdf(nc, 1.2)
-        loose = nc_chi2_cdf(nc, 1.2, tail=1e-6)
-        assert abs(default - loose) <= 1e-6
-        fl = FLaw(dof_num=128, dof_den=128, scale=1.0, lambda_num=8.0, lambda_den=4.0)
-        assert abs(f_law_cdf(fl, 1.1, tail=1e-6) - f_law_cdf(fl, 1.1)) <= 1e-6
+        assert np.max(np.abs(dncf0.cdf(ts) - special.betainc(64.0, 64.0, u))) <= 1e-10
 
     def test_computation_error_carries_achieved_bound(self):
         err = ComputationError("did not converge", achieved=3e-9)
