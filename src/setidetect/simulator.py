@@ -9,11 +9,17 @@ independent between ON and OFF.
 Trials are chunked: trial i belongs to chunk i // TRIAL_CHUNK, and chunk c
 draws from its own generator spawned from the seed, so results are fully
 determined by (seed, spec, hypothesis) and independent of scheduling or the
-requested trial count (a shorter run is a prefix of a longer one).
+requested trial count (a shorter run is a prefix of a longer one).  Chunks
+are synthesized concurrently on a thread pool, one thread per available
+CPU (NumPy's generators and ufuncs release the GIL); each writes only its
+own slice of the estimates, so the output is also independent of the
+number of workers and of how the trial count splits into chunks.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -44,6 +50,10 @@ __all__ = [
 
 #: Trials per RNG chunk; fixed so that results never depend on scheduling.
 TRIAL_CHUNK = 2048
+
+# Rows per block when adding the wideband interference and signal draws, so
+# a chunk holds only its ON and OFF streams plus one small draw buffer.
+_BLOCK_ROWS = 128
 
 # Default carriers sit 1/8 cycle/sample apart, so the two tones are exactly
 # orthogonal over any frame length divisible by 8 and their energies add
@@ -128,6 +138,22 @@ def _cgauss(rng: np.random.Generator, m: int, n: int, power: float) -> np.ndarra
     return z
 
 
+def _add_cgauss(
+    rng: np.random.Generator, dest: np.ndarray, power: float, scale, buf: np.ndarray
+) -> None:
+    """dest += scale·`_cgauss(rng, *dest.shape, power)`, bit for bit, drawn a
+    block of rows at a time into `buf` (float, (_BLOCK_ROWS, 2N)); the
+    consecutive block draws are exactly the normals of one full-size draw."""
+    m = dest.shape[0]
+    for lo in range(0, m, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, m)
+        z = rng.standard_normal(out=buf[: hi - lo]).view(np.complex128)
+        z *= np.sqrt(power / 2.0)
+        if scale is not None:
+            z *= scale
+        dest[lo:hi] += z
+
+
 def _synth_pair(
     spec: ScenarioSpec,
     hyp: Hypothesis,
@@ -137,24 +163,28 @@ def _synth_pair(
     chirp_rfi,
     random_phase: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(m, N) ON and OFF streams; fixed draw order for reproducibility."""
+    """(m, N) ON and OFF streams; fixed draw order for reproducibility:
+    ON noise, OFF noise, interference ON, interference OFF, signal ON (the
+    wideband ones), then the interference and signal chirp phases."""
     n = spec.n_samples
     sqrt_g = np.sqrt(spec.gain)
     on = _cgauss(rng, m, n, spec.noise_power)
     off = _cgauss(rng, m, n, spec.noise_power)
+    buf = np.empty((min(m, _BLOCK_ROWS), 2 * n))
     if spec.rfi_kind is RfiKind.WIDEBAND and spec.rfi_power > 0:
-        on += sqrt_g * _cgauss(rng, m, n, spec.rfi_power)
-        off += _cgauss(rng, m, n, spec.rfi_power)
+        _add_cgauss(rng, on, spec.rfi_power, sqrt_g, buf)
+        _add_cgauss(rng, off, spec.rfi_power, None, buf)
     signal_on = hyp is Hypothesis.H1
     if signal_on and spec.et_kind is EtKind.WIDEBAND and spec.et_power > 0:
-        on += _cgauss(rng, m, n, spec.et_power)
+        _add_cgauss(rng, on, spec.et_power, None, buf)
     if spec.rfi_kind is RfiKind.NARROWBAND:
         wave = chirp_rfi.waveform(n)[None, :]
         if random_phase:
             # one transmitter: the same phase reaches both pointings
             wave = wave * np.exp(2j * np.pi * rng.random((m, 1)))
-        on += sqrt_g * wave
         off += wave
+        wave *= sqrt_g
+        on += wave
     if signal_on and spec.et_kind is EtKind.NARROWBAND:
         wave = chirp_et.waveform(n)[None, :]
         if random_phase:
@@ -225,6 +255,21 @@ def detector_stat(kind, on_est, off_est=None, assumed_noise=None):
     return out
 
 
+def _worker_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _mean_power(x: np.ndarray) -> np.ndarray:
+    """Row means of |x|², with one float temporary."""
+    p = np.abs(x)
+    np.square(p, out=p)
+    return p.mean(axis=1)
+
+
 def run_paired_estimates(
     spec: ScenarioSpec,
     hyp,
@@ -252,7 +297,8 @@ def run_paired_estimates(
     children = np.random.SeedSequence(seed).spawn(n_chunks)
     on_est = np.empty(trials)
     off_est = np.empty(trials)
-    for c in range(n_chunks):
+
+    def chunk(c: int) -> None:
         lo = c * TRIAL_CHUNK
         m = min(TRIAL_CHUNK, trials - lo)
         rng = np.random.default_rng(children[c])
@@ -260,8 +306,14 @@ def run_paired_estimates(
         on, off = _synth_pair(
             spec, hyp, TRIAL_CHUNK, rng, chirp_et, chirp_rfi, random_phase
         )
-        on_est[lo : lo + m] = np.mean(np.abs(on[:m]) ** 2, axis=1)
-        off_est[lo : lo + m] = np.mean(np.abs(off[:m]) ** 2, axis=1)
+        on_est[lo : lo + m] = _mean_power(on[:m])
+        off_est[lo : lo + m] = _mean_power(off[:m])
+
+    with ThreadPoolExecutor(max_workers=min(_worker_count(), n_chunks)) as pool:
+        # reading the results in order re-raises a chunk's exception, and map
+        # then cancels the chunks not yet started
+        for _ in pool.map(chunk, range(n_chunks)):
+            pass
     return on_est, off_est
 
 

@@ -34,9 +34,8 @@ from setidetect import (
     run_paired_estimates,
     threshold_for_pfa,
 )
-from setidetect.cli import main
+from setidetect.cli import _ks_bound, main
 
-from conftest import ks_bound
 
 pytestmark = pytest.mark.acceptance
 
@@ -96,7 +95,7 @@ def test_criterion_01_matrix_of_laws_matches_synthesis():
                 stats = detector_stat(kind, on, off)
                 cells.append(
                     (f"{spec.scenario_id}/{kind.value}/{hyp.value}/N={n}",
-                     ks_bound(stats, law))
+                     _ks_bound(stats, law, nodes=4096))
                 )
     elapsed = time.monotonic() - start
     worst = max(cells, key=lambda cell: cell[1])
@@ -201,11 +200,15 @@ def test_criterion_04_injection_histograms_and_median_ordering():
     medians = {}
     on, off = run_paired_estimates(specs[0.0], "H0", trials, BASE_SEED + 300)
     h0_stats = on / off
-    ks_values["H0"] = ks_bound(h0_stats, f_ratio_law(specs[0.0], "H0"))
+    ks_values["H0"] = _ks_bound(
+        h0_stats, f_ratio_law(specs[0.0], "H0"), nodes=4096
+    )
     for offset, (snr_db, spec) in enumerate(specs.items()):
         on, off = run_paired_estimates(spec, "H1", trials, BASE_SEED + 301 + offset)
         stats = on / off
-        ks_values[f"{snr_db:g} dB"] = ks_bound(stats, f_ratio_law(spec, "H1"))
+        ks_values[f"{snr_db:g} dB"] = _ks_bound(
+            stats, f_ratio_law(spec, "H1"), nodes=4096
+        )
         medians[snr_db] = float(np.median(stats))
     worst_ks = max(ks_values.values())
     ordered = 1.0 < medians[0.0] < medians[2.51]

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from setidetect.cli import _ks_bound
 from setidetect.distributions import (
     QUADRATURE_TOL,
     ComputationError,
@@ -21,7 +22,6 @@ from setidetect.distributions import (
     law_sample,
 )
 
-from conftest import ks_bound
 
 # --- frozen oracles (computed independently, then pinned) -------------------
 LOG_GAMMA_HALF = 0.5723649429247000870717136756765293558236
@@ -374,7 +374,7 @@ class TestLawSample:
         # α≈1e-4 KS critical distance at 10⁵ samples is about 0.006
         for law in law_matrix():
             draws = law_sample(law, 2024, 100_000)
-            assert ks_bound(draws, law) < 0.006, law
+            assert _ks_bound(draws, law, nodes=4096) < 0.006, law
 
 
 # --- cross-family invariants ---------------------------------------------------

@@ -1,11 +1,17 @@
 """Tests for stream synthesis, power estimation, and Monte Carlo batching."""
 
+import itertools
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from setidetect import (
     ChirpParams,
     DetectorKind,
+    EtKind,
+    RfiKind,
     ScaledGamma,
     ScenarioSpec,
     Steering,
@@ -19,8 +25,9 @@ from setidetect import (
     spectrogram,
     synth_stream,
 )
-
-from conftest import ks_bound
+from setidetect import simulator
+from setidetect.cli import _ks_bound
+from setidetect.simulator import TRIAL_CHUNK, _cgauss, default_chirps
 
 SEED = 424242
 
@@ -275,7 +282,8 @@ class TestRunTrials:
             n_samples=64,
         )
         batch = run_trials(spec, "f_ratio", "H1", 100_000, SEED + 3)
-        assert ks_bound(batch.stats, f_ratio_law(spec, "H1")) < 0.01
+        law = f_ratio_law(spec, "H1")
+        assert _ks_bound(batch.stats, law, nodes=4096) < 0.01
 
     def test_energy_defaults_to_calibrated_reference(self):
         spec = gaussian_only(noise_power=0.8)
@@ -286,6 +294,115 @@ class TestRunTrials:
     def test_rejects_bad_trial_count(self):
         with pytest.raises(ValueError):
             run_trials(gaussian_only(), "f_ratio", "H0", 0, SEED)
+
+
+def sequential_estimates(spec, hyp, trials, seed, random_phase):
+    """The chunk contract written out serially: chunks in order, each from
+    its spawned generator, full-size draws in the documented order (ON
+    noise, OFF noise, interference ON, interference OFF, signal ON, then
+    the chirp phases)."""
+    chirp_et, chirp_rfi = default_chirps(spec)
+    n, m = spec.n_samples, TRIAL_CHUNK
+    sqrt_g = np.sqrt(spec.gain)
+    signal_on = hyp == "H1"
+    n_chunks = -(-trials // TRIAL_CHUNK)
+    on_est, off_est = [], []
+    for child in np.random.SeedSequence(seed).spawn(n_chunks):
+        rng = np.random.default_rng(child)
+        on = _cgauss(rng, m, n, spec.noise_power)
+        off = _cgauss(rng, m, n, spec.noise_power)
+        if spec.rfi_kind is RfiKind.WIDEBAND:
+            on = on + sqrt_g * _cgauss(rng, m, n, spec.rfi_power)
+            off = off + _cgauss(rng, m, n, spec.rfi_power)
+        if signal_on and spec.et_kind is EtKind.WIDEBAND:
+            on = on + _cgauss(rng, m, n, spec.et_power)
+        if spec.rfi_kind is RfiKind.NARROWBAND:
+            wave = chirp_rfi.waveform(n)[None, :]
+            if random_phase:
+                wave = wave * np.exp(2j * np.pi * rng.random((m, 1)))
+            on = on + sqrt_g * wave
+            off = off + wave
+        if signal_on and spec.et_kind is EtKind.NARROWBAND:
+            wave = chirp_et.waveform(n)[None, :]
+            if random_phase:
+                wave = wave * np.exp(2j * np.pi * rng.random((m, 1)))
+            on = on + wave
+        on_est.append(np.mean(np.abs(on) ** 2, axis=1))
+        off_est.append(np.mean(np.abs(off) ** 2, axis=1))
+    return np.concatenate(on_est)[:trials], np.concatenate(off_est)[:trials]
+
+
+WIDEBAND_PAIR = ScenarioSpec(
+    rfi_kind="wideband",
+    et_kind="wideband",
+    noise_power=1.0,
+    rfi_power=2.0,
+    et_power=0.5,
+    gain=0.7,
+    n_samples=24,
+)
+NARROWBAND_PAIR = ScenarioSpec(
+    rfi_kind="narrowband",
+    et_kind="narrowband",
+    noise_power=1.0,
+    rfi_energy=48.0,
+    et_energy=12.0,
+    gain=0.7,
+    n_samples=24,
+)
+
+
+class TestConcurrentChunks:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("hyp", ["H0", "H1"])
+    @pytest.mark.parametrize(
+        "spec, random_phase",
+        [(WIDEBAND_PAIR, False), (NARROWBAND_PAIR, False), (NARROWBAND_PAIR, True)],
+        ids=["wideband", "narrowband", "narrowband-random-phase"],
+    )
+    def test_bit_identical_to_sequential_reference(
+        self, monkeypatch, spec, random_phase, hyp, workers
+    ):
+        trials = 2 * TRIAL_CHUNK + 17
+        monkeypatch.setattr(simulator, "_worker_count", lambda: workers)
+        on, off = run_paired_estimates(
+            spec, hyp, trials, SEED, random_phase=random_phase
+        )
+        ref_on, ref_off = sequential_estimates(spec, hyp, trials, SEED, random_phase)
+        assert on.tobytes() == ref_on.tobytes()
+        assert off.tobytes() == ref_off.tobytes()
+
+    def test_more_workers_than_cores_with_fast_thread_switching(self, monkeypatch):
+        trials = 8 * TRIAL_CHUNK + 5
+        spec = WIDEBAND_PAIR
+        monkeypatch.setattr(simulator, "_worker_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            on, off = run_paired_estimates(spec, "H1", trials, SEED + 9)
+        finally:
+            sys.setswitchinterval(interval)
+        ref_on, ref_off = sequential_estimates(spec, "H1", trials, SEED + 9, False)
+        assert on.tobytes() == ref_on.tobytes()
+        assert off.tobytes() == ref_off.tobytes()
+
+    def test_worker_failure_propagates_and_pool_shuts_down(self, monkeypatch):
+        calls = itertools.count(1)
+        failure = RuntimeError("third chunk failed")
+        synth = simulator._synth_pair
+
+        def failing_third(*args, **kwargs):
+            if next(calls) == 3:
+                raise failure
+            return synth(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "_synth_pair", failing_third)
+        monkeypatch.setattr(simulator, "_worker_count", lambda: 3)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            run_paired_estimates(gaussian_only(n_samples=8), "H0", 6 * TRIAL_CHUNK, SEED)
+        assert info.value is failure
+        assert threading.active_count() == before
 
 
 class TestMiscalibrationWall:
