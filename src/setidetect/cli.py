@@ -40,11 +40,11 @@ from . import __version__
 from .distributions import ComputationError, Law
 from .roc import (
     DEFAULT_GRID,
+    _closed_curve,
     _named_computation,
     compare_detectors,
     pd_pfa,
     roc_curve,
-    threshold_for_pfa,
 )
 from .scenario import (
     DetectorKind,
@@ -488,10 +488,7 @@ def _empirical_curve(h0_stats: np.ndarray, h1_stats: np.ndarray, grid: int):
     n0, n1 = h0_stats.size, h1_stats.size
     pfa = (n0 - np.searchsorted(np.sort(h0_stats), ts, side="right")) / n0
     pd = (n1 - np.searchsorted(np.sort(h1_stats), ts, side="right")) / n1
-    order = np.argsort(pfa, kind="stable")
-    thresholds = np.concatenate([[np.inf], ts[order], [-np.inf]])
-    pfa = np.concatenate([[0.0], pfa[order], [1.0]])
-    pd = np.concatenate([[0.0], pd[order], [1.0]])
+    thresholds, pfa, pd = _closed_curve(ts, pfa, pd)
     auc = float(np.sum(0.5 * (pd[1:] + pd[:-1]) * np.diff(pfa)))
     return thresholds, pfa, pd, auc
 
@@ -585,10 +582,10 @@ def run_experiment(config: ExperimentConfig, *, ks_table: bool = False) -> list[
                     curve = roc_curve(
                         h0, h1, grid=config.pfa_grid, detector=kind, spec=spec
                     )
-                    pd_ref = []
-                    for pfa_ref in SUMMARY_PFA:
-                        t_ref = threshold_for_pfa(h0, pfa_ref)
-                        pd_ref.append(pd_pfa(h0, h1, t_ref)[0])
+                    pd_ref = [
+                        pd_pfa(h0, h1, curve.h0_map.threshold(pfa_ref))[0]
+                        for pfa_ref in SUMMARY_PFA
+                    ]
                 thresholds, pfa, pd, auc = curve.thresholds, curve.pfa, curve.pd, curve.auc
             else:
                 h0_stats = mc_stats[kind, Hypothesis.H0]

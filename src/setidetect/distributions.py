@@ -46,7 +46,7 @@ All evaluation functions are pure; sampling takes an explicit
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Union
 
@@ -312,19 +312,23 @@ class _Conditioned:
     b: LawSide
     ratio: bool
     mirror: bool
+    # Gauss–Hermite nodes by rule size, computed once per law
+    _hermite_nodes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _nodes(self, u, n: int):
         """Nodes y and weights w of an n-point rule over B, one row per u
         (or one row shared by all)."""
         if min(self.a.shape, self.b.shape) >= _HERMITE_MIN_SHAPE:
-            z, w = _hermite(n)
-            # Φ(z) rounds to 1 beyond z ≈ 8.3; those nodes carry weight < 1e-16
-            p = np.minimum(special.ndtr(z), 1.0 - np.finfo(float).epsneg)
-            return self.b._ppf(p)[None, :], w[None, :]
+            if n not in self._hermite_nodes:
+                z, w = _hermite(n)
+                # Φ(z) rounds to 1 beyond z ≈ 8.3; those nodes carry weight < 1e-16
+                p = np.minimum(special.ndtr(z), 1.0 - np.finfo(float).epsneg)
+                self._hermite_nodes[n] = self.b._ppf(p)[None, :], w[None, :]
+            return self._hermite_nodes[n]
         # Panels split where h crosses A's support edge (a kink of F_A) and
         # A's mean; the ratio's panels are uniform in log y.
         x, w = leggauss(n)
-        lo, hi = self.b._ppf(np.array([_PANEL_TAIL, 1.0 - _PANEL_TAIL]))
+        lo, hi = self._panel_range
         cuts = [self.a.mean / u] if self.ratio else [-u, self.a.mean - u]
         edges = np.sort(np.clip([np.full_like(u, lo), *cuts, np.full_like(u, hi)], lo, hi), 0).T
         if self.ratio:
@@ -339,6 +343,11 @@ class _Conditioned:
         # unit total weight makes Σw·F_A = 1 − Σw·(1 − F_A) exactly, so the
         # upper tail is as accurate as the lower one
         return y, w / np.sum(w, axis=1, keepdims=True)
+
+    @cached_property
+    def _panel_range(self):
+        """B's range covered by the Gauss–Legendre panels."""
+        return self.b._ppf(np.array([_PANEL_TAIL, 1.0 - _PANEL_TAIL]))
 
     def _sum(self, u, n: int, density: bool):
         y, w = self._nodes(u, n)
@@ -469,9 +478,11 @@ class FLaw:
             pos = x > 0
             xs = x[pos] / self.scale
             u = r * xs / (r * xs + 1.0)
+            # log(1 − u) = −log(1 + r·xs), taken so where u has rounded to 1
+            log1m_u = np.log1p(-u, where=u < 1.0, out=-np.log1p(r * xs))
             dens = np.exp(
                 (a - 1.0) * np.log(u)
-                + (b - 1.0) * np.log1p(-u)
+                + (b - 1.0) * log1m_u
                 + special.gammaln(a + b)
                 - special.gammaln(a)
                 - special.gammaln(b)

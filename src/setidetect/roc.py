@@ -3,8 +3,11 @@
 The decision rule is one-sided for every detector: declare a signal when
 the statistic exceeds the threshold, so pd = 1 − cdf_H1(t) and
 pfa = 1 − cdf_H0(t).  ROC curves place thresholds at H0 quantiles of an
-equispaced false-alarm grid, which covers the curve uniformly in pfa and
-keeps the trapezoid AUC stable under refinement.
+equispaced false-alarm grid, read from one interpolated H0 quantile map per
+curve, and evaluate pfa and pd exactly at each threshold.  The AUC is not
+taken from those points: it is P(S₁ > S₀) = ∫ SF₁(t)·f₀(t) dt (Hanley &
+McNeil, 1982), one Gauss–Legendre integral over H0's mass, in log t for
+positive statistics.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import PchipInterpolator
 
-from .distributions import ComputationError, Law, law_quantile
+from .distributions import QUANTILE_TOL, ComputationError, Law, law_quantile
 from .scenario import DetectorKind, ScenarioSpec, detector_laws
 
 __all__ = [
@@ -29,12 +33,48 @@ __all__ = [
 ]
 
 DEFAULT_GRID = 1024
-_CACHE_NODES = 2048
-_CACHE_P_LO = 1e-9
-#: Successive trapezoid AUC estimates must agree this closely (half the
-#: documented 1e-4 bound, so the Richardson error estimate has headroom).
-AUC_REFINE_TOL = 5e-5
-_AUC_MAX_GRID = 16384
+#: |AUC| error targeted by the AUC integral: two successive rule sizes must
+#: agree this closely, and the accepted rule must integrate f₀ to 1 as closely.
+AUC_TOL = 1e-9
+# The H0 quantile map spans quantile orders [_MAP_P_EDGE, 1 − _MAP_P_EDGE] with
+# _MAP_NODES exact cdf nodes.
+_MAP_P_EDGE = 1.0 / 16385
+_MAP_NODES = 2048
+# The AUC integral leaves at most this much H0 mass outside each end.
+_AUC_TAIL = 1e-13
+# Equal panels across the map's range.
+_AUC_CORE_PANELS = 4
+# Tail panels beyond each end of the map's range, doubling in width, at most.
+_AUC_TAIL_PANELS = 8
+# Gauss–Legendre nodes per panel, tried in turn.
+_AUC_RULE_SIZES = (8, 12, 16, 24, 32, 48, 64)
+
+
+class _H0Map:
+    """Monotone p → threshold map of an H0 law, interpolated on a dense exact
+    cdf grid between its quantiles of order _MAP_P_EDGE and 1 − _MAP_P_EDGE."""
+
+    def __init__(self, h0: Law):
+        self.law = h0
+        self.t_lo = law_quantile(h0, _MAP_P_EDGE)
+        self.t_hi = law_quantile(h0, 1.0 - _MAP_P_EDGE)
+        ts = np.linspace(self.t_lo, self.t_hi, _MAP_NODES)
+        ps = np.asarray(h0.cdf(ts))
+        keep = np.concatenate([[True], np.diff(ps) > 0])
+        self._interp = PchipInterpolator(ps[keep], ts[keep], extrapolate=False)
+        self._p_range = ps[keep][0], ps[keep][-1]
+
+    def __call__(self, p):
+        return self._interp(np.clip(p, *self._p_range))
+
+    def threshold(self, target_pfa: float) -> float:
+        """Threshold of false-alarm rate target_pfa: the map's value when it
+        meets QUANTILE_TOL, else threshold_for_pfa's root."""
+        p = 1.0 - float(target_pfa)
+        t = float(self(p))
+        if abs(float(self.law.cdf(t)) - p) <= QUANTILE_TOL:
+            return t
+        return threshold_for_pfa(self.law, target_pfa)
 
 
 @dataclass(eq=False)
@@ -47,6 +87,7 @@ class RocCurve:
     auc: float
     detector: Optional[DetectorKind] = None
     spec: Optional[ScenarioSpec] = None
+    h0_map: Optional[_H0Map] = field(default=None, repr=False)
 
     @property
     def points(self) -> list[tuple[float, float, float]]:
@@ -70,26 +111,9 @@ def threshold_for_pfa(h0: Law, target_pfa: float) -> float:
     return law_quantile(h0, 1.0 - target_pfa)
 
 
-def _h0_quantile_map(h0: Law, p_lo: float, p_hi: float):
-    """Monotone p → threshold interpolator from a dense exact cdf grid."""
-    t_lo = law_quantile(h0, p_lo)
-    t_hi = law_quantile(h0, p_hi)
-    ts = np.linspace(t_lo, t_hi, _CACHE_NODES)
-    ps = np.asarray(h0.cdf(ts))
-    keep = np.concatenate([[True], np.diff(ps) > 0])
-    ip = PchipInterpolator(ps[keep], ts[keep], extrapolate=False)
-    lo, hi = ps[keep][0], ps[keep][-1]
-    return lambda p: ip(np.clip(p, lo, hi))
-
-
-def _exact_points(h0: Law, h1: Law, qmap, grid: int):
-    """(thresholds, pfa, pd) at H0 quantiles of an equispaced pfa grid,
-    pfa-sorted and closed with the (0,0)/(1,1) limit points."""
-    targets = np.linspace(0.0, 1.0, grid + 2)[1:-1]  # pfa grid inside (0, 1)
-    ps = 1.0 - targets[::-1]  # increasing quantile orders
-    ts = np.asarray(qmap(ps), dtype=float)
-    pfa = 1.0 - np.asarray(h0.cdf(ts))
-    pd = 1.0 - np.asarray(h1.cdf(ts))
+def _closed_curve(ts, pfa, pd):
+    """(thresholds, pfa, pd) sorted by pfa and closed with the (0,0) and
+    (1,1) limit points at infinite thresholds."""
     order = np.argsort(pfa, kind="stable")
     thresholds = np.concatenate([[np.inf], ts[order], [-np.inf]])
     pfa = np.concatenate([[0.0], pfa[order], [1.0]])
@@ -97,8 +121,77 @@ def _exact_points(h0: Law, h1: Law, qmap, grid: int):
     return thresholds, pfa, pd
 
 
-def _trapezoid(pfa: np.ndarray, pd: np.ndarray) -> float:
-    return float(np.sum(0.5 * (pd[1:] + pd[:-1]) * np.diff(pfa)))
+def _auc(h0: Law, h1: Law, t_lo: float, t_hi: float) -> float:
+    """P(S₁ > S₀) = ∫ SF₁(t)·f₀(t) dt over H0's mass, given H0's quantiles
+    t_lo and t_hi of order _MAP_P_EDGE and 1 − _MAP_P_EDGE.
+
+    The variable is x = log t for positive laws (their heavy upper tails
+    decay exponentially in x) and x = t otherwise, with a panel edge at 0,
+    where small-N differences have a kink.  _AUC_CORE_PANELS equal panels
+    cover the map's range [t_lo, t_hi]; beyond each end, panels doubling in
+    width from the tail's local decay length (tail mass over density at the
+    end, exact for an exponential tail) reach out to where H0 leaves at most
+    _AUC_TAIL.
+    The first pair of rule sizes whose results agree within AUC_TOL decides,
+    and the larger rule must also integrate f₀ to 1 within AUC_TOL: two
+    rules can agree on a value that both miss.
+    """
+    positive = getattr(h0, "support_lo", -np.inf) >= 0.0
+    to_t = np.exp if positive else np.asarray
+    ends = np.array([t_lo, t_hi])
+    density = np.asarray(h0.pdf(ends)) * (ends if positive else 1.0)
+    a, b = np.log(ends) if positive else ends
+    decay = np.minimum(_MAP_P_EDGE / density, b - a)
+    reach = 2.0 ** np.arange(1, _AUC_TAIL_PANELS + 1) - 1.0
+    below, above = a - decay[0] * reach, b + decay[1] * reach
+    cdf_below = np.asarray(h0.cdf(to_t(below)))
+    sf_above = 1.0 - np.asarray(h0.cdf(to_t(above)))
+    tail = max(cdf_below[-1], sf_above[-1])
+    if tail > _AUC_TAIL:
+        raise ComputationError(
+            f"H0 leaves mass {tail:.2e} beyond {_AUC_TAIL_PANELS} tail panels",
+            achieved=tail,
+        )
+    n_below = np.argmax(cdf_below <= _AUC_TAIL) + 1
+    n_above = np.argmax(sf_above <= _AUC_TAIL) + 1
+    edges = np.concatenate(
+        [
+            below[:n_below][::-1],
+            np.linspace(a, b, _AUC_CORE_PANELS + 1),
+            above[:n_above],
+        ]
+    )
+    if not positive and edges[0] < 0.0 < edges[-1]:
+        edges = np.union1d(edges, [0.0])
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    rad = 0.5 * np.diff(edges)[:, None]
+
+    def rule(n):
+        x, w = leggauss(n)
+        t = to_t((mid + rad * x).ravel())
+        w = (rad * w).ravel() * (t if positive else 1.0)
+        f0 = np.asarray(h0.pdf(t)) * w
+        mass = float(np.sum(f0))
+        return float(np.sum(f0 * (1.0 - np.asarray(h1.cdf(t))))) / mass, mass
+
+    prev, _ = rule(_AUC_RULE_SIZES[0])
+    for n in _AUC_RULE_SIZES[1:]:
+        auc, mass = rule(n)
+        miss = abs(auc - prev)
+        if miss <= AUC_TOL:
+            if abs(mass - 1.0) > AUC_TOL:
+                raise ComputationError(
+                    f"AUC rule of {n} nodes per panel integrates the H0 density "
+                    f"to {mass:.12f}, not 1",
+                    achieved=abs(mass - 1.0),
+                )
+            return auc
+        prev = auc
+    raise ComputationError(
+        f"AUC integral did not settle: rules of {_AUC_RULE_SIZES[-2]} and "
+        f"{_AUC_RULE_SIZES[-1]} nodes per panel differ by {miss:.3e}",
+        achieved=miss,
+    )
 
 
 def roc_curve(
@@ -110,38 +203,28 @@ def roc_curve(
 ) -> RocCurve:
     """ROC curve over `grid` thresholds at H0 quantiles of equispaced pfa.
 
-    The stored pfa/pd are re-evaluated exactly at each threshold and the
-    limit points (0,0) and (1,1) are appended at infinite thresholds.  The
-    AUC is the trapezoid over the pfa-sorted curve, refined on internally
-    doubled grids until successive estimates agree within AUC_REFINE_TOL
-    (the returned points always stay at the requested resolution).
+    Thresholds are read from an H0 quantile map (kept as `h0_map`); pfa and
+    pd are evaluated exactly at each threshold, and the limit points (0,0)
+    and (1,1) are appended at infinite thresholds.  The AUC is the integral
+    P(S₁ > S₀), accurate to AUC_TOL and independent of `grid`.
     """
     grid = int(grid)
     if grid < 2:
         raise ValueError("grid must be at least 2")
-    # One quantile cache spanning the finest refinement level serves every
-    # grid size; realized pfa/pd are recomputed exactly at each threshold,
-    # so cache resolution only nudges where the points land.
-    p_edge = 1.0 / (_AUC_MAX_GRID + 1)
-    qmap = _h0_quantile_map(h0, p_edge, 1.0 - p_edge)
-    thresholds, pfa, pd = _exact_points(h0, h1, qmap, grid)
-    auc = _trapezoid(pfa, pd)
-    m, converged, delta = grid, False, np.inf
-    while m < _AUC_MAX_GRID and not converged:
-        m *= 2
-        _, pfa_m, pd_m = _exact_points(h0, h1, qmap, m)
-        auc_fine = _trapezoid(pfa_m, pd_m)
-        delta = abs(auc_fine - auc)
-        converged = delta < AUC_REFINE_TOL
-        auc = auc_fine
-    if m > grid and not converged:
-        raise ComputationError(
-            f"trapezoid AUC did not stabilize within {AUC_REFINE_TOL:g} "
-            f"by grid {m}",
-            achieved=delta,
-        )
+    h0_map = _H0Map(h0)
+    targets = np.linspace(0.0, 1.0, grid + 2)[1:-1]  # pfa grid inside (0, 1)
+    ts = np.asarray(h0_map(1.0 - targets[::-1]), dtype=float)
+    pfa = 1.0 - np.asarray(h0.cdf(ts))
+    pd = 1.0 - np.asarray(h1.cdf(ts))
+    thresholds, pfa, pd = _closed_curve(ts, pfa, pd)
     return RocCurve(
-        thresholds=thresholds, pfa=pfa, pd=pd, auc=auc, detector=detector, spec=spec
+        thresholds=thresholds,
+        pfa=pfa,
+        pd=pd,
+        auc=_auc(h0, h1, h0_map.t_lo, h0_map.t_hi),
+        detector=detector,
+        spec=spec,
+        h0_map=h0_map,
     )
 
 

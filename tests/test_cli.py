@@ -10,7 +10,15 @@ import numpy as np
 import pytest
 
 import setidetect.roc
-from setidetect import ChirpParams, ComputationError, ScaledGamma
+from setidetect import (
+    ChirpParams,
+    ComputationError,
+    ScaledGamma,
+    default_assumed_noise,
+    detector_laws,
+    pd_pfa,
+    threshold_for_pfa,
+)
 from setidetect.cli import (
     COMPARE_COLUMNS,
     HIST_COLUMNS,
@@ -190,6 +198,25 @@ class TestRunExperiment:
             assert abs(float(row["auc"]) - 0.5) < 1e-6
             assert abs(float(row["pd_at_pfa_0.01"]) - 0.01) < 1e-6
             assert abs(float(row["pd_at_pfa_0.1"]) - 0.1) < 1e-6
+
+    def test_summary_pd_matches_root_found_thresholds(self, tmp_path):
+        # summary thresholds come from each curve's H0 quantile map; they must
+        # give the pd of the Brent-root thresholds of threshold_for_pfa
+        doc = base_config(
+            detectors=["f_ratio", "on_off", "energy"], output_dir=str(tmp_path)
+        )
+        doc["scenario"].update(
+            rfi_kind="narrowband", et_kind="narrowband", rfi_power=0.0,
+            et_power=0.0, rfi_energy=16.0, et_energy=16.0, gain=0.9, n_samples=16,
+        )
+        config = load_config(doc)
+        run_experiment(config)
+        spec = config.scenario
+        for row in read_csv(tmp_path / "summary.csv"):
+            h0, h1 = detector_laws(spec, row["detector"], default_assumed_noise(spec))
+            for pfa in (0.01, 0.1):
+                pd = pd_pfa(h0, h1, threshold_for_pfa(h0, pfa))[0]
+                assert float(row[f"pd_at_pfa_{pfa}"]) == pytest.approx(pd, abs=1e-9)
 
     def test_roc_csv_schema_and_shape(self, tmp_path):
         doc = base_config(output_dir=str(tmp_path), pfa_grid=64)

@@ -236,6 +236,15 @@ class TestFLawCdf:
         assert law.cdf(0.0) == 0.0
 
 
+    def test_two_dof_density_stays_finite_far_out(self):
+        # F(2, 2) has density (1/s)/(1 + t/s)²; beyond t/s ≈ 1e16 the beta
+        # argument t/(t + s) rounds to 1 and its log1p form gave NaN
+        law = FLaw(dof_num=2, dof_den=2, scale=1.1e-3)
+        ts = 1.1e-3 * np.array([1e2, 1e15, 1e17, 1e20])
+        expected = (1.0 / 1.1e-3) / (1.0 + ts / 1.1e-3) ** 2
+        assert np.allclose(law.pdf(ts), expected, rtol=1e-12, atol=0.0)
+
+
 class TestGammaDiffPdfCdf:
     def test_symmetric_case(self):
         part = ScaledGamma(shape=64, scale=1.0 / 64.0)

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy import stats
+from scipy.integrate import quad
 
 from setidetect import (
+    ComputationError,
     DetectorKind,
     FLaw,
     GammaDifference,
@@ -20,6 +23,7 @@ from setidetect import (
     roc_curve,
     threshold_for_pfa,
 )
+from setidetect.roc import AUC_TOL
 
 # Frozen oracles (independent computations, checked once and pinned):
 # - 0.99 quantile of the N=1024 mean-power law, 50-digit arithmetic
@@ -33,6 +37,17 @@ PD_AT_PFA_01_SNR0 = 0.8426943579058676
 # - AUC of the ratio detector at SNR +2.51 dB (adaptive quadrature over the
 #   exact pd(pfa) map, cross-checked against 10⁶-trial Monte Carlo)
 AUC_F_SNR_2P51 = 0.9943941294455841
+# - AUC = P(S1 > S0) of paired-law cells, from scipy.stats component laws
+#   (gamma, and ncx2 scaled by power/2N) and nested scipy.integrate.quad
+#   (epsabs 1e-13, epsrel 1e-11): the outer integral of f_S0(t)·SF_S1(t) over
+#   t (log t for the ratio, split at 0 for the difference), each factor an
+#   inner quad over the OFF estimate, which H0 and H1 share
+AUC_ON_OFF_WIDE_N1 = 0.5584700965025494  # rfi_power 2, et_power 1, g 0.9
+AUC_F_NARROW_N2 = 0.6391722828981216  # narrowband, INR = SNR = 0 dB, g 0.9
+AUC_ON_OFF_NARROW_N2 = 0.6512442630890621
+AUC_F_NARROW_N16 = 0.8423683755435503
+AUC_ON_OFF_NARROW_N16 = 0.8620238518878695
+AUC_ON_OFF_WIDE_N1024 = 0.563106432388747  # rfi_power 10, et_power 0.1, g 0.8
 
 
 def wide_wide(et_power=1.0, gain=1.0, n_samples=64, rfi_power=2.0):
@@ -45,6 +60,74 @@ def wide_wide(et_power=1.0, gain=1.0, n_samples=64, rfi_power=2.0):
         gain=gain,
         n_samples=n_samples,
     )
+
+
+def narrow_narrow(n_samples, gain=0.9):
+    return ScenarioSpec(
+        rfi_kind="narrowband",
+        et_kind="narrowband",
+        noise_power=1.0,
+        rfi_energy=float(n_samples),
+        et_energy=float(n_samples),
+        gain=gain,
+        n_samples=n_samples,
+    )
+
+
+def central_ratio_auc(n, s0, s1):
+    """P(s1·F' > s0·F) for independent F, F' ~ F(2n, 2n), by one quad in log y."""
+    law = stats.f(2 * n, 2 * n)
+    lo, hi = np.log(law.ppf(1e-15)), np.log(law.isf(1e-15))
+
+    def integrand(v):
+        y = np.exp(v)
+        return law.pdf(y) * y * law.sf(y * s0 / s1)
+
+    return quad(integrand, lo, hi, points=[0.0], epsabs=1e-13, epsrel=1e-11, limit=400)[0]
+
+
+class _MixtureLaw:
+    """Weighted mixture of scipy.stats laws with the interface roc_curve uses."""
+
+    support_lo = -np.inf
+
+    def __init__(self, *parts):
+        self.parts = parts  # (weight, frozen scipy law) pairs
+
+    def _bracket_seeds(self):
+        return -4.0, 4.0
+
+    def cdf(self, t):
+        return sum(w * law.cdf(t) for w, law in self.parts)
+
+    def pdf(self, t):
+        return sum(w * law.pdf(t) for w, law in self.parts)
+
+
+class _OscillatingLaw(_MixtureLaw):
+    """A cdf with a ripple far finer than any AUC panel."""
+
+    def cdf(self, t):
+        return super().cdf(t) + 1e-4 * np.cos(1e4 * np.asarray(t))
+
+
+class _CountedLaw:
+    """Delegates to a law, counting the points its cdf and pdf evaluate."""
+
+    def __init__(self, law):
+        self.law = law
+        self.points = 0
+
+    def __getattr__(self, name):
+        return getattr(self.law, name)
+
+    def cdf(self, t):
+        self.points += np.size(t)
+        return self.law.cdf(t)
+
+    def pdf(self, t):
+        self.points += np.size(t)
+        return self.law.pdf(t)
 
 
 class TestPdPfa:
@@ -113,19 +196,19 @@ class TestRocCurve:
     def test_identical_laws_give_chance_auc(self):
         law = FLaw(128, 128, 1.0, 0, 0)
         curve = roc_curve(law, law, grid=256)
-        assert curve.auc == pytest.approx(0.5, abs=1e-6)
+        assert curve.auc == pytest.approx(0.5, abs=1e-9)
         assert np.allclose(curve.pd, curve.pfa, atol=1e-9)
 
     def test_far_separated_laws_give_near_perfect_auc(self):
         h0 = ScaledGamma(64, 1 / 64)
         h1 = NoncentralChi2C(64, 1.0, 200.0)
-        assert roc_curve(h0, h1, grid=256).auc > 0.999
+        assert roc_curve(h0, h1, grid=256).auc >= 1.0 - 1e-9
 
     def test_auc_matches_frozen_oracle(self):
         spec = wide_wide(et_power=10 ** (2.51 / 10), rfi_power=1.0)
         h0, h1 = detector_laws(spec, "f_ratio")
         curve = roc_curve(h0, h1)
-        assert curve.auc == pytest.approx(AUC_F_SNR_2P51, abs=1e-4)
+        assert curve.auc == pytest.approx(AUC_F_SNR_2P51, abs=1e-9)
 
     def test_curve_shape_invariants(self):
         spec = wide_wide()
@@ -165,6 +248,66 @@ class TestRocCurve:
     def test_isinstance_of_public_type(self):
         h0, h1 = detector_laws(wide_wide(), "f_ratio")
         assert isinstance(roc_curve(h0, h1, grid=16), RocCurve)
+
+
+class TestAucIntegral:
+    def test_heavy_tailed_single_sample_ratio_matches_reference(self):
+        # N = 1, g = 0.001: H0 is F(2, 2) at scale 11/10001, whose tails
+        # decay like 1/t, and H1 the same law at scale 11.1/10001
+        spec = wide_wide(et_power=0.1, gain=0.001, n_samples=1, rfi_power=1e4)
+        h0, h1 = detector_laws(spec, "f_ratio")
+        reference = central_ratio_auc(1, 11.0 / 10001.0, 11.1 / 10001.0)
+        assert roc_curve(h0, h1, grid=64).auc == pytest.approx(reference, abs=1e-8)
+
+    def test_large_window_ratio_matches_reference(self):
+        spec = wide_wide(et_power=0.1, gain=0.8, n_samples=1024, rfi_power=10.0)
+        h0, h1 = detector_laws(spec, "f_ratio")
+        reference = central_ratio_auc(1024, 9.0 / 11.0, 9.1 / 11.0)
+        assert roc_curve(h0, h1, grid=64).auc == pytest.approx(reference, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "spec, kind, reference",
+        [
+            (wide_wide(et_power=1.0, gain=0.9, n_samples=1), "on_off", AUC_ON_OFF_WIDE_N1),
+            (narrow_narrow(2), "f_ratio", AUC_F_NARROW_N2),
+            (narrow_narrow(2), "on_off", AUC_ON_OFF_NARROW_N2),
+            (narrow_narrow(16), "f_ratio", AUC_F_NARROW_N16),
+            (narrow_narrow(16), "on_off", AUC_ON_OFF_NARROW_N16),
+            (
+                wide_wide(et_power=0.1, gain=0.8, n_samples=1024, rfi_power=10.0),
+                "on_off",
+                AUC_ON_OFF_WIDE_N1024,
+            ),
+        ],
+        ids=["on_off-wide-N1", "f_ratio-narrow-N2", "on_off-narrow-N2",
+             "f_ratio-narrow-N16", "on_off-narrow-N16", "on_off-wide-N1024"],
+    )
+    def test_paired_laws_match_references(self, spec, kind, reference):
+        h0, h1 = detector_laws(spec, kind)
+        assert roc_curve(h0, h1, grid=64).auc == pytest.approx(reference, abs=1e-8)
+
+    def test_unsettled_integral_raises_with_achieved(self):
+        h0 = _MixtureLaw((1.0, stats.norm(0.0, 1.0)))
+        h1 = _OscillatingLaw((1.0, stats.norm(1.0, 1.0)))
+        with pytest.raises(ComputationError, match="did not settle") as info:
+            roc_curve(h0, h1, grid=64)
+        assert info.value.achieved > AUC_TOL
+
+    def test_missed_mass_raises(self):
+        # a spike of width 1e-7 holding 0.1% of H0 lies between every node,
+        # so the rules agree with each other on an AUC that ignores it
+        h0 = _MixtureLaw((0.999, stats.norm(0.0, 1.0)), (0.001, stats.norm(1.3, 1e-7)))
+        h1 = _MixtureLaw((1.0, stats.norm(1.0, 1.0)))
+        with pytest.raises(ComputationError, match="H0 density") as info:
+            roc_curve(h0, h1, grid=64)
+        assert info.value.achieved == pytest.approx(1e-3, rel=1e-3)
+
+    def test_law_points_per_curve_point_stay_bounded(self):
+        # thresholds, exact points, map and AUC integral together; the
+        # doubling refinement this integral replaced needed 26 per point
+        h0, h1 = (_CountedLaw(law) for law in detector_laws(narrow_narrow(64), "f_ratio"))
+        curve = roc_curve(h0, h1, grid=512)
+        assert (h0.points + h1.points) / curve.pfa.size <= 8.0
 
 
 class TestDominance:
