@@ -16,8 +16,13 @@ All outputs are plain CSV plus a ``manifest.json`` recording the resolved
 configuration, the seed, and a SHA-256 per written file; nothing in the
 output depends on wall clock or host, so identical inputs produce
 byte-identical files.  Sweep points are independent (per-point seeds are
-derived, not sequential), so they could run concurrently; this process
-runs them in order and writes each file in one shot.
+derived, not sequential), so the analytic curves of every sweep point and
+detector run concurrently, one thread per available CPU, and are collected
+in input order; Monte Carlo synthesis then runs point by point on its own
+pool, and each file is written in one shot.  Failures are reported as a
+serial run would meet them: a scenario without a sampling law before any
+computation, then the first failing curve, histogram or KS bound in
+(point, detector) order.
 
 Exit codes: 0 success, 2 configuration error (message anchored to the
 offending config line where possible), 3 numerical non-convergence (the
@@ -37,6 +42,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
+from ._pool import ordered_map
 from .distributions import ComputationError, Law
 from .roc import (
     DEFAULT_GRID,
@@ -553,17 +559,49 @@ def run_experiment(config: ExperimentConfig, *, ks_table: bool = False) -> list[
     summary_rows = []
     ks_rows = []
 
-    for index, (tag, spec) in enumerate(_sweep_points(config)):
-        ident = (spec.scenario_id, spec.gain, _snr_db(spec), spec.n_samples)
+    # every point's laws before any curve, so a scenario without one is a
+    # configuration error whatever else would fail
+    points = _sweep_points(config)
+    assumed, laws = [], []
+    for _, spec in points:
         try:
-            assumed = default_assumed_noise(spec)
-            laws = {
-                kind: detector_laws(spec, kind, assumed_noise=assumed)
-                for kind in config.detectors
-            }
+            assumed.append(default_assumed_noise(spec))
+            laws.append(
+                {
+                    kind: detector_laws(spec, kind, assumed_noise=assumed[-1])
+                    for kind in config.detectors
+                }
+            )
         except ValueError as exc:
             raise ConfigError("scenario", f"no sampling law for this scenario: {exc}")
 
+    def analytic_curve(task):
+        """(thresholds, pfa, pd, auc, pd at SUMMARY_PFA) of one point and
+        detector, or the ComputationError that stopped it."""
+        index, kind = task
+        h0, h1 = laws[index][kind]
+        try:
+            with _named_computation(f"{kind.value} law", h0, h1):
+                curve = roc_curve(
+                    h0, h1, grid=config.pfa_grid, detector=kind, spec=points[index][1]
+                )
+                pd_ref = [
+                    pd_pfa(h0, h1, curve.h0_map.threshold(pfa_ref))[0]
+                    for pfa_ref in SUMMARY_PFA
+                ]
+        except ComputationError as exc:
+            # raised where the loop below reaches this curve, so the failure
+            # reported is the first one in serial order, histograms included
+            return exc
+        return curve.thresholds, curve.pfa, curve.pd, curve.auc, pd_ref
+
+    curves = {}
+    if run_analytic:
+        tasks = [(i, kind) for i in range(len(points)) for kind in config.detectors]
+        curves = dict(zip(tasks, ordered_map(analytic_curve, tasks)))
+
+    for index, (tag, spec) in enumerate(points):
+        ident = (spec.scenario_id, spec.gain, _snr_db(spec), spec.n_samples)
         mc_stats = {}
         if run_mc:
             for h_index, hyp in enumerate((Hypothesis.H0, Hypothesis.H1)):
@@ -572,21 +610,16 @@ def run_experiment(config: ExperimentConfig, *, ks_table: bool = False) -> list[
                 )
                 for kind in config.detectors:
                     mc_stats[kind, hyp] = np.asarray(
-                        detector_stat(kind, on, off, assumed_noise=assumed)
+                        detector_stat(kind, on, off, assumed_noise=assumed[index])
                     )
 
         for kind in config.detectors:
-            h0, h1 = laws[kind]
+            h0, h1 = laws[index][kind]
             if run_analytic:
-                with _named_computation(f"{kind.value} law", h0, h1):
-                    curve = roc_curve(
-                        h0, h1, grid=config.pfa_grid, detector=kind, spec=spec
-                    )
-                    pd_ref = [
-                        pd_pfa(h0, h1, curve.h0_map.threshold(pfa_ref))[0]
-                        for pfa_ref in SUMMARY_PFA
-                    ]
-                thresholds, pfa, pd, auc = curve.thresholds, curve.pfa, curve.pd, curve.auc
+                outcome = curves[index, kind]
+                if isinstance(outcome, ComputationError):
+                    raise outcome
+                thresholds, pfa, pd, auc, pd_ref = outcome
             else:
                 h0_stats = mc_stats[kind, Hypothesis.H0]
                 h1_stats = mc_stats[kind, Hypothesis.H1]

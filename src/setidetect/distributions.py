@@ -75,6 +75,12 @@ __all__ = [
 QUADRATURE_TOL = 1e-9
 #: |cdf(quantile(p)) − p| required of quantile inversion.
 QUANTILE_TOL = 1e-10
+#: |cdf(quantile(p)) − p| / p required of quantile inversion on positive
+#: support.  Above p = 1e-4 QUANTILE_TOL implies it; below, it keeps
+#: lower-tail quantiles from being accepted however far off they are.
+QUANTILE_RTOL = 1e-6
+# Brent's absolute tolerance when only its relative one should count.
+_TINY = np.finfo(float).tiny
 
 # Rule sizes tried in turn: Gauss–Hermite nodes, or Gauss–Legendre nodes per panel.
 _RULE_SIZES = (16, 20, 24, 32, 48, 64, 96, 128)
@@ -176,9 +182,6 @@ class ScaledGamma:
     def cdf(self, t):
         return _eval_1d(self._cdf, t)
 
-    def quantile(self, p, tol: float = QUANTILE_TOL):
-        return law_quantile(self, p, tol=tol)
-
     def sample(self, rng_state, count: int) -> np.ndarray:
         return _as_generator(rng_state).gamma(self.shape, self.scale, int(count))
 
@@ -229,11 +232,6 @@ class NoncentralChi2C:
         sd = np.sqrt(self.variance)
         return max(self.mean - 4.0 * sd, 0.0), self.mean + 4.0 * sd
 
-    def as_scaled_gamma(self) -> ScaledGamma:
-        if self.noncentrality_energy != 0:
-            raise ValueError("only the central case reduces to ScaledGamma")
-        return ScaledGamma(self.shape, self.power / self.shape)
-
     def _checked(self, out):
         # Boost's series gives NaN where it cannot converge (λ ≳ 5e10)
         if np.any(np.isnan(out)):
@@ -276,9 +274,6 @@ class NoncentralChi2C:
 
     def pdf(self, t):
         return _eval_1d(self._pdf, t)
-
-    def quantile(self, p, tol: float = QUANTILE_TOL):
-        return law_quantile(self, p, tol=tol)
 
     def sample(self, rng_state, count: int) -> np.ndarray:
         rng = _as_generator(rng_state)
@@ -493,9 +488,6 @@ class FLaw:
 
         return _eval_1d(eval_, t)
 
-    def quantile(self, p, tol: float = QUANTILE_TOL):
-        return law_quantile(self, p, tol=tol)
-
     def sample(self, rng_state, count: int) -> np.ndarray:
         rng = _as_generator(rng_state)
         n = int(count)
@@ -569,9 +561,6 @@ class GammaDifference:
     def cdf(self, t):
         return _eval_1d(self._conditioned.cdf, t)
 
-    def quantile(self, p, tol: float = QUANTILE_TOL):
-        return law_quantile(self, p, tol=tol)
-
     def sample(self, rng_state, count: int) -> np.ndarray:
         rng = _as_generator(rng_state)
         return self.pos.sample(rng, count) - self.neg.sample(rng, count)
@@ -612,8 +601,22 @@ def law_quantile(law, p, tol: float = QUANTILE_TOL):
     else:
         raise ComputationError("quantile bracket expansion diverged below")
 
-    root = brentq(lambda t: law.cdf(t) - p, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    def excess(t):
+        return law.cdf(t) - p
+
+    root = brentq(excess, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
     err = abs(law.cdf(root) - p)
+    if lo_support >= 0.0 and err > QUANTILE_RTOL * p:
+        # the absolute xtol stops short of a quantile near 0: retry with a
+        # tolerance relative to the root alone
+        root = brentq(excess, lo, hi, xtol=_TINY, rtol=8.9e-16, maxiter=200, disp=False)
+        err = abs(law.cdf(root) - p)
+        if err > QUANTILE_RTOL * p:
+            raise ComputationError(
+                f"quantile inversion achieved |cdf−p|/p = {err / p:.2e} > "
+                f"{QUANTILE_RTOL:.1e}",
+                achieved=err / p,
+            )
     if err > tol:
         raise ComputationError(
             f"quantile inversion achieved |cdf−p| = {err:.2e} > {tol:.1e}", achieved=err

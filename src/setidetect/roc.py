@@ -20,6 +20,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import PchipInterpolator
 
+from ._pool import ordered_map
 from .distributions import QUANTILE_TOL, ComputationError, Law, law_quantile
 from .scenario import DetectorKind, ScenarioSpec, detector_laws
 
@@ -262,31 +263,36 @@ def compare_detectors(
     For every requested gain and detector the scenario is re-solved with the
     interference gain overridden, and the AUC difference to the same
     detector at gain 1 is reported (the baseline is computed even when 1 is
-    not in `gains`).
+    not in `gains`).  One curve is built per distinct (gain, detector), the
+    curves concurrently; a failure names the first failing curve in the
+    order baselines, then `gains` as given.
     """
     gains = [float(g) for g in gains]
     if not gains:
         raise ValueError("gains must be non-empty")
     detectors = [DetectorKind(d) for d in detectors]
 
-    def curve_at(g: float, kind: DetectorKind) -> RocCurve:
+    def curve_at(task: tuple[float, DetectorKind]) -> RocCurve:
+        g, kind = task
         at_g = spec.with_gain(g)
         h0, h1 = detector_laws(at_g, kind, assumed_noise)
         with _named_computation(f"{kind.value} law at gain {g:g}", h0, h1):
             return roc_curve(h0, h1, grid=grid, detector=kind, spec=at_g)
 
-    baseline_curves = {kind: curve_at(1.0, kind) for kind in detectors}
-    baseline = {kind: c.auc for kind, c in baseline_curves.items()}
+    tasks = [(1.0, kind) for kind in detectors] + [
+        (g, kind) for g in dict.fromkeys(gains) if g != 1.0 for kind in detectors
+    ]
+    curves = dict(zip(tasks, ordered_map(curve_at, tasks)))
     rows = []
     for g in gains:
         for kind in detectors:
-            curve = baseline_curves[kind] if g == 1.0 else curve_at(g, kind)
+            curve = curves[g, kind]
             rows.append(
                 DetectorComparison(
                     detector=kind,
                     gain=g,
                     auc=curve.auc,
-                    auc_delta=curve.auc - baseline[kind],
+                    auc_delta=curve.auc - curves[1.0, kind].auc,
                     curve=curve,
                 )
             )

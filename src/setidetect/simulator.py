@@ -18,13 +18,12 @@ number of workers and of how the trial count splits into chunks.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from ._pool import ordered_map
 from .distributions import _as_generator
 from .scenario import (
     DetectorKind,
@@ -255,14 +254,6 @@ def detector_stat(kind, on_est, off_est=None, assumed_noise=None):
     return out
 
 
-def _worker_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        return os.cpu_count() or 1
-
-
 def _mean_power(x: np.ndarray) -> np.ndarray:
     """Row means of |x|², with one float temporary."""
     p = np.abs(x)
@@ -309,11 +300,7 @@ def run_paired_estimates(
         on_est[lo : lo + m] = _mean_power(on[:m])
         off_est[lo : lo + m] = _mean_power(off[:m])
 
-    with ThreadPoolExecutor(max_workers=min(_worker_count(), n_chunks)) as pool:
-        # reading the results in order re-raises a chunk's exception, and map
-        # then cancels the chunks not yet started
-        for _ in pool.map(chunk, range(n_chunks)):
-            pass
+    ordered_map(chunk, range(n_chunks))
     return on_est, off_est
 
 

@@ -4,12 +4,16 @@ import csv
 import json
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import setidetect.cli
 import setidetect.roc
+from setidetect import _pool
 from setidetect import (
     ChirpParams,
     ComputationError,
@@ -569,6 +573,242 @@ class TestCompareVerb:
         assert "on_off law at gain 0.9 failed: series did not settle" in err
         assert "FailingLaw(shape=4.0, scale=1.0), h1=" in err
         assert "FailingLaw(shape=4.0, scale=2.0))" in err
+
+
+# --- the worker pool ------------------------------------------------------------
+
+# three sweep points × three detectors, Gauss–Hermite paired laws
+NARROWBAND_SWEEP = {
+    "scenario": {
+        "rfi_kind": "narrowband",
+        "et_kind": "narrowband",
+        "noise_power": 1.0,
+        "inr_db": 0.0,
+        "snr_db": 0.0,
+        "gain": 0.9,
+        "n_samples": 16,
+    },
+    "detectors": ["f_ratio", "on_off", "energy"],
+    "pfa_grid": 64,
+    "seed": 3,
+    "sweeps": {"parameter": "n_samples", "values": [16, 24, 32]},
+}
+GAIN_LADDER = {
+    "scenario": {
+        "rfi_kind": "wideband",
+        "et_kind": "wideband",
+        "noise_power": 1.0,
+        "inr_db": 10.0,
+        "snr_db": -10.0,
+        "n_samples": 1024,
+    },
+    "detectors": ["f_ratio", "on_off"],
+    "pfa_grid": 128,
+    "gains": [round(0.8 + 0.05 * k, 10) for k in range(9)],
+}
+SINGLE_SAMPLE = {
+    "scenario": {
+        "rfi_kind": "wideband",
+        "et_kind": "wideband",
+        "noise_power": 1.0,
+        "rfi_power": 1e4,
+        "snr_db": -10.0,
+        "n_samples": 1,
+    },
+    "detectors": ["f_ratio", "on_off"],
+    "pfa_grid": 128,
+    "gains": [0.001, 0.01, 0.5, 1.0],
+}
+POOL_CASES = {
+    "roc-analytic": ("roc", NARROWBAND_SWEEP),
+    "roc-both": ("roc", dict(NARROWBAND_SWEEP, mode="both", trials=1000)),
+    "compare-ladder": ("compare", GAIN_LADDER),
+    "compare-single-sample": ("compare", SINGLE_SAMPLE),
+}
+
+
+def pool_outputs(root: Path) -> dict:
+    """{(case, file name): bytes} of every POOL_CASES run, made in `root`
+    with relative output directories, so manifests compare too."""
+    outputs = {}
+    for case, (verb, doc) in POOL_CASES.items():
+        cfg = write_json(root / f"{case}.json", dict(doc, output_dir=case))
+        assert main([verb, "--config", str(cfg)]) == 0
+        for path in sorted((root / case).iterdir()):
+            outputs[case, path.name] = path.read_bytes()
+    return outputs
+
+
+@pytest.fixture(scope="module")
+def serial_outputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("serial")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        mp.setattr(_pool, "worker_count", lambda: 1)
+        return pool_outputs(root)
+
+
+class TestWorkerCount:
+    """No output file depends on the number of workers."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_outputs_byte_identical(
+        self, serial_outputs, tmp_path, monkeypatch, capsys, workers
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(_pool, "worker_count", lambda: workers)
+        outputs = pool_outputs(tmp_path)
+        capsys.readouterr()
+        assert outputs.keys() == serial_outputs.keys()
+        for key, blob in outputs.items():
+            assert blob == serial_outputs[key], key
+
+    def test_more_workers_than_cores_with_fast_thread_switching(
+        self, serial_outputs, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(_pool, "worker_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            outputs = pool_outputs(tmp_path)
+        finally:
+            sys.setswitchinterval(interval)
+        capsys.readouterr()
+        assert outputs == serial_outputs
+
+
+class FailingLaw(ScaledGamma):
+    """A law whose every cdf fails; shape 4 fails only after a delay, so a
+    later task in serial order fails first in time."""
+
+    def cdf(self, t):
+        if self.shape == 4.0:
+            time.sleep(0.3)
+        raise ComputationError(f"shape {self.shape:g} did not settle", achieved=2e-3)
+
+
+class TestPoolFailures:
+    """The failure reported is the first in serial order, whatever finishes
+    first, and no worker thread outlives the call."""
+
+    def test_compare_names_earlier_failure(self, tmp_path, capsys, monkeypatch):
+        real_laws = setidetect.roc.detector_laws
+
+        def laws(spec, kind, assumed_noise=None):
+            if spec.gain == 0.9 and kind == "on_off":
+                return FailingLaw(4.0, 1.0), FailingLaw(4.0, 2.0)
+            if spec.gain == 1.1 and kind == "f_ratio":
+                return FailingLaw(5.0, 1.0), FailingLaw(5.0, 2.0)
+            return real_laws(spec, kind, assumed_noise)
+
+        monkeypatch.setattr(setidetect.roc, "detector_laws", laws)
+        monkeypatch.setattr(_pool, "worker_count", lambda: 3)
+        doc = base_config(gains=[0.9, 1.0, 1.1, 1.2], pfa_grid=16)
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        before = threading.active_count()
+        code = main(["compare", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert threading.active_count() == before
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "on_off law at gain 0.9 failed: shape 4 did not settle" in err
+        assert "FailingLaw(shape=4.0, scale=1.0)" in err
+
+    def test_roc_sweep_names_earlier_failure(self, tmp_path, capsys, monkeypatch):
+        real_laws = setidetect.cli.detector_laws
+
+        def laws(spec, kind, assumed_noise=None):
+            if spec.gain == 0.9 and kind == "on_off":
+                return FailingLaw(4.0, 1.0), FailingLaw(4.0, 2.0)
+            if spec.gain == 1.1 and kind == "f_ratio":
+                return FailingLaw(5.0, 1.0), FailingLaw(5.0, 2.0)
+            return real_laws(spec, kind, assumed_noise)
+
+        monkeypatch.setattr(setidetect.cli, "detector_laws", laws)
+        monkeypatch.setattr(_pool, "worker_count", lambda: 3)
+        doc = base_config(
+            pfa_grid=16, sweeps={"parameter": "gain", "values": [0.8, 0.9, 1.1]}
+        )
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        before = threading.active_count()
+        code = main(["roc", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert threading.active_count() == before
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "on_off law failed: shape 4 did not settle" in err
+        assert "FailingLaw(shape=4.0, scale=1.0)" in err
+
+    def test_histogram_failure_precedes_later_curve_failure(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # mode both: the first point's histogram density fails, after its
+        # curves and before any curve of the next point in serial order
+        class DensityFailingLaw(ScaledGamma):
+            def pdf(self, t):
+                raise ComputationError("density failed", achieved=1.0)
+
+        real_laws = setidetect.cli.detector_laws
+
+        def laws(spec, kind, assumed_noise=None):
+            if spec.gain == 0.9:
+                return FailingLaw(5.0, 1.0), FailingLaw(5.0, 2.0)
+            h0, h1 = real_laws(spec, kind, assumed_noise)
+            return h0, DensityFailingLaw(h1.shape, h1.scale)
+
+        monkeypatch.setattr(setidetect.cli, "detector_laws", laws)
+        doc = base_config(
+            detectors=["energy"],
+            mode="both",
+            trials=1000,
+            pfa_grid=16,
+            sweeps={"parameter": "gain", "values": [0.8, 0.9]},
+        )
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        code = main(["roc", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "energy law failed: density failed" in capsys.readouterr().err
+
+    def test_missing_law_is_reported_before_any_curve(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the first point's curves would fail (exit 3) if any were computed
+        real_laws = setidetect.cli.detector_laws
+
+        def laws(spec, kind, assumed_noise=None):
+            if spec.gain == 0.8:
+                return FailingLaw(5.0, 1.0), FailingLaw(5.0, 2.0)
+            if spec.gain == 1.1:
+                raise ValueError("no law at this gain")
+            return real_laws(spec, kind, assumed_noise)
+
+        monkeypatch.setattr(setidetect.cli, "detector_laws", laws)
+        doc = base_config(
+            pfa_grid=16, sweeps={"parameter": "gain", "values": [0.8, 0.9, 1.1]}
+        )
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        code = main(["roc", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "no sampling law for this scenario: no law at this gain" in (
+            capsys.readouterr().err
+        )
+
+
+class TestCurveCount:
+    @pytest.mark.parametrize("mode", ["analytic", "both"])
+    def test_one_curve_per_point_and_detector(self, tmp_path, monkeypatch, mode):
+        real_curve = setidetect.cli.roc_curve
+        built = []
+
+        def counted(h0, h1, grid, detector, spec):
+            built.append((spec.n_samples, detector.value))
+            return real_curve(h0, h1, grid=grid, detector=detector, spec=spec)
+
+        monkeypatch.setattr(setidetect.cli, "roc_curve", counted)
+        doc = dict(NARROWBAND_SWEEP, mode=mode, trials=1000, output_dir=str(tmp_path))
+        run_experiment(load_config(doc))
+        assert sorted(built) == sorted(
+            (n, kind) for n in (16, 24, 32) for kind in ("f_ratio", "on_off", "energy")
+        )
 
 
 class TestEmpiricalCurve:

@@ -13,6 +13,7 @@ from scipy import special
 from setidetect.cli import _ks_bound
 from setidetect.distributions import (
     QUADRATURE_TOL,
+    QUANTILE_RTOL,
     ComputationError,
     FLaw,
     GammaDifference,
@@ -345,6 +346,23 @@ class TestLawQuantile:
         for p in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(ValueError):
                 law_quantile(law, p)
+
+    @pytest.mark.parametrize("p", [1e-8, 1e-13, 1e-30, 1e-100])
+    def test_far_lower_tail_of_positive_law(self, p):
+        # F(2, 2) at scale s has cdf t/(t + s), so its quantile is p·s/(1 − p);
+        # far below the root finder's absolute tolerance of 1e-14
+        s = 1.1e-3
+        assert law_quantile(FLaw(2, 2, s), p) == pytest.approx(
+            p * s / (1.0 - p), rel=QUANTILE_RTOL
+        )
+
+    def test_unresolvable_lower_tail_raises(self):
+        # the narrower numerator is conditioned on and its cdf taken as
+        # 1 − (upper tail), which cannot resolve a mass of 1e-13 to 1e-6
+        law = FLaw(32, 32, 1.0, lambda_num=10.0)
+        with pytest.raises(ComputationError) as info:
+            law_quantile(law, 1e-13)
+        assert info.value.achieved > QUANTILE_RTOL
 
 
 class TestLawSample:

@@ -23,6 +23,7 @@ from setidetect import (
     roc_curve,
     threshold_for_pfa,
 )
+from setidetect import roc as roc_module
 from setidetect.roc import AUC_TOL
 
 # Frozen oracles (independent computations, checked once and pinned):
@@ -346,6 +347,21 @@ class TestCompareDetectors:
         for r in rows:
             worst[r.detector] = max(worst.get(r.detector, 0.0), abs(r.auc_delta))
         assert worst[DetectorKind.ON_OFF] < worst[DetectorKind.F_RATIO]
+
+    @pytest.mark.parametrize("gains", [[0.9, 1.1, 0.9], [1.0, 0.9, 1.0, 1.1]])
+    def test_one_curve_per_distinct_gain_and_detector(self, monkeypatch, gains):
+        real_curve = roc_module.roc_curve
+        built = []
+
+        def counted(h0, h1, grid, detector, spec):
+            built.append((spec.gain, detector))
+            return real_curve(h0, h1, grid=grid, detector=detector, spec=spec)
+
+        monkeypatch.setattr(roc_module, "roc_curve", counted)
+        rows = compare_detectors(wide_wide(), gains, grid=64)
+        kinds = (DetectorKind.F_RATIO, DetectorKind.ON_OFF)
+        assert sorted(built) == sorted((g, k) for g in {1.0, 0.9, 1.1} for k in kinds)
+        assert [(r.gain, r.detector) for r in rows] == [(g, k) for g in gains for k in kinds]
 
     def test_rejects_empty_gains(self):
         with pytest.raises(ValueError):

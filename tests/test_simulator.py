@@ -25,7 +25,7 @@ from setidetect import (
     spectrogram,
     synth_stream,
 )
-from setidetect import simulator
+from setidetect import _pool, simulator
 from setidetect.cli import _ks_bound
 from setidetect.simulator import TRIAL_CHUNK, _cgauss, default_chirps
 
@@ -364,7 +364,7 @@ class TestConcurrentChunks:
         self, monkeypatch, spec, random_phase, hyp, workers
     ):
         trials = 2 * TRIAL_CHUNK + 17
-        monkeypatch.setattr(simulator, "_worker_count", lambda: workers)
+        monkeypatch.setattr(_pool, "worker_count", lambda: workers)
         on, off = run_paired_estimates(
             spec, hyp, trials, SEED, random_phase=random_phase
         )
@@ -375,7 +375,7 @@ class TestConcurrentChunks:
     def test_more_workers_than_cores_with_fast_thread_switching(self, monkeypatch):
         trials = 8 * TRIAL_CHUNK + 5
         spec = WIDEBAND_PAIR
-        monkeypatch.setattr(simulator, "_worker_count", lambda: 8)
+        monkeypatch.setattr(_pool, "worker_count", lambda: 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -397,7 +397,7 @@ class TestConcurrentChunks:
             return synth(*args, **kwargs)
 
         monkeypatch.setattr(simulator, "_synth_pair", failing_third)
-        monkeypatch.setattr(simulator, "_worker_count", lambda: 3)
+        monkeypatch.setattr(_pool, "worker_count", lambda: 3)
         before = threading.active_count()
         with pytest.raises(RuntimeError) as info:
             run_paired_estimates(gaussian_only(n_samples=8), "H0", 6 * TRIAL_CHUNK, SEED)
