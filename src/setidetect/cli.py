@@ -430,11 +430,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: Sequence[str], rows) -> None:
+def _cells(column) -> list[str]:
+    """CSV fields of one column: a float array by the repr of its Python
+    floats, anything else value by value through _fmt."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return list(map(repr, column.tolist()))
+    return [_fmt(v) for v in column]
+
+
+def _write_csv(path: Path, header: Sequence[str], columns, constants=()) -> None:
+    """Write a CSV file by columns; every row ends with the fields of
+    `constants`, formatted once."""
+    tail = "".join("," + _fmt(v) for v in constants) + "\n"
     with open(path, "w", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+        handle.writelines(",".join(row) + tail for row in zip(*map(_cells, columns)))
 
 
 def _slug(value) -> str:
@@ -633,12 +643,7 @@ def run_experiment(config: ExperimentConfig, *, ks_table: bool = False) -> list[
 
             roc_path = config.output_dir / f"roc_{kind.value}_{tag}.csv"
             _write_csv(
-                roc_path,
-                ROC_COLUMNS,
-                (
-                    (t, fa, hit, kind.value, *ident)
-                    for t, fa, hit in zip(thresholds, pfa, pd)
-                ),
+                roc_path, ROC_COLUMNS, (thresholds, pfa, pd), (kind.value, *ident)
             )
             files.append(roc_path)
             summary_rows.append((kind.value, *ident, auc, *pd_ref))
@@ -659,7 +664,7 @@ def run_experiment(config: ExperimentConfig, *, ks_table: bool = False) -> list[
                     _write_csv(
                         hist_path,
                         HIST_COLUMNS,
-                        zip(edges[:-1], edges[1:], empirical, analytic),
+                        (edges[:-1], edges[1:], empirical, analytic),
                     )
                     files.append(hist_path)
                     if ks_table:
@@ -670,11 +675,11 @@ def run_experiment(config: ExperimentConfig, *, ks_table: bool = False) -> list[
                         )
 
     summary_path = config.output_dir / "summary.csv"
-    _write_csv(summary_path, SUMMARY_COLUMNS, summary_rows)
+    _write_csv(summary_path, SUMMARY_COLUMNS, zip(*summary_rows))
     files.append(summary_path)
     if ks_table:
         ks_path = config.output_dir / "ks_summary.csv"
-        _write_csv(ks_path, KS_COLUMNS, ks_rows)
+        _write_csv(ks_path, KS_COLUMNS, zip(*ks_rows))
         files.append(ks_path)
     files.append(_write_manifest(config, "mc-validate" if ks_table else "roc", files))
     return files
@@ -769,7 +774,7 @@ def _run_compare_verb(config: ExperimentConfig) -> list[Path]:
             )
         )
     out = config.output_dir / "compare.csv"
-    _write_csv(out, COMPARE_COLUMNS, table)
+    _write_csv(out, COMPARE_COLUMNS, zip(*table))
     files = [out]
     files.append(_write_manifest(config, "compare", files))
     return files

@@ -294,6 +294,15 @@ def _hermite(n: int):
     return np.sqrt(2.0) * x, w / np.sqrt(np.pi)
 
 
+@cache
+def _legendre(n: int):
+    """Nodes and weights of the n-point Gauss–Legendre rule on [−1, 1],
+    read-only: every caller shares them."""
+    x, w = leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 @dataclass(frozen=True)
 class _Conditioned:
     """cdf and pdf of A − B (or A/B when `ratio`) by conditioning on B.
@@ -322,7 +331,7 @@ class _Conditioned:
             return self._hermite_nodes[n]
         # Panels split where h crosses A's support edge (a kink of F_A) and
         # A's mean; the ratio's panels are uniform in log y.
-        x, w = leggauss(n)
+        x, w = _legendre(n)
         lo, hi = self._panel_range
         cuts = [self.a.mean / u] if self.ratio else [-u, self.a.mean - u]
         edges = np.sort(np.clip([np.full_like(u, lo), *cuts, np.full_like(u, hi)], lo, hi), 0).T

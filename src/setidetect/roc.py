@@ -3,8 +3,10 @@
 The decision rule is one-sided for every detector: declare a signal when
 the statistic exceeds the threshold, so pd = 1 − cdf_H1(t) and
 pfa = 1 − cdf_H0(t).  ROC curves place thresholds at H0 quantiles of an
-equispaced false-alarm grid, read from one interpolated H0 quantile map per
-curve, and evaluate pfa and pd exactly at each threshold.  The AUC is not
+equispaced false-alarm grid, read from one H0 quantile map per curve, and
+evaluate pfa and pd exactly at each threshold.  The map is a cubic spline of
+log t (t for differences) against the normal score Φ⁻¹(p), in which it is
+nearly linear, through about 130 exact H0 cdf knots.  The AUC is not
 taken from those points: it is P(S₁ > S₀) = ∫ SF₁(t)·f₀(t) dt (Hanley &
 McNeil, 1982), one Gauss–Legendre integral over H0's mass, in log t for
 positive statistics.
@@ -17,11 +19,11 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicSpline, PPoly
+from scipy.special import ndtri
 
 from ._pool import ordered_map
-from .distributions import QUANTILE_TOL, ComputationError, Law, law_quantile
+from .distributions import QUANTILE_TOL, ComputationError, Law, _legendre, law_quantile
 from .scenario import DetectorKind, ScenarioSpec, detector_laws
 
 __all__ = [
@@ -37,10 +39,14 @@ DEFAULT_GRID = 1024
 #: |AUC| error targeted by the AUC integral: two successive rule sizes must
 #: agree this closely, and the accepted rule must integrate f₀ to 1 as closely.
 AUC_TOL = 1e-9
-# The H0 quantile map spans quantile orders [_MAP_P_EDGE, 1 − _MAP_P_EDGE] with
-# _MAP_NODES exact cdf nodes.
+# The H0 quantile map spans quantile orders [_MAP_P_EDGE, 1 − _MAP_P_EDGE].
 _MAP_P_EDGE = 1.0 / 16385
-_MAP_NODES = 2048
+# Exact cdf knots of the map, evenly spaced in the law's variable.
+_MAP_KNOTS = 128
+# Normal-score span of a knot interval above which it is bisected.
+_MAP_Z_GAP = 0.125
+# Bisection rounds, at most.
+_MAP_ROUNDS = 40
 # The AUC integral leaves at most this much H0 mass outside each end.
 _AUC_TAIL = 1e-13
 # Equal panels across the map's range.
@@ -52,21 +58,54 @@ _AUC_RULE_SIZES = (8, 12, 16, 24, 32, 48, 64)
 
 
 class _H0Map:
-    """Monotone p → threshold map of an H0 law, interpolated on a dense exact
-    cdf grid between its quantiles of order _MAP_P_EDGE and 1 − _MAP_P_EDGE."""
+    """Increasing p → threshold map of an H0 law between its quantiles of
+    order _MAP_P_EDGE and 1 − _MAP_P_EDGE.
+
+    In the law's own variable x (log t for positive laws, t otherwise, as in
+    _auc) against the normal score z = Φ⁻¹(p) the map is nearly linear, so
+    x(z) is a cubic spline through exact cdf knots: _MAP_KNOTS evenly spaced
+    in x, plus t = 0 inside a difference's range, where small-N differences
+    have a kink and the spline is split in two.  Knot intervals are bisected
+    while they span more than _MAP_Z_GAP in z, for at most _MAP_ROUNDS rounds.
+    A spline piece that is not increasing throughout (the map is flat across
+    an atom, say) is made linear, so the map increases by construction.
+    """
 
     def __init__(self, h0: Law):
         self.law = h0
         self.t_lo = law_quantile(h0, _MAP_P_EDGE)
         self.t_hi = law_quantile(h0, 1.0 - _MAP_P_EDGE)
-        ts = np.linspace(self.t_lo, self.t_hi, _MAP_NODES)
-        ps = np.asarray(h0.cdf(ts))
-        keep = np.concatenate([[True], np.diff(ps) > 0])
-        self._interp = PchipInterpolator(ps[keep], ts[keep], extrapolate=False)
-        self._p_range = ps[keep][0], ps[keep][-1]
+        positive = getattr(h0, "support_lo", -np.inf) >= 0.0
+        self._to_t = np.exp if positive else np.asarray
+        ends = [self.t_lo, self.t_hi]
+        x = np.linspace(*(np.log(ends) if positive else ends), _MAP_KNOTS)
+        kink = not positive and self.t_lo < 0.0 < self.t_hi
+        if kink:
+            x = np.union1d(x, [0.0])
+        p = np.asarray(h0.cdf(self._to_t(x)))
+        for rounds in range(_MAP_ROUNDS + 1):
+            z = ndtri(p)
+            # knots whose z exceeds every earlier one's
+            keep = np.isfinite(z) & (z > np.maximum.accumulate(np.r_[-np.inf, z[:-1]]))
+            xk, zk = x[keep], z[keep]
+            wide = np.diff(zk) > _MAP_Z_GAP
+            lo, hi = xk[:-1][wide], xk[1:][wide]
+            mid = 0.5 * (lo + hi)
+            mid = mid[(lo < mid) & (mid < hi)]
+            if rounds == _MAP_ROUNDS or mid.size == 0:
+                break
+            order = np.argsort(np.concatenate([x, mid]), kind="stable")
+            x = np.concatenate([x, mid])[order]
+            p = np.concatenate([p, h0.cdf(self._to_t(mid))])[order]
+        spline = _spline(zk, xk, np.flatnonzero(xk == 0.0) if kink else [])
+        flat = _least_slope(spline) <= 0.0
+        spline.c[:2, flat] = 0.0
+        spline.c[2, flat] = (np.diff(xk) / np.diff(zk))[flat]
+        self._spline = spline
+        self._p_range = p[keep][0], p[keep][-1]
 
     def __call__(self, p):
-        return self._interp(np.clip(p, *self._p_range))
+        return self._to_t(self._spline(ndtri(np.clip(p, *self._p_range))))
 
     def threshold(self, target_pfa: float) -> float:
         """Threshold of false-alarm rate target_pfa: the map's value when it
@@ -76,6 +115,25 @@ class _H0Map:
         if abs(float(self.law.cdf(t)) - p) <= QUANTILE_TOL:
             return t
         return threshold_for_pfa(self.law, target_pfa)
+
+
+def _spline(z: np.ndarray, x: np.ndarray, kinks) -> PPoly:
+    """Not-a-knot cubic spline x(z), split into independent splines at the
+    knot indices `kinks`."""
+    cuts = [0, *(int(i) for i in kinks if 0 < i < z.size - 1), z.size - 1]
+    parts = [CubicSpline(z[a : b + 1], x[a : b + 1]) for a, b in zip(cuts, cuts[1:])]
+    return PPoly(np.hstack([s.c for s in parts]), z)
+
+
+def _least_slope(spline: PPoly) -> np.ndarray:
+    """Least slope of each cubic piece over its interval."""
+    c3, c2, c1 = spline.c[:3]
+    h = np.diff(spline.x)
+    least = np.minimum(c1, c1 + h * (2.0 * c2 + 3.0 * c3 * h))
+    # where c3 > 0 the slope has its minimum at s = −c2/(3·c3), if inside
+    inner = (c3 > 0.0) & (0.0 < -c2) & (-c2 < 3.0 * c3 * h)
+    vertex = c1 - c2 * c2 / (3.0 * np.where(inner, c3, 1.0))
+    return np.where(inner, np.minimum(least, vertex), least)
 
 
 @dataclass(eq=False)
@@ -168,7 +226,7 @@ def _auc(h0: Law, h1: Law, t_lo: float, t_hi: float) -> float:
     rad = 0.5 * np.diff(edges)[:, None]
 
     def rule(n):
-        x, w = leggauss(n)
+        x, w = _legendre(n)
         t = to_t((mid + rad * x).ravel())
         w = (rad * w).ravel() * (t if positive else 1.0)
         f0 = np.asarray(h0.pdf(t)) * w

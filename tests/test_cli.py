@@ -31,6 +31,7 @@ from setidetect.cli import (
     SUMMARY_COLUMNS,
     ConfigError,
     _empirical_curve,
+    _write_csv,
     emit_spectrogram_demo,
     load_config,
     main,
@@ -825,6 +826,25 @@ class TestEmpiricalCurve:
         pd_ref = np.mean(h1[None, :] > ts[:, None], axis=1)
         assert np.array_equal(pfa[1:-1], pfa_ref)
         assert np.array_equal(pd[1:-1], pd_ref)
+
+
+class TestWriteCsv:
+    def test_columns_and_constants_give_repr_fields(self, tmp_path):
+        values = np.array([np.inf, 0.1 + 0.2, 1e-300, -0.0, -np.inf])
+        counts = np.arange(5)
+        path = tmp_path / "out.csv"
+        _write_csv(path, ("a", "b", "c", "d"), (values, counts), ("x", np.float64(0.9)))
+        rows = [f"{v!r},{int(c)},x,0.9" for v, c in zip(values.tolist(), counts)]
+        assert path.read_text() == "a,b,c,d\n" + "\n".join(rows) + "\n"
+
+    @pytest.mark.parametrize(
+        "columns, constants",
+        [((np.array([True, False]),), ()), ((np.array([1.0, 2.0]),), (True,))],
+        ids=["column", "constant"],
+    )
+    def test_booleans_are_rejected(self, tmp_path, columns, constants):
+        with pytest.raises(TypeError, match="booleans"):
+            _write_csv(tmp_path / "out.csv", ("a", "b"), columns, constants)
 
 
 class TestImportCost:

@@ -112,6 +112,14 @@ class _OscillatingLaw(_MixtureLaw):
         return super().cdf(t) + 1e-4 * np.cos(1e4 * np.asarray(t))
 
 
+class _AtomLaw(_MixtureLaw):
+    """A mixture whose remaining mass sits at the point 1.3."""
+
+    def cdf(self, t):
+        rest = 1.0 - sum(w for w, _ in self.parts)
+        return super().cdf(t) + rest * (np.asarray(t) >= 1.3)
+
+
 class _CountedLaw:
     """Delegates to a law, counting the points its cdf and pdf evaluate."""
 
@@ -251,6 +259,46 @@ class TestRocCurve:
         assert isinstance(roc_curve(h0, h1, grid=16), RocCurve)
 
 
+def single_sample(gain):
+    return wide_wide(et_power=0.1, gain=gain, n_samples=1, rfi_power=1e4)
+
+
+class TestH0Map:
+    @pytest.mark.parametrize(
+        "spec, kind, tol",
+        [
+            (single_sample(0.001), "f_ratio", 1e-6),
+            (single_sample(1.0), "f_ratio", 1e-6),
+            (single_sample(0.001), "on_off", 1e-6),
+            (single_sample(0.5), "on_off", 1e-6),
+            (narrow_narrow(16), "f_ratio", 1e-8),
+            (narrow_narrow(16), "on_off", 1e-8),
+            (narrow_narrow(16), "energy", 1e-8),
+        ],
+        ids=["f_ratio-N1-g0.001", "f_ratio-N1-g1", "on_off-N1-g0.001",
+             "on_off-N1-g0.5", "f_ratio-narrow-N16", "on_off-narrow-N16",
+             "energy-narrow-N16"],
+    )
+    def test_points_sit_at_requested_pfa(self, spec, kind, tol):
+        # N = 1 covers the heavy-tailed ratio and the difference's kink at 0
+        h0, h1 = detector_laws(spec, kind)
+        curve = roc_curve(h0, h1, grid=512)
+        targets = np.linspace(0.0, 1.0, 512 + 2)[1:-1]
+        assert np.max(np.abs(curve.pfa[1:-1] - targets)) <= tol
+        assert np.all(np.diff(curve.thresholds) < 0)
+        counted = _CountedLaw(h0)
+        roc_module._H0Map(counted)
+        assert counted.points <= 300
+
+    def test_map_stays_increasing_across_an_atom(self):
+        # the quantile map is flat across the atom's normal-score span, where
+        # no cubic through the knots stays increasing
+        h0_map = roc_module._H0Map(_AtomLaw((0.5, stats.norm(0.0, 1.0))))
+        t = h0_map(np.linspace(0.0, 1.0, 100001))
+        assert np.all(np.diff(t) >= 0.0)
+        assert h0_map(0.4) < 1.3 < h0_map(0.9)
+
+
 class TestAucIntegral:
     def test_heavy_tailed_single_sample_ratio_matches_reference(self):
         # N = 1, g = 0.001: H0 is F(2, 2) at scale 11/10001, whose tails
@@ -308,7 +356,7 @@ class TestAucIntegral:
         # doubling refinement this integral replaced needed 26 per point
         h0, h1 = (_CountedLaw(law) for law in detector_laws(narrow_narrow(64), "f_ratio"))
         curve = roc_curve(h0, h1, grid=512)
-        assert (h0.points + h1.points) / curve.pfa.size <= 8.0
+        assert (h0.points + h1.points) / curve.pfa.size <= 4.0
 
 
 class TestDominance:
