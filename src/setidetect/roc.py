@@ -262,17 +262,23 @@ def roc_curve(
 ) -> RocCurve:
     """ROC curve over `grid` thresholds at H0 quantiles of equispaced pfa.
 
-    Thresholds are read from an H0 quantile map (kept as `h0_map`); pfa and
-    pd are evaluated exactly at each threshold, and the limit points (0,0)
-    and (1,1) are appended at infinite thresholds.  The AUC is the integral
-    P(S₁ > S₀), accurate to AUC_TOL and independent of `grid`.
+    Thresholds are read from an H0 quantile map (kept as `h0_map`), or
+    found by `law_quantile` where the pfa grid reaches past the map's range
+    [_MAP_P_EDGE, 1 − _MAP_P_EDGE]; pfa and pd are evaluated exactly at each
+    threshold, and the limit points (0,0) and (1,1) are appended at infinite
+    thresholds.  The AUC is the integral P(S₁ > S₀), accurate to AUC_TOL
+    and independent of `grid`.
     """
     grid = int(grid)
     if grid < 2:
         raise ValueError("grid must be at least 2")
     h0_map = _H0Map(h0)
     targets = np.linspace(0.0, 1.0, grid + 2)[1:-1]  # pfa grid inside (0, 1)
-    ts = np.asarray(h0_map(1.0 - targets[::-1]), dtype=float)
+    p = 1.0 - targets[::-1]
+    ts = np.asarray(h0_map(p), dtype=float)
+    # grids finer than the map's range (grid > 16384) reach past its ends
+    outside = np.flatnonzero((p < _MAP_P_EDGE) | (p > 1.0 - _MAP_P_EDGE))
+    ts[outside] = [law_quantile(h0, q) for q in p[outside]]
     pfa = 1.0 - np.asarray(h0.cdf(ts))
     pd = 1.0 - np.asarray(h1.cdf(ts))
     thresholds, pfa, pd = _closed_curve(ts, pfa, pd)

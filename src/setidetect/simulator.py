@@ -2,8 +2,12 @@
 
 Streams are built per scenario: circular Gaussian noise, plus wideband
 components as independent Gaussians of the configured powers and narrowband
-components as deterministic chirps.  The interference waveform is common to
-both pointings (scaled by √g on the ON stream); noise and wideband draws are
+components as deterministic chirps.  A sum of independent circular
+Gaussians is one circular Gaussian of the summed power, so each pointing's
+noise and wideband components are drawn as a single CN(0, total power)
+stream: noise + g·interference (+ signal under H1) on ON, noise +
+interference on OFF.  The narrowband interference waveform is common to both
+pointings (scaled by √g on the ON stream); the Gaussian draws are
 independent between ON and OFF.
 
 Trials are chunked: trial i belongs to chunk i // TRIAL_CHUNK, and chunk c
@@ -49,10 +53,6 @@ __all__ = [
 
 #: Trials per RNG chunk; fixed so that results never depend on scheduling.
 TRIAL_CHUNK = 2048
-
-# Rows per block when adding the wideband interference and signal draws, so
-# a chunk holds only its ON and OFF streams plus one small draw buffer.
-_BLOCK_ROWS = 128
 
 # Default carriers sit 1/8 cycle/sample apart, so the two tones are exactly
 # orthogonal over any frame length divisible by 8 and their energies add
@@ -137,22 +137,6 @@ def _cgauss(rng: np.random.Generator, m: int, n: int, power: float) -> np.ndarra
     return z
 
 
-def _add_cgauss(
-    rng: np.random.Generator, dest: np.ndarray, power: float, scale, buf: np.ndarray
-) -> None:
-    """dest += scale·`_cgauss(rng, *dest.shape, power)`, bit for bit, drawn a
-    block of rows at a time into `buf` (float, (_BLOCK_ROWS, 2N)); the
-    consecutive block draws are exactly the normals of one full-size draw."""
-    m = dest.shape[0]
-    for lo in range(0, m, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, m)
-        z = rng.standard_normal(out=buf[: hi - lo]).view(np.complex128)
-        z *= np.sqrt(power / 2.0)
-        if scale is not None:
-            z *= scale
-        dest[lo:hi] += z
-
-
 def _synth_pair(
     spec: ScenarioSpec,
     hyp: Hypothesis,
@@ -163,26 +147,30 @@ def _synth_pair(
     random_phase: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(m, N) ON and OFF streams; fixed draw order for reproducibility:
-    ON noise, OFF noise, interference ON, interference OFF, signal ON (the
-    wideband ones), then the interference and signal chirp phases."""
+    ON, OFF, then the interference and signal chirp phases.
+
+    Noise and the wideband components are independent circular Gaussians,
+    so their sum on each pointing is exactly one CN(0, total power) draw:
+    ON at noise + g·interference (+ signal under H1), OFF at
+    noise + interference.  Without a wideband component that is the noise
+    draw alone."""
     n = spec.n_samples
-    sqrt_g = np.sqrt(spec.gain)
-    on = _cgauss(rng, m, n, spec.noise_power)
-    off = _cgauss(rng, m, n, spec.noise_power)
-    buf = np.empty((min(m, _BLOCK_ROWS), 2 * n))
-    if spec.rfi_kind is RfiKind.WIDEBAND and spec.rfi_power > 0:
-        _add_cgauss(rng, on, spec.rfi_power, sqrt_g, buf)
-        _add_cgauss(rng, off, spec.rfi_power, None, buf)
+    p_on = p_off = spec.noise_power
+    if spec.rfi_kind is RfiKind.WIDEBAND:
+        p_on += spec.gain * spec.rfi_power
+        p_off += spec.rfi_power
     signal_on = hyp is Hypothesis.H1
-    if signal_on and spec.et_kind is EtKind.WIDEBAND and spec.et_power > 0:
-        _add_cgauss(rng, on, spec.et_power, None, buf)
+    if signal_on and spec.et_kind is EtKind.WIDEBAND:
+        p_on += spec.et_power
+    on = _cgauss(rng, m, n, p_on)
+    off = _cgauss(rng, m, n, p_off)
     if spec.rfi_kind is RfiKind.NARROWBAND:
         wave = chirp_rfi.waveform(n)[None, :]
         if random_phase:
             # one transmitter: the same phase reaches both pointings
             wave = wave * np.exp(2j * np.pi * rng.random((m, 1)))
         off += wave
-        wave *= sqrt_g
+        wave *= np.sqrt(spec.gain)
         on += wave
     if signal_on and spec.et_kind is EtKind.NARROWBAND:
         wave = chirp_et.waveform(n)[None, :]
@@ -274,6 +262,8 @@ def run_paired_estimates(
 
     Chirps default to the scenario energies (see `default_chirps`); passing
     explicit ones overrides frequency and drift without touching the law.
+    H0 and H1 runs with one seed draw the same normals, so their estimates
+    are coupled; give each hypothesis its own seed for independent samples.
     """
     hyp = Hypothesis(hyp)
     trials = int(trials)

@@ -290,6 +290,15 @@ class TestH0Map:
         roc_module._H0Map(counted)
         assert counted.points <= 300
 
+    def test_grid_finer_than_the_map_gets_exact_thresholds(self):
+        # at grid 40000 the outermost targets lie beyond the map's range
+        # [1/16385, 1 − 1/16385]; clipping them repeated thresholds
+        h0, h1 = detector_laws(wide_wide(), "f_ratio")
+        curve = roc_curve(h0, h1, grid=40000)
+        targets = np.linspace(0.0, 1.0, 40000 + 2)[1:-1]
+        assert np.all(np.diff(curve.thresholds) < 0)
+        assert np.max(np.abs(curve.pfa[1:-1] - targets)) <= 1e-9
+
     def test_map_stays_increasing_across_an_atom(self):
         # the quantile map is flat across the atom's normal-score span, where
         # no cubic through the knots stays increasing

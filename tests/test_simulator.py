@@ -231,6 +231,34 @@ class TestEstimatorMoments:
         assert abs(corr) < 5 / np.sqrt(on_est.size)
 
 
+class TestFoldedWidebandDraw:
+    @pytest.mark.parametrize(
+        "gain, hyp",
+        [(0.7, "H0"), (0.7, "H1"), (0.0, "H1")],
+        ids=["g0.7-H0", "g0.7-H1", "g0-H1"],
+    )
+    def test_single_sample_estimates_are_exponential(self, gain, hyp):
+        # at N = 1 each estimate is |x|² of one CN(0, p) sample: exponential
+        # with mean p, where p sums the powers of every wideband component
+        noise, rfi, et, trials = 1.0, 2.0, 0.5, 100_000
+        spec = ScenarioSpec(
+            rfi_kind="wideband",
+            et_kind="wideband",
+            noise_power=noise,
+            rfi_power=rfi,
+            et_power=et,
+            gain=gain,
+            n_samples=1,
+        )
+        on_est, off_est = run_paired_estimates(spec, hyp, trials, SEED + 6)
+        p_on = noise + gain * rfi + (et if hyp == "H1" else 0.0)
+        p_off = noise + rfi
+        # DKW radius at level 1e-6, plus room for the bound's node-gap term
+        eps = np.sqrt(np.log(2 / 1e-6) / (2 * trials)) + 1e-3
+        assert _ks_bound(on_est, ScaledGamma(1, p_on), nodes=4096) < eps
+        assert _ks_bound(off_est, ScaledGamma(1, p_off), nodes=4096) < eps
+
+
 class TestRunTrials:
     def test_batch_fields_and_determinism(self):
         spec = gaussian_only()
@@ -298,24 +326,23 @@ class TestRunTrials:
 
 def sequential_estimates(spec, hyp, trials, seed, random_phase):
     """The chunk contract written out serially: chunks in order, each from
-    its spawned generator, full-size draws in the documented order (ON
-    noise, OFF noise, interference ON, interference OFF, signal ON, then
-    the chirp phases)."""
+    its spawned generator, full-size draws in the documented order (ON at
+    noise + g·interference + signal power and OFF at noise + interference
+    power, counting only the wideband components, then the chirp phases)."""
     chirp_et, chirp_rfi = default_chirps(spec)
     n, m = spec.n_samples, TRIAL_CHUNK
     sqrt_g = np.sqrt(spec.gain)
     signal_on = hyp == "H1"
+    wide_rfi = spec.rfi_power if spec.rfi_kind is RfiKind.WIDEBAND else 0.0
+    wide_et = spec.et_power if signal_on and spec.et_kind is EtKind.WIDEBAND else 0.0
+    p_on = spec.noise_power + spec.gain * wide_rfi + wide_et
+    p_off = spec.noise_power + wide_rfi
     n_chunks = -(-trials // TRIAL_CHUNK)
     on_est, off_est = [], []
     for child in np.random.SeedSequence(seed).spawn(n_chunks):
         rng = np.random.default_rng(child)
-        on = _cgauss(rng, m, n, spec.noise_power)
-        off = _cgauss(rng, m, n, spec.noise_power)
-        if spec.rfi_kind is RfiKind.WIDEBAND:
-            on = on + sqrt_g * _cgauss(rng, m, n, spec.rfi_power)
-            off = off + _cgauss(rng, m, n, spec.rfi_power)
-        if signal_on and spec.et_kind is EtKind.WIDEBAND:
-            on = on + _cgauss(rng, m, n, spec.et_power)
+        on = _cgauss(rng, m, n, p_on)
+        off = _cgauss(rng, m, n, p_off)
         if spec.rfi_kind is RfiKind.NARROWBAND:
             wave = chirp_rfi.waveform(n)[None, :]
             if random_phase:
@@ -351,14 +378,45 @@ NARROWBAND_PAIR = ScenarioSpec(
     n_samples=24,
 )
 
+WIDE_RFI_NARROW_ET = ScenarioSpec(
+    rfi_kind="wideband",
+    et_kind="narrowband",
+    noise_power=1.0,
+    rfi_power=2.0,
+    et_energy=12.0,
+    gain=0.7,
+    n_samples=24,
+)
+NARROW_RFI_WIDE_ET = ScenarioSpec(
+    rfi_kind="narrowband",
+    et_kind="wideband",
+    noise_power=1.0,
+    rfi_energy=48.0,
+    et_power=0.5,
+    gain=0.7,
+    n_samples=24,
+)
+
 
 class TestConcurrentChunks:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("hyp", ["H0", "H1"])
     @pytest.mark.parametrize(
         "spec, random_phase",
-        [(WIDEBAND_PAIR, False), (NARROWBAND_PAIR, False), (NARROWBAND_PAIR, True)],
-        ids=["wideband", "narrowband", "narrowband-random-phase"],
+        [
+            (WIDEBAND_PAIR, False),
+            (NARROWBAND_PAIR, False),
+            (NARROWBAND_PAIR, True),
+            (WIDE_RFI_NARROW_ET, True),
+            (NARROW_RFI_WIDE_ET, True),
+        ],
+        ids=[
+            "wideband",
+            "narrowband",
+            "narrowband-random-phase",
+            "wideband-rfi-narrowband-et",
+            "narrowband-rfi-wideband-et",
+        ],
     )
     def test_bit_identical_to_sequential_reference(
         self, monkeypatch, spec, random_phase, hyp, workers
