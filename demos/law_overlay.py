@@ -1,9 +1,10 @@
 """Overlay Monte Carlo detector statistics on their closed-form laws.
 
-Synthesizes paired ON/OFF complex baseband trials for a scenario with
-wideband interference seen at gain 0.9 plus a wideband signal, forms all
-three detector statistics, and prints the worst disagreement between the
-empirical CDF and the analytic sampling law at the law's own deciles.
+Synthesizes paired ON/OFF trials (the per-sample powers of circular
+Gaussian streams) for a scenario with wideband interference seen at gain
+0.9 plus a wideband signal, forms all three detector statistics, and
+prints the worst disagreement between the empirical CDF and the analytic
+sampling law at the law's own deciles.
 
 Run:  python demos/law_overlay.py
 """

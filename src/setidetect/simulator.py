@@ -10,6 +10,14 @@ interference on OFF.  The narrowband interference waveform is common to both
 pointings (scaled by √g on the ON stream); the Gaussian draws are
 independent between ON and OFF.
 
+The Monte Carlo trials need only each sample's power |x[k]|².  For a
+CN(0, p) sample that is exactly p·Exp(1), so a pointing that carries no
+chirp draws its N per-sample powers directly as scaled standard
+exponentials, half the variates of the complex stream and no complex
+buffer.  A pointing that carries a chirp draws the complex stream, adds the
+waveform and takes |x|², because there the chirp's frequency, drift and
+phase shape the sum.  `synth_stream` always returns the complex stream.
+
 Trials are chunked: trial i belongs to chunk i // TRIAL_CHUNK, and chunk c
 draws from its own generator spawned from the seed, so results are fully
 determined by (seed, spec, hypothesis) and independent of scheduling or the
@@ -137,6 +145,54 @@ def _cgauss(rng: np.random.Generator, m: int, n: int, power: float) -> np.ndarra
     return z
 
 
+def _gaussian_powers(spec: ScenarioSpec, hyp: Hypothesis) -> tuple[float, float]:
+    """(ON, OFF) power of each pointing's circular Gaussian part: noise +
+    g·interference (+ signal under H1) on ON, noise + interference on OFF,
+    counting only the wideband components."""
+    p_on = p_off = spec.noise_power
+    if spec.rfi_kind is RfiKind.WIDEBAND:
+        p_on += spec.gain * spec.rfi_power
+        p_off += spec.rfi_power
+    if hyp is Hypothesis.H1 and spec.et_kind is EtKind.WIDEBAND:
+        p_on += spec.et_power
+    return p_on, p_off
+
+
+def _add_chirps(spec, hyp, on, off, rng, chirp_et, chirp_rfi, random_phase):
+    """Add the narrowband components to the (m, N) complex streams in place,
+    drawing the random phases in order: interference, then signal.  OFF is
+    touched only when the interference is narrowband."""
+    n = spec.n_samples
+    m = on.shape[0]
+    if spec.rfi_kind is RfiKind.NARROWBAND:
+        wave = chirp_rfi.waveform(n)[None, :]
+        if random_phase:
+            # one transmitter: the same phase reaches both pointings
+            wave = wave * np.exp(2j * np.pi * rng.random((m, 1)))
+        off += wave
+        wave *= np.sqrt(spec.gain)
+        on += wave
+    if hyp is Hypothesis.H1 and spec.et_kind is EtKind.NARROWBAND:
+        wave = chirp_et.waveform(n)[None, :]
+        if random_phase:
+            wave = wave * np.exp(2j * np.pi * rng.random((m, 1)))
+        on += wave
+
+
+def _abs2(x: np.ndarray) -> np.ndarray:
+    """|x|² with one float temporary."""
+    p = np.abs(x)
+    np.square(p, out=p)
+    return p
+
+
+def _exp_powers(rng: np.random.Generator, m: int, n: int, power: float) -> np.ndarray:
+    """(m, n) i.i.d. powers |x|² of CN(0, power) samples: power·Exp(1)."""
+    e = rng.standard_exponential((m, n))
+    e *= power
+    return e
+
+
 def _synth_pair(
     spec: ScenarioSpec,
     hyp: Hypothesis,
@@ -146,37 +202,28 @@ def _synth_pair(
     chirp_rfi,
     random_phase: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(m, N) ON and OFF streams; fixed draw order for reproducibility:
-    ON, OFF, then the interference and signal chirp phases.
+    """(m, N) ON and OFF per-sample powers |x[k]|²; fixed draw order for
+    reproducibility: ON, OFF, then the interference and signal chirp phases.
 
-    Noise and the wideband components are independent circular Gaussians,
-    so their sum on each pointing is exactly one CN(0, total power) draw:
-    ON at noise + g·interference (+ signal under H1), OFF at
-    noise + interference.  Without a wideband component that is the noise
-    draw alone."""
+    Each pointing's Gaussian part is one CN(0, p) draw (`_gaussian_powers`).
+    A pointing without a chirp takes its powers as p·Exp(1) in its slot,
+    the exact law of |x|² of such a sample.  A pointing with one (OFF when
+    the interference is narrowband; ON then, or under H1 with a narrowband
+    signal) takes the complex draw in its slot, gets the waveform added and
+    returns |x|²."""
     n = spec.n_samples
-    p_on = p_off = spec.noise_power
-    if spec.rfi_kind is RfiKind.WIDEBAND:
-        p_on += spec.gain * spec.rfi_power
-        p_off += spec.rfi_power
-    signal_on = hyp is Hypothesis.H1
-    if signal_on and spec.et_kind is EtKind.WIDEBAND:
-        p_on += spec.et_power
-    on = _cgauss(rng, m, n, p_on)
-    off = _cgauss(rng, m, n, p_off)
-    if spec.rfi_kind is RfiKind.NARROWBAND:
-        wave = chirp_rfi.waveform(n)[None, :]
-        if random_phase:
-            # one transmitter: the same phase reaches both pointings
-            wave = wave * np.exp(2j * np.pi * rng.random((m, 1)))
-        off += wave
-        wave *= np.sqrt(spec.gain)
-        on += wave
-    if signal_on and spec.et_kind is EtKind.NARROWBAND:
-        wave = chirp_et.waveform(n)[None, :]
-        if random_phase:
-            wave = wave * np.exp(2j * np.pi * rng.random((m, 1)))
-        on += wave
+    p_on, p_off = _gaussian_powers(spec, hyp)
+    chirp_off = spec.rfi_kind is RfiKind.NARROWBAND
+    chirp_on = chirp_off or (
+        hyp is Hypothesis.H1 and spec.et_kind is EtKind.NARROWBAND
+    )
+    on = _cgauss(rng, m, n, p_on) if chirp_on else _exp_powers(rng, m, n, p_on)
+    off = _cgauss(rng, m, n, p_off) if chirp_off else _exp_powers(rng, m, n, p_off)
+    if chirp_on:
+        _add_chirps(spec, hyp, on, off, rng, chirp_et, chirp_rfi, random_phase)
+        on = _abs2(on)
+        if chirp_off:
+            off = _abs2(off)
     return on, off
 
 
@@ -198,7 +245,10 @@ def synth_stream(
     hyp = Hypothesis(hyp)
     _check_chirps(spec, chirp_et, chirp_rfi)
     rng = _as_generator(rng_state)
-    on, off = _synth_pair(spec, hyp, 1, rng, chirp_et, chirp_rfi, random_phase=False)
+    n = spec.n_samples
+    p_on, p_off = _gaussian_powers(spec, hyp)
+    on, off = _cgauss(rng, 1, n, p_on), _cgauss(rng, 1, n, p_off)
+    _add_chirps(spec, hyp, on, off, rng, chirp_et, chirp_rfi, random_phase=False)
     return on[0] if steering is Steering.ON else off[0]
 
 
@@ -242,13 +292,6 @@ def detector_stat(kind, on_est, off_est=None, assumed_noise=None):
     return out
 
 
-def _mean_power(x: np.ndarray) -> np.ndarray:
-    """Row means of |x|², with one float temporary."""
-    p = np.abs(x)
-    np.square(p, out=p)
-    return p.mean(axis=1)
-
-
 def run_paired_estimates(
     spec: ScenarioSpec,
     hyp,
@@ -260,10 +303,13 @@ def run_paired_estimates(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(ON, OFF) mean-power estimates over `trials` independent stream pairs.
 
-    Chirps default to the scenario energies (see `default_chirps`); passing
-    explicit ones overrides frequency and drift without touching the law.
-    H0 and H1 runs with one seed draw the same normals, so their estimates
-    are coupled; give each hypothesis its own seed for independent samples.
+    Each estimate averages the N per-sample powers of one pointing
+    (`_synth_pair`): scaled exponentials for a chirp-free pointing, |x|² of
+    the complex stream for one with a chirp.  Chirps default to the scenario
+    energies (see `default_chirps`); passing explicit ones overrides
+    frequency and drift without touching the law.  H0 and H1 runs with one
+    seed start from the same generator states, so their estimates are
+    coupled; give each hypothesis its own seed for independent samples.
     """
     hyp = Hypothesis(hyp)
     trials = int(trials)
@@ -287,8 +333,8 @@ def run_paired_estimates(
         on, off = _synth_pair(
             spec, hyp, TRIAL_CHUNK, rng, chirp_et, chirp_rfi, random_phase
         )
-        on_est[lo : lo + m] = _mean_power(on[:m])
-        off_est[lo : lo + m] = _mean_power(off[:m])
+        on_est[lo : lo + m] = on[:m].mean(axis=1)
+        off_est[lo : lo + m] = off[:m].mean(axis=1)
 
     ordered_map(chunk, range(n_chunks))
     return on_est, off_est

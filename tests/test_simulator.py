@@ -1,5 +1,6 @@
 """Tests for stream synthesis, power estimation, and Monte Carlo batching."""
 
+import dataclasses
 import itertools
 import sys
 import threading
@@ -11,6 +12,7 @@ from setidetect import (
     ChirpParams,
     DetectorKind,
     EtKind,
+    NoncentralChi2C,
     RfiKind,
     ScaledGamma,
     ScenarioSpec,
@@ -259,6 +261,23 @@ class TestFoldedWidebandDraw:
         assert _ks_bound(off_est, ScaledGamma(1, p_off), nodes=4096) < eps
 
 
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_mixed_pointings_match_their_laws(self, n):
+        # wideband interference with a narrowband signal under H1: ON carries
+        # the chirp and keeps the complex draw, OFF takes exponential powers
+        trials = 100_000
+        spec = dataclasses.replace(WIDE_RFI_NARROW_ET, n_samples=n)
+        on_est, off_est = run_paired_estimates(
+            spec, "H1", trials, SEED + 7, random_phase=True
+        )
+        p_on = spec.noise_power + spec.gain * spec.rfi_power
+        p_off = spec.noise_power + spec.rfi_power
+        eps = np.sqrt(np.log(2 / 1e-6) / (2 * trials)) + 1e-3
+        on_law = NoncentralChi2C(n, p_on, spec.et_energy)
+        assert _ks_bound(on_est, on_law, nodes=4096) < eps
+        assert _ks_bound(off_est, ScaledGamma(n, p_off / n), nodes=4096) < eps
+
+
 class TestRunTrials:
     def test_batch_fields_and_determinism(self):
         spec = gaussian_only()
@@ -328,7 +347,9 @@ def sequential_estimates(spec, hyp, trials, seed, random_phase):
     """The chunk contract written out serially: chunks in order, each from
     its spawned generator, full-size draws in the documented order (ON at
     noise + g·interference + signal power and OFF at noise + interference
-    power, counting only the wideband components, then the chirp phases)."""
+    power, counting only the wideband components, then the chirp phases).
+    A pointing without a chirp draws its per-sample powers as
+    p·Exp(1) in its slot; one with a chirp draws the complex stream."""
     chirp_et, chirp_rfi = default_chirps(spec)
     n, m = spec.n_samples, TRIAL_CHUNK
     sqrt_g = np.sqrt(spec.gain)
@@ -337,25 +358,37 @@ def sequential_estimates(spec, hyp, trials, seed, random_phase):
     wide_et = spec.et_power if signal_on and spec.et_kind is EtKind.WIDEBAND else 0.0
     p_on = spec.noise_power + spec.gain * wide_rfi + wide_et
     p_off = spec.noise_power + wide_rfi
+    narrow_rfi = spec.rfi_kind is RfiKind.NARROWBAND
+    narrow_et = signal_on and spec.et_kind is EtKind.NARROWBAND
     n_chunks = -(-trials // TRIAL_CHUNK)
     on_est, off_est = [], []
     for child in np.random.SeedSequence(seed).spawn(n_chunks):
         rng = np.random.default_rng(child)
-        on = _cgauss(rng, m, n, p_on)
-        off = _cgauss(rng, m, n, p_off)
-        if spec.rfi_kind is RfiKind.NARROWBAND:
+        if narrow_rfi or narrow_et:
+            on = _cgauss(rng, m, n, p_on)
+        else:
+            on = p_on * rng.standard_exponential((m, n))
+        if narrow_rfi:
+            off = _cgauss(rng, m, n, p_off)
+        else:
+            off = p_off * rng.standard_exponential((m, n))
+        if narrow_rfi:
             wave = chirp_rfi.waveform(n)[None, :]
             if random_phase:
                 wave = wave * np.exp(2j * np.pi * rng.random((m, 1)))
             on = on + sqrt_g * wave
             off = off + wave
-        if signal_on and spec.et_kind is EtKind.NARROWBAND:
+        if narrow_et:
             wave = chirp_et.waveform(n)[None, :]
             if random_phase:
                 wave = wave * np.exp(2j * np.pi * rng.random((m, 1)))
             on = on + wave
-        on_est.append(np.mean(np.abs(on) ** 2, axis=1))
-        off_est.append(np.mean(np.abs(off) ** 2, axis=1))
+        if np.iscomplexobj(on):
+            on = np.abs(on) ** 2
+        if np.iscomplexobj(off):
+            off = np.abs(off) ** 2
+        on_est.append(np.mean(on, axis=1))
+        off_est.append(np.mean(off, axis=1))
     return np.concatenate(on_est)[:trials], np.concatenate(off_est)[:trials]
 
 
@@ -461,6 +494,44 @@ class TestConcurrentChunks:
             run_paired_estimates(gaussian_only(n_samples=8), "H0", 6 * TRIAL_CHUNK, SEED)
         assert info.value is failure
         assert threading.active_count() == before
+
+
+class TestExponentialPowerDraw:
+    @pytest.mark.parametrize(
+        "spec, hyp",
+        [(WIDEBAND_PAIR, "H0"), (WIDEBAND_PAIR, "H1"), (WIDE_RFI_NARROW_ET, "H0")],
+        ids=["wideband-H0", "wideband-H1", "wideband-rfi-narrowband-et-H0"],
+    )
+    def test_chirp_free_pointings_draw_no_complex_stream(
+        self, monkeypatch, spec, hyp
+    ):
+        def no_complex(*args, **kwargs):
+            raise AssertionError("a chirp-free pointing drew a complex stream")
+
+        monkeypatch.setattr(simulator, "_cgauss", no_complex)
+        trials = TRIAL_CHUNK + 9
+        on, off = run_paired_estimates(spec, hyp, trials, SEED, random_phase=True)
+        assert on.shape == off.shape == (trials,)
+        assert np.all(on > 0) and np.all(off > 0)
+
+    def test_chirp_pointing_still_draws_complex_stream(self, monkeypatch):
+        def no_complex(*args, **kwargs):
+            raise AssertionError("complex draw")
+
+        monkeypatch.setattr(simulator, "_cgauss", no_complex)
+        with pytest.raises(AssertionError, match="complex draw"):
+            run_paired_estimates(WIDE_RFI_NARROW_ET, "H1", 10, SEED)
+
+    @pytest.mark.parametrize("steering, power", [("on", 2.9), ("off", 3.0)])
+    def test_synth_stream_stays_complex(self, steering, power):
+        spec = dataclasses.replace(WIDEBAND_PAIR, n_samples=200_000)
+        stream = synth_stream(spec, steering, "H1", rng_state=SEED)
+        assert stream.dtype == np.complex128 and stream.shape == (200_000,)
+        powers = np.abs(stream) ** 2
+        sem = powers.std() / np.sqrt(powers.size)
+        assert abs(powers.mean() - power) < 5 * sem
+        # circular: the real and imaginary parts carry half the power each
+        assert abs(np.mean(stream.real**2) - power / 2) < 5 * sem
 
 
 class TestMiscalibrationWall:
