@@ -573,7 +573,7 @@ def run_experiment(config: ExperimentConfig, *, ks_table: bool = False) -> list[
     # configuration error whatever else would fail
     points = _sweep_points(config)
     assumed, laws = [], []
-    for _, spec in points:
+    for index, (_, spec) in enumerate(points):
         try:
             assumed.append(default_assumed_noise(spec))
             laws.append(
@@ -583,7 +583,8 @@ def run_experiment(config: ExperimentConfig, *, ks_table: bool = False) -> list[
                 }
             )
         except ValueError as exc:
-            raise ConfigError("scenario", f"no sampling law for this scenario: {exc}")
+            where = "scenario" if config.sweeps is None else f"sweeps.values[{index}]"
+            raise ConfigError(where, f"no sampling law for this scenario: {exc}")
 
     def analytic_curve(task):
         """(thresholds, pfa, pd, auc, pd at SUMMARY_PFA) of one point and
@@ -630,7 +631,11 @@ def run_experiment(config: ExperimentConfig, *, ks_table: bool = False) -> list[
                 if isinstance(outcome, ComputationError):
                     raise outcome
                 thresholds, pfa, pd, auc, pd_ref = outcome
-            else:
+            if run_mc and not all(np.all(np.isfinite(mc_stats[kind, h])) for h in Hypothesis):
+                raise ComputationError(
+                    f"{kind.value} Monte Carlo statistics at {tag} leave the float range"
+                )
+            if not run_analytic:
                 h0_stats = mc_stats[kind, Hypothesis.H0]
                 h1_stats = mc_stats[kind, Hypothesis.H1]
                 thresholds, pfa, pd, auc = _empirical_curve(
@@ -752,13 +757,17 @@ def _run_spectrogram_verb(config: ExperimentConfig) -> list[Path]:
 
 def _run_compare_verb(config: ExperimentConfig) -> list[Path]:
     gains = config.gains if config.gains is not None else [0.8, 0.9, 1.0, 1.1, 1.25]
+    # every gain's laws before any curve, the gain-1 baseline's first
+    for where, gain in [("scenario", 1.0), *((f"gains[{i}]", g) for i, g in enumerate(gains))]:
+        try:
+            for kind in config.detectors:
+                detector_laws(config.scenario.with_gain(gain), kind)
+        except ValueError as exc:
+            raise ConfigError(where, f"no sampling law for this scenario: {exc}")
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        rows = compare_detectors(
-            config.scenario, gains, grid=config.pfa_grid, detectors=config.detectors
-        )
-    except ValueError as exc:
-        raise ConfigError("scenario", f"no sampling law for this scenario: {exc}")
+    rows = compare_detectors(
+        config.scenario, gains, grid=config.pfa_grid, detectors=config.detectors
+    )
     table = []
     for row in rows:
         spec = row.curve.spec

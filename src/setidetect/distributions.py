@@ -46,6 +46,7 @@ All evaluation functions are pure; sampling takes an explicit
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Union
@@ -54,7 +55,6 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 from scipy import special
-from scipy.optimize import brentq
 
 __all__ = [
     "ComputationError",
@@ -118,6 +118,14 @@ def _as_generator(rng_state) -> np.random.Generator:
     return np.random.default_rng(rng_state)
 
 
+def _square(x: float) -> float:
+    """x**2, or inf beyond the float range, where Python floats raise."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def _eval_1d(fn, t):
     """Apply a 1-d array evaluator to scalar or array input, preserving kind."""
     arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -155,7 +163,7 @@ class ScaledGamma:
 
     @property
     def variance(self) -> float:
-        return self.shape * self.scale**2
+        return self.shape * _square(self.scale)
 
     def _bracket_seeds(self):
         sd = np.sqrt(self.variance)
@@ -224,8 +232,8 @@ class NoncentralChi2C:
     @property
     def variance(self) -> float:
         return (
-            self.power**2 / self.shape
-            + 2.0 * self.noncentrality_energy * self.power / self.shape**2
+            _square(self.power) / self.shape
+            + 2.0 * self.noncentrality_energy * self.power / _square(self.shape)
         )
 
     def _bracket_seeds(self):
@@ -365,7 +373,7 @@ class _Conditioned:
         """Points k spreads from the centre of the conditioned law."""
         a, b = self.a, self.b
         if self.ratio:
-            rel = np.sqrt(a.variance / a.mean**2 + b.variance / b.mean**2)
+            rel = np.sqrt(a.variance / _square(a.mean) + b.variance / _square(b.mean))
             return a.mean / b.mean * np.exp(rel * k)
         return a.mean - b.mean + np.sqrt(a.variance + b.variance) * k
 
@@ -456,7 +464,7 @@ class FLaw:
     def _conditioned(self) -> _Conditioned:
         num = _mean_power(self.dof_num, self.scale, self.lambda_num)
         den = _mean_power(self.dof_den, 1.0, self.lambda_den)
-        if num.variance / num.mean**2 < den.variance / den.mean**2:
+        if num.variance / _square(num.mean) < den.variance / _square(den.mean):
             return _Conditioned(den, num, ratio=True, mirror=True)
         return _Conditioned(num, den, ratio=True, mirror=False)
 
@@ -518,9 +526,10 @@ class FLaw:
             * (1.0 + self.lambda_num / self.dof_num)
             / (1.0 + self.lambda_den / self.dof_den)
         )
+        num, den = self.dof_num + self.lambda_num, self.dof_den + self.lambda_den
         rel = np.sqrt(
-            2.0 * (self.dof_num + 2.0 * self.lambda_num) / (self.dof_num + self.lambda_num) ** 2
-            + 2.0 * (self.dof_den + 2.0 * self.lambda_den) / (self.dof_den + self.lambda_den) ** 2
+            2.0 * (self.dof_num + 2.0 * self.lambda_num) / _square(num)
+            + 2.0 * (self.dof_den + 2.0 * self.lambda_den) / _square(den)
         )
         return centre * np.exp(-4.0 * rel), centre * np.exp(4.0 * rel)
 
@@ -583,13 +592,87 @@ Law = Union[ScaledGamma, NoncentralChi2C, FLaw, GammaDifference]
 # ---------------------------------------------------------------------------
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float:
+    """Root of f in the sign-changing bracket [xa, xb] by Brent's method.
+
+    A step-for-step transliteration of scipy's `Zeros/brentq.c`, so each root
+    is bit-identical to `scipy.optimize.brentq(f, xa, xb, xtol, rtol, maxiter,
+    disp=False)`: the iterate is accepted once half the bracket is below
+    delta = (xtol + rtol·|xcur|)/2, and the last iterate is returned when
+    maxiter iterations do not get there.  Raises ValueError when f(xa) and
+    f(xb) have the same sign or f returns NaN, as scipy does.
+    """
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # C's division gives ±inf or NaN here, which the test below rejects
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    return xcur
+
+
 def law_quantile(law, p, tol: float = QUANTILE_TOL):
-    """Value t with |cdf(t) − p| ≤ tol, by bracket expansion plus Brent root finding."""
+    """Value t with |cdf(t) − p| ≤ tol, by bracket expansion plus Brent root
+    finding (_brentq, whose roots are bit-identical to scipy.optimize.brentq's).
+
+    Raises ComputationError when the law's spread leaves the float range, the
+    bracket does not close, or the root misses tol (on positive support,
+    also when it misses QUANTILE_RTOL·p).
+    """
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError("quantile order must lie strictly inside (0, 1)")
     lo_support = getattr(law, "support_lo", -np.inf)
     lo, hi = law._bracket_seeds()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ComputationError(f"{law!r} has no finite quantile bracket: its spread overflows")
     lo = max(lo, lo_support)
     width = max(hi - lo, np.sqrt(np.finfo(float).eps))
 
@@ -613,12 +696,12 @@ def law_quantile(law, p, tol: float = QUANTILE_TOL):
     def excess(t):
         return law.cdf(t) - p
 
-    root = brentq(excess, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    root = _brentq(excess, lo, hi, 1e-14, 8.9e-16, 200)
     err = abs(law.cdf(root) - p)
     if lo_support >= 0.0 and err > QUANTILE_RTOL * p:
         # the absolute xtol stops short of a quantile near 0: retry with a
         # tolerance relative to the root alone
-        root = brentq(excess, lo, hi, xtol=_TINY, rtol=8.9e-16, maxiter=200, disp=False)
+        root = _brentq(excess, lo, hi, _TINY, 8.9e-16, 200)
         err = abs(law.cdf(root) - p)
         if err > QUANTILE_RTOL * p:
             raise ComputationError(

@@ -6,10 +6,14 @@ pfa = 1 − cdf_H0(t).  ROC curves place thresholds at H0 quantiles of an
 equispaced false-alarm grid, read from one H0 quantile map per curve, and
 evaluate pfa and pd exactly at each threshold.  The map is a cubic spline of
 log t (t for differences) against the normal score Φ⁻¹(p), in which it is
-nearly linear, through about 130 exact H0 cdf knots.  The AUC is not
-taken from those points: it is P(S₁ > S₀) = ∫ SF₁(t)·f₀(t) dt (Hanley &
-McNeil, 1982), one Gauss–Legendre integral over H0's mass, in log t for
-positive statistics.
+nearly linear, through about 130 exact H0 cdf knots.  The spline is SciPy's
+not-a-knot CubicSpline rebuilt in NumPy, bit for bit: the same slope system,
+solved by tridiagonal elimination with LAPACK's pivoting, and PPoly's
+evaluation order; importing scipy.interpolate would load scipy.linalg and
+scipy.sparse, a large part of every CLI start-up.  The AUC is not taken from
+those points: it is P(S₁ > S₀) = ∫ SF₁(t)·f₀(t) dt (Hanley & McNeil, 1982),
+one Gauss–Legendre integral over H0's mass, in log t for positive
+statistics.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PPoly
 from scipy.special import ndtri
 
 from ._pool import ordered_map
@@ -117,15 +120,98 @@ class _H0Map:
         return threshold_for_pfa(self.law, target_pfa)
 
 
-def _spline(z: np.ndarray, x: np.ndarray, kinks) -> PPoly:
+@dataclass(eq=False)
+class _Cubic:
+    """Piecewise cubic on breakpoints x: on [x[i], x[i+1]] it is
+    Σₖ c[k, i]·(z − x[i])^(3−k), the layout of scipy's PPoly."""
+
+    c: np.ndarray
+    x: np.ndarray
+
+    def __call__(self, z):
+        i = np.clip(np.searchsorted(self.x, z, side="right") - 1, 0, self.x.size - 2)
+        s = z - self.x[i]
+        c3, c2, c1, c0 = self.c[:, i]
+        # the power sum in PPoly's order of operations
+        return c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
+
+
+def _tridiagonal_solve(dl, d, du, b) -> list[float]:
+    """Solution of the tridiagonal system with sub-, main and super-diagonals
+    dl, d, du and right-hand side b, by Gaussian elimination with partial
+    pivoting in the steps of LAPACK's dgtsv for one right-hand side."""
+    dl, d, du, b = (np.asarray(v, dtype=float).tolist() for v in (dl, d, du, b))
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] -= fact * du[i]
+            b[i + 1] -= fact * b[i]
+            dl[i] = 0.0
+        else:
+            # interchange rows i and i + 1; dl[i] becomes row i's second
+            # super-diagonal
+            fact = d[i] / dl[i]
+            d[i], temp = dl[i], d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    b[n - 1] /= d[n - 1]
+    if n > 1:
+        b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return b
+
+
+def _not_a_knot(z: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """PPoly coefficients (4, n − 1) of the not-a-knot cubic spline x(z)
+    through n ≥ 2 knots, as scipy's CubicSpline builds them: the parabola
+    through 3 knots, the line through 2."""
+    h = np.diff(z)
+    m = np.diff(x) / h
+    n = z.size
+    if n == 2:
+        s = [m[0], m[0]]
+    elif n == 3:
+        s = _tridiagonal_solve(
+            [h[1], 1.0],
+            [1.0, 2.0 * (h[0] + h[1]), 1.0],
+            [1.0, h[0]],
+            [2.0 * m[0], 3.0 * (h[0] * m[1] + h[1] * m[0]), 2.0 * m[1]],
+        )
+    else:
+        # slope s[i] at every knot: interior rows from continuous curvature,
+        # end rows from a continuous third derivative at the second and the
+        # last-but-one knot
+        d0, d1 = z[2] - z[0], z[-1] - z[-3]
+        s = _tridiagonal_solve(
+            np.r_[h[1:], d1],
+            np.r_[h[1], 2.0 * (h[:-1] + h[1:]), h[-2]],
+            np.r_[d0, h[:-1]],
+            np.r_[
+                ((h[0] + 2.0 * d0) * h[1] * m[0] + h[0] ** 2 * m[1]) / d0,
+                3.0 * (h[1:] * m[:-1] + h[:-1] * m[1:]),
+                (h[-1] ** 2 * m[-2] + (2.0 * d1 + h[-1]) * h[-2] * m[-1]) / d1,
+            ],
+        )
+    s = np.asarray(s)
+    t = (s[:-1] + s[1:] - 2.0 * m) / h
+    return np.stack([t / h, (m - s[:-1]) / h - t, s[:-1], x[:-1]])
+
+
+def _spline(z: np.ndarray, x: np.ndarray, kinks) -> _Cubic:
     """Not-a-knot cubic spline x(z), split into independent splines at the
     knot indices `kinks`."""
     cuts = [0, *(int(i) for i in kinks if 0 < i < z.size - 1), z.size - 1]
-    parts = [CubicSpline(z[a : b + 1], x[a : b + 1]) for a, b in zip(cuts, cuts[1:])]
-    return PPoly(np.hstack([s.c for s in parts]), z)
+    parts = [_not_a_knot(z[a : b + 1], x[a : b + 1]) for a, b in zip(cuts, cuts[1:])]
+    return _Cubic(np.hstack(parts), z)
 
 
-def _least_slope(spline: PPoly) -> np.ndarray:
+def _least_slope(spline: _Cubic) -> np.ndarray:
     """Least slope of each cubic piece over its interval."""
     c3, c2, c1 = spline.c[:3]
     h = np.diff(spline.x)
@@ -203,16 +289,22 @@ def _auc(h0: Law, h1: Law, t_lo: float, t_hi: float) -> float:
     decay = np.minimum(_MAP_P_EDGE / density, b - a)
     reach = 2.0 ** np.arange(1, _AUC_TAIL_PANELS + 1) - 1.0
     below, above = a - decay[0] * reach, b + decay[1] * reach
-    cdf_below = np.asarray(h0.cdf(to_t(below)))
-    sf_above = 1.0 - np.asarray(h0.cdf(to_t(above)))
+    # tail panels end where the float range does
+    with np.errstate(over="ignore"):
+        below = below[np.isfinite(to_t(below))]
+        above = above[np.isfinite(to_t(above))]
+    # masses beyond each map end, then beyond each tail panel
+    cdf_below = np.r_[_MAP_P_EDGE, h0.cdf(to_t(below))]
+    sf_above = np.r_[_MAP_P_EDGE, 1.0 - np.asarray(h0.cdf(to_t(above)))]
     tail = max(cdf_below[-1], sf_above[-1])
     if tail > _AUC_TAIL:
         raise ComputationError(
-            f"H0 leaves mass {tail:.2e} beyond {_AUC_TAIL_PANELS} tail panels",
+            f"H0 leaves mass {tail:.2e} beyond its tail panels (at most "
+            f"{_AUC_TAIL_PANELS} a side, within the float range)",
             achieved=tail,
         )
-    n_below = np.argmax(cdf_below <= _AUC_TAIL) + 1
-    n_above = np.argmax(sf_above <= _AUC_TAIL) + 1
+    n_below = np.argmax(cdf_below <= _AUC_TAIL)
+    n_above = np.argmax(sf_above <= _AUC_TAIL)
     edges = np.concatenate(
         [
             below[:n_below][::-1],

@@ -576,6 +576,72 @@ class TestCompareVerb:
         assert "FailingLaw(shape=4.0, scale=2.0))" in err
 
 
+class TestHugeGains:
+    """Gains whose laws leave the float range end in exit 2 or 3, never a traceback."""
+
+    def run(self, tmp_path, capsys, verb, doc):
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        code = main([verb, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        return code, capsys.readouterr().err
+
+    def single_sample(self, **kw):
+        doc = base_config(**kw)
+        doc["scenario"]["n_samples"] = 1
+        return doc
+
+    def test_difference_spread_overflow_names_the_law(self, tmp_path, capsys):
+        # ScaledGamma.variance overflows above a gain of about 1e154
+        code, err = self.run(
+            tmp_path, capsys, "compare", base_config(detectors=["on_off"], gains=[1e160, 1.0])
+        )
+        assert code == 3
+        assert "on_off law at gain 1e+160 failed" in err
+        assert "has no finite quantile bracket" in err
+
+    @pytest.mark.parametrize("detectors", [["f_ratio"], ["f_ratio", "on_off"]])
+    def test_ratio_tail_beyond_float_range_names_the_law(self, tmp_path, capsys, detectors):
+        # the N = 1 ratio's 1/t tail holds 5.6e-8 of H0 beyond the largest float
+        doc = self.single_sample(detectors=detectors, gains=[1e300, 1.0])
+        code, err = self.run(tmp_path, capsys, "compare", doc)
+        assert code == 3
+        assert "f_ratio law at gain 1e+300 failed: H0 leaves mass" in err
+
+    def test_roc_sweep_names_the_law(self, tmp_path, capsys):
+        doc = self.single_sample(sweeps={"parameter": "gain", "values": [1e300]})
+        code, err = self.run(tmp_path, capsys, "roc", doc)
+        assert code == 3
+        assert "f_ratio law failed: H0 leaves mass" in err
+
+    def test_compare_gain_without_a_law_is_named(self, tmp_path, capsys):
+        # 1e308 · rfi_power 10 is not a float: the ON power is inf
+        doc = base_config(gains=[0.5, 1e308])
+        doc["scenario"]["rfi_power"] = 10.0
+        code, err = self.run(tmp_path, capsys, "compare", doc)
+        assert code == 2
+        assert "gains[1]: no sampling law for this scenario" in err
+
+    def test_sweep_value_without_a_law_is_named(self, tmp_path, capsys):
+        doc = base_config(sweeps={"parameter": "gain", "values": [1.0, 1e308]})
+        doc["scenario"]["rfi_power"] = 10.0
+        code, err = self.run(tmp_path, capsys, "roc", doc)
+        assert code == 2
+        assert "sweeps.values[1]: no sampling law for this scenario" in err
+
+    def test_monte_carlo_overflow_is_a_computation_error(self, tmp_path, capsys):
+        # 64 per-sample powers of about 1e307 overflow their sum
+        doc = base_config(
+            detectors=["energy"],
+            mode="monte_carlo",
+            trials=1000,
+            sweeps={"parameter": "gain", "values": [1e306]},
+        )
+        doc["scenario"]["rfi_power"] = 10.0
+        with np.errstate(over="ignore"):
+            code, err = self.run(tmp_path, capsys, "roc", doc)
+        assert code == 3
+        assert "energy Monte Carlo statistics at gain_1e+306 leave the float range" in err
+
+
 # --- the worker pool ------------------------------------------------------------
 
 # three sweep points × three detectors, Gauss–Hermite paired laws
@@ -847,16 +913,40 @@ class TestWriteCsv:
             _write_csv(tmp_path / "out.csv", ("a", "b"), columns, constants)
 
 
+IMPORT_GUARD = """
+import json, sys
+from pathlib import Path
+import setidetect.cli as cli
+
+root = Path(sys.argv[1])
+scenario = {"rfi_kind": "wideband", "et_kind": "wideband", "noise_power": 1.0,
+            "rfi_power": 1.0, "et_power": 1.0, "n_samples": 4}
+base = {"scenario": scenario, "detectors": ["f_ratio", "on_off", "energy"], "pfa_grid": 16}
+runs = [("roc", dict(base, mode="both", trials=1000)),
+        ("mc-validate", dict(base, trials=1000)),
+        ("compare", dict(base, gains=[0.9, 1.0]))]
+for verb, doc in runs:
+    path = root / f"{verb}.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main([verb, "--config", str(path), "--out", str(root / verb)]) == 0, verb
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy."))))
+"""
+
+
 class TestImportCost:
-    def test_cli_import_does_not_load_scipy_stats(self):
-        # scipy.stats adds about half a second to every CLI start-up
-        probe = "import sys, setidetect.cli; print('scipy.stats' in sys.modules)"
+    def test_verbs_load_only_scipy_special(self, tmp_path):
+        # scipy.optimize and scipy.interpolate would pull in scipy.linalg,
+        # scipy.sparse and scipy.spatial, about 0.4 s of every CLI start-up,
+        # and scipy.stats about half a second more.  Running the verbs
+        # catches imports made inside functions too.
         src = str(Path(__file__).resolve().parents[1] / "src")
         out = subprocess.run(
-            [sys.executable, "-c", probe],
+            [sys.executable, "-c", IMPORT_GUARD, str(tmp_path)],
             capture_output=True,
             text=True,
             check=True,
             env={"PYTHONPATH": src},
         )
-        assert out.stdout.strip() == "False"
+        loaded = set(json.loads(out.stdout.splitlines()[-1]))
+        for package in ("optimize", "interpolate", "linalg", "stats", "integrate"):
+            assert f"scipy.{package}" not in loaded

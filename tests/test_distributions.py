@@ -8,8 +8,9 @@ samplers, quoted with their ±3·standard-error bands.
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import optimize, special
 
+from setidetect import distributions
 from setidetect.cli import _ks_bound
 from setidetect.distributions import (
     QUADRATURE_TOL,
@@ -363,6 +364,77 @@ class TestLawQuantile:
         with pytest.raises(ComputationError) as info:
             law_quantile(law, 1e-13)
         assert info.value.achieved > QUANTILE_RTOL
+
+
+# law_quantile's problems: every family, orders down to 1e-13 and the ROC
+# quantile map's edges 1/16385 and 1 − 1/16385
+BRENT_LAWS = [
+    ScaledGamma(64.0, 1.0 / 64.0),
+    ScaledGamma(1.0, 11.0),
+    NoncentralChi2C(16.0, 1.0, 8.0),
+    NoncentralChi2C(1.0, 1.0, 30.0),
+    FLaw(128.0, 128.0, 1.0),
+    FLaw(2.0, 2.0, 1.1e-3),
+    FLaw(32.0, 32.0, 1.2, lambda_num=4.0, lambda_den=2.0),
+    GammaDifference(ScaledGamma(64.0, 1.5 / 64.0), ScaledGamma(64.0, 1.0 / 64.0)),
+    GammaDifference(ScaledGamma(1.0, 1.0), ScaledGamma(1.0, 11.0)),
+    GammaDifference(NoncentralChi2C(16.0, 1.0, 16.0), ScaledGamma(16.0, 1.0 / 16.0)),
+]
+BRENT_ORDERS = [1e-13, 1e-8, 1.0 / 16385, 0.1, 0.5, 0.9, 1.0 - 1.0 / 16385]
+
+
+@pytest.fixture(scope="module")
+def brent_problems():
+    """(f, lo, hi) of every root law_quantile asks for on BRENT_LAWS × BRENT_ORDERS."""
+    problems = []
+    real = distributions._brentq
+
+    def spy(f, lo, hi, *args):
+        problems.append((f, lo, hi))
+        return real(f, lo, hi, *args)
+
+    distributions._brentq = spy
+    try:
+        for law in BRENT_LAWS:
+            for p in BRENT_ORDERS:
+                try:
+                    law_quantile(law, p)
+                except ComputationError:
+                    pass  # the root was still found
+    finally:
+        distributions._brentq = real
+    return problems
+
+
+class TestBrent:
+    """_brentq transliterates scipy's Brent routine, so roots keep their bits."""
+
+    @pytest.mark.parametrize("xtol", [1e-14, distributions._TINY], ids=["1e-14", "tiny"])
+    def test_matches_scipy_bit_for_bit(self, brent_problems, xtol):
+        assert len(brent_problems) >= len(BRENT_LAWS) * len(BRENT_ORDERS)
+        for f, lo, hi in brent_problems:
+            ours = distributions._brentq(f, lo, hi, xtol, 8.9e-16, 200)
+            theirs = optimize.brentq(f, lo, hi, xtol=xtol, rtol=8.9e-16, maxiter=200, disp=False)
+            assert ours.hex() == float(theirs).hex()
+
+    @pytest.mark.parametrize("maxiter", [1, 2, 3, 5])
+    def test_unconverged_returns_the_last_iterate(self, brent_problems, maxiter):
+        for f, lo, hi in brent_problems[::7]:
+            ours = distributions._brentq(f, lo, hi, 1e-14, 8.9e-16, maxiter)
+            theirs = optimize.brentq(
+                f, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=maxiter, disp=False
+            )
+            assert ours.hex() == float(theirs).hex()
+
+    def test_same_signs_raise(self):
+        with pytest.raises(ValueError, match="different signs"):
+            distributions._brentq(lambda x: x - 3.0, 1.0, 2.0, 1e-14, 8.9e-16, 200)
+        with pytest.raises(ValueError, match="different signs"):
+            optimize.brentq(lambda x: x - 3.0, 1.0, 2.0)
+
+    def test_nan_raises(self):
+        with pytest.raises(ValueError, match="NaN"):
+            distributions._brentq(lambda x: np.nan, 1.0, 2.0, 1e-14, 8.9e-16, 200)
 
 
 class TestLawSample:

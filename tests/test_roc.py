@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline, PPoly
 
 from setidetect import (
     ComputationError,
@@ -306,6 +307,55 @@ class TestH0Map:
         t = h0_map(np.linspace(0.0, 1.0, 100001))
         assert np.all(np.diff(t) >= 0.0)
         assert h0_map(0.4) < 1.3 < h0_map(0.9)
+
+
+def scipy_spline(z, x, kinks) -> PPoly:
+    """roc._spline's reference: scipy's not-a-knot splines, split at `kinks`."""
+    cuts = [0, *(int(i) for i in kinks if 0 < i < z.size - 1), z.size - 1]
+    parts = [CubicSpline(z[a : b + 1], x[a : b + 1]) for a, b in zip(cuts, cuts[1:])]
+    return PPoly(np.hstack([s.c for s in parts]), z)
+
+
+class TestSpline:
+    """roc's NumPy spline against scipy.interpolate.CubicSpline."""
+
+    def assert_matches(self, z, x, kinks=()):
+        ours, ref = roc_module._spline(z, x, kinks), scipy_spline(z, x, kinks)
+        span = np.ptp(x)
+        grid = np.union1d(z, np.linspace(z[0], z[-1], 2001))
+        np.testing.assert_allclose(ours(grid), ref(grid), rtol=0.0, atol=1e-13 * span)
+        np.testing.assert_array_equal(
+            roc_module._least_slope(ours) <= 0.0, roc_module._least_slope(ref) <= 0.0
+        )
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 200])
+    def test_random_increasing_knots(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            z = np.cumsum(rng.exponential(size=n)) * 10.0 ** rng.uniform(-3, 1)
+            x = np.cumsum(rng.normal(0.5, 1.0, size=n))
+            self.assert_matches(z, x)
+
+    def test_kink_split_difference_map(self, monkeypatch):
+        # the N = 1 on_off H0 law has its kink inside the map's range
+        calls = []
+        real = roc_module._spline
+
+        def spy(z, x, kinks):
+            calls.append((z, x, kinks))
+            return real(z, x, kinks)
+
+        monkeypatch.setattr(roc_module, "_spline", spy)
+        roc_module._H0Map(detector_laws(single_sample(0.5), "on_off")[0])
+        (z, x, kinks), = calls
+        assert len(kinks) == 1 and 0 < kinks[0] < z.size - 1
+        self.assert_matches(z, x, kinks)
+
+    def test_three_and_two_knot_parts(self):
+        # kinks that leave a parabola on the left and a line on the right
+        z = np.array([-2.0, -1.2, 0.1, 0.3, 0.9, 1.7, 2.2, 3.0])
+        x = np.array([-3.0, -2.1, -0.4, 0.0, 0.5, 1.8, 2.0, 2.6])
+        self.assert_matches(z, x, [2, 6])
 
 
 class TestAucIntegral:
