@@ -2,7 +2,7 @@
 
 The paired detectors only stay calibrated when the interference couples
 into both steering positions equally (gain 1).  This sweep re-solves the
-analytic ROC at several gains and reports each detector's AUC alongside
+analytic AUC at several gains and reports each detector's AUC alongside
 its drift from the matched-gain baseline: the ratio detector rides on the
 Gaussian power ratio, so its AUC moves more with gain than the difference
 detector's, whose mean merely shifts by (g - 1) times the interference
@@ -31,7 +31,7 @@ def main() -> None:
         f"scenario: {spec.scenario_id}  INR={spec.inr():.1f}x  "
         f"SNR={spec.snr():.1f}x  N={spec.n_samples}"
     )
-    rows = compare_detectors(spec, GAINS, grid=512)
+    rows = compare_detectors(spec, GAINS)
     print()
     print(f"{'gain':>6} {'detector':<10} {'AUC':>9} {'AUC - AUC(g=1)':>15}")
     for row in rows:

@@ -21,6 +21,7 @@ from .distributions import (
 from .roc import (
     DetectorComparison,
     RocCurve,
+    auc,
     compare_detectors,
     pd_pfa,
     roc_curve,
@@ -70,6 +71,7 @@ __all__ = [
     "Steering",
     "TrialBatch",
     "__version__",
+    "auc",
     "compare_detectors",
     "default_assumed_noise",
     "default_chirps",

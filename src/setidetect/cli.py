@@ -765,12 +765,10 @@ def _run_compare_verb(config: ExperimentConfig) -> list[Path]:
         except ValueError as exc:
             raise ConfigError(where, f"no sampling law for this scenario: {exc}")
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    rows = compare_detectors(
-        config.scenario, gains, grid=config.pfa_grid, detectors=config.detectors
-    )
+    rows = compare_detectors(config.scenario, gains, detectors=config.detectors)
     table = []
     for row in rows:
-        spec = row.curve.spec
+        spec = row.spec
         table.append(
             (
                 row.detector.value,

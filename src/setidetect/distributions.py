@@ -137,6 +137,14 @@ def _eval_1d(fn, t):
     return out
 
 
+def _check_noncentrality(name: str, v: float) -> None:
+    """Reject a non-centrality that is not a finite, non-negative real."""
+    if not np.isfinite(v):
+        raise ValueError(f"{name} must be finite (got {v})")
+    if v < 0:
+        raise ValueError(f"{name} must be non-negative")
+
+
 @dataclass(frozen=True)
 class ScaledGamma:
     """Law of the mean-power estimate of N complex Gaussian samples.
@@ -213,10 +221,7 @@ class NoncentralChi2C:
             raise ValueError("shape must be a positive real")
         if not (np.isfinite(self.power) and self.power > 0):
             raise ValueError("power must be a positive real")
-        if not (
-            np.isfinite(self.noncentrality_energy) and self.noncentrality_energy >= 0
-        ):
-            raise ValueError("noncentrality_energy must be non-negative")
+        _check_noncentrality("noncentrality_energy", self.noncentrality_energy)
 
     support_lo = 0.0
 
@@ -450,9 +455,7 @@ class FLaw:
             if not (np.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be a positive real")
         for name in ("lambda_num", "lambda_den"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v >= 0):
-                raise ValueError(f"{name} must be non-negative")
+            _check_noncentrality(name, getattr(self, name))
 
     support_lo = 0.0
 
@@ -531,7 +534,9 @@ class FLaw:
             2.0 * (self.dof_num + 2.0 * self.lambda_num) / _square(num)
             + 2.0 * (self.dof_den + 2.0 * self.lambda_den) / _square(den)
         )
-        return centre * np.exp(-4.0 * rel), centre * np.exp(4.0 * rel)
+        # a huge centre overflows to inf, which law_quantile reports
+        with np.errstate(over="ignore"):
+            return centre * np.exp(-4.0 * rel), centre * np.exp(4.0 * rel)
 
 
 @dataclass(frozen=True)
@@ -670,15 +675,14 @@ def law_quantile(law, p, tol: float = QUANTILE_TOL):
     if not 0.0 < p < 1.0:
         raise ValueError("quantile order must lie strictly inside (0, 1)")
     lo_support = getattr(law, "support_lo", -np.inf)
-    lo, hi = law._bracket_seeds()
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ComputationError(f"{law!r} has no finite quantile bracket: its spread overflows")
+    # Python floats, which overflow to ±inf without a warning
+    lo, hi = (float(v) for v in law._bracket_seeds())
     lo = max(lo, lo_support)
     width = max(hi - lo, np.sqrt(np.finfo(float).eps))
 
     step = width
     for _ in range(80):
-        if law.cdf(hi) >= p:
+        if not math.isfinite(hi) or law.cdf(hi) >= p:
             break
         hi += step
         step *= 2.0
@@ -686,12 +690,15 @@ def law_quantile(law, p, tol: float = QUANTILE_TOL):
         raise ComputationError("quantile bracket expansion diverged above")
     step = width
     for _ in range(80):
-        if lo <= lo_support or law.cdf(lo) <= p:
+        if lo <= lo_support or not math.isfinite(lo) or law.cdf(lo) <= p:
             break
         lo = max(lo - step, lo_support)
         step *= 2.0
     else:
         raise ComputationError("quantile bracket expansion diverged below")
+    # the seeds or their expansion left the float range
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ComputationError(f"{law!r} has no finite quantile bracket: its spread overflows")
 
     def excess(t):
         return law.cdf(t) - p

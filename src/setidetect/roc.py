@@ -32,6 +32,7 @@ from .scenario import DetectorKind, ScenarioSpec, detector_laws
 __all__ = [
     "DetectorComparison",
     "RocCurve",
+    "auc",
     "compare_detectors",
     "pd_pfa",
     "roc_curve",
@@ -345,6 +346,12 @@ def _auc(h0: Law, h1: Law, t_lo: float, t_hi: float) -> float:
     )
 
 
+def auc(h0: Law, h1: Law) -> float:
+    """P(S₁ > S₀), accurate to AUC_TOL: the AUC of roc_curve(h0, h1), bit
+    for bit, without building the curve or its H0 quantile map."""
+    return _auc(h0, h1, law_quantile(h0, _MAP_P_EDGE), law_quantile(h0, 1.0 - _MAP_P_EDGE))
+
+
 def roc_curve(
     h0: Law,
     h1: Law,
@@ -398,19 +405,18 @@ def _named_computation(label: str, h0: Law, h1: Law):
 
 @dataclass(eq=False)
 class DetectorComparison:
-    """One row of a gain sweep: a detector's ROC at one interference gain."""
+    """One row of a gain sweep: a detector's AUC at one interference gain."""
 
     detector: DetectorKind
     gain: float
     auc: float
     auc_delta: float  # relative to the same detector at gain 1
-    curve: RocCurve = field(repr=False)
+    spec: ScenarioSpec = field(repr=False)  # the scenario at this gain
 
 
 def compare_detectors(
     spec: ScenarioSpec,
     gains: Sequence[float],
-    grid: int = 512,
     detectors: Sequence = (DetectorKind.F_RATIO, DetectorKind.ON_OFF),
     assumed_noise: float | None = None,
 ) -> list[DetectorComparison]:
@@ -419,37 +425,33 @@ def compare_detectors(
     For every requested gain and detector the scenario is re-solved with the
     interference gain overridden, and the AUC difference to the same
     detector at gain 1 is reported (the baseline is computed even when 1 is
-    not in `gains`).  One curve is built per distinct (gain, detector), the
-    curves concurrently; a failure names the first failing curve in the
-    order baselines, then `gains` as given.
+    not in `gains`).  One AUC is computed per distinct (gain, detector), the
+    AUCs concurrently, and no ROC curve is built; a failure names the first
+    failing AUC in the order baselines, then `gains` as given.
     """
     gains = [float(g) for g in gains]
     if not gains:
         raise ValueError("gains must be non-empty")
     detectors = [DetectorKind(d) for d in detectors]
 
-    def curve_at(task: tuple[float, DetectorKind]) -> RocCurve:
+    def auc_at(task: tuple[float, DetectorKind]) -> float:
         g, kind = task
-        at_g = spec.with_gain(g)
-        h0, h1 = detector_laws(at_g, kind, assumed_noise)
+        h0, h1 = detector_laws(spec.with_gain(g), kind, assumed_noise)
         with _named_computation(f"{kind.value} law at gain {g:g}", h0, h1):
-            return roc_curve(h0, h1, grid=grid, detector=kind, spec=at_g)
+            return auc(h0, h1)
 
     tasks = [(1.0, kind) for kind in detectors] + [
         (g, kind) for g in dict.fromkeys(gains) if g != 1.0 for kind in detectors
     ]
-    curves = dict(zip(tasks, ordered_map(curve_at, tasks)))
-    rows = []
-    for g in gains:
-        for kind in detectors:
-            curve = curves[g, kind]
-            rows.append(
-                DetectorComparison(
-                    detector=kind,
-                    gain=g,
-                    auc=curve.auc,
-                    auc_delta=curve.auc - curves[1.0, kind].auc,
-                    curve=curve,
-                )
-            )
-    return rows
+    aucs = dict(zip(tasks, ordered_map(auc_at, tasks)))
+    return [
+        DetectorComparison(
+            detector=kind,
+            gain=g,
+            auc=aucs[g, kind],
+            auc_delta=aucs[g, kind] - aucs[1.0, kind],
+            spec=spec.with_gain(g),
+        )
+        for g in gains
+        for kind in detectors
+    ]

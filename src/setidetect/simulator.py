@@ -189,7 +189,9 @@ def _abs2(x: np.ndarray) -> np.ndarray:
 def _exp_powers(rng: np.random.Generator, m: int, n: int, power: float) -> np.ndarray:
     """(m, n) i.i.d. powers |x|² of CN(0, power) samples: power·Exp(1)."""
     e = rng.standard_exponential((m, n))
-    e *= power
+    # huge powers overflow to inf; run_experiment rejects such estimates
+    with np.errstate(over="ignore"):
+        e *= power
     return e
 
 
@@ -284,7 +286,8 @@ def detector_stat(kind, on_est, off_est=None, assumed_noise=None):
         if kind is DetectorKind.F_RATIO:
             if np.any(off_arr <= 0):
                 raise ValueError("f_ratio is undefined for a non-positive OFF estimate")
-            out = on_arr / off_arr
+            with np.errstate(over="ignore"):  # a ratio beyond the float range is inf
+                out = on_arr / off_arr
         else:
             out = on_arr - off_arr
     if np.ndim(on_est) == 0 and np.ndim(out) == 0:
@@ -333,8 +336,10 @@ def run_paired_estimates(
         on, off = _synth_pair(
             spec, hyp, TRIAL_CHUNK, rng, chirp_et, chirp_rfi, random_phase
         )
-        on_est[lo : lo + m] = on[:m].mean(axis=1)
-        off_est[lo : lo + m] = off[:m].mean(axis=1)
+        # huge powers overflow to inf; run_experiment rejects such estimates
+        with np.errstate(over="ignore"):
+            on_est[lo : lo + m] = on[:m].mean(axis=1)
+            off_est[lo : lo + m] = off[:m].mean(axis=1)
 
     ordered_map(chunk, range(n_chunks))
     return on_est, off_est

@@ -226,7 +226,7 @@ def test_criterion_05_difference_detector_is_less_gain_sensitive():
     N=64: the ON−OFF AUC perturbation stays strictly below the ratio
     detector's."""
     spec = scenario("wideband", "wideband", 64, gain=1.0)
-    rows = compare_detectors(spec, [0.8, 0.9, 1.1, 1.25], grid=512)
+    rows = compare_detectors(spec, [0.8, 0.9, 1.1, 1.25])
     worst = {}
     for row in rows:
         worst[row.detector] = max(worst.get(row.detector, 0.0), abs(row.auc_delta))

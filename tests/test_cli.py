@@ -636,10 +636,79 @@ class TestHugeGains:
             sweeps={"parameter": "gain", "values": [1e306]},
         )
         doc["scenario"]["rfi_power"] = 10.0
-        with np.errstate(over="ignore"):
-            code, err = self.run(tmp_path, capsys, "roc", doc)
+        code, err = self.run(tmp_path, capsys, "roc", doc)
         assert code == 3
         assert "energy Monte Carlo statistics at gain_1e+306 leave the float range" in err
+
+    @pytest.mark.parametrize(
+        "detector, n_samples, rfi_power, gain, failure",
+        [
+            # the per-trial mean overflows
+            ("energy", 64, 10.0, 1e306, "energy Monte Carlo statistics at gain_1e+306"),
+            # ON/OFF overflows
+            ("f_ratio", 1, 1.0, 1e306, "f_ratio law failed"),
+            # the per-sample powers overflow
+            ("f_ratio", 64, 1.0, 1.7e308, "f_ratio law failed"),
+        ],
+        ids=["mean", "ratio", "powers"],
+    )
+    def test_mc_validate_overflow_prints_one_line(
+        self, tmp_path, capsys, detector, n_samples, rfi_power, gain, failure
+    ):
+        doc = base_config(
+            detectors=[detector], trials=1000, sweeps={"parameter": "gain", "values": [gain]}
+        )
+        doc["scenario"].update(n_samples=n_samples, rfi_power=rfi_power)
+        code, err = self.run(tmp_path, capsys, "mc-validate", doc)
+        assert code == 3
+        assert err.startswith(f"computation failed: {failure}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("rfi_power", [1.0, 10.0])
+    def test_single_sample_ratio_overflow_prints_one_line(self, tmp_path, capsys, rfi_power):
+        # at rfi_power 10 FLaw's bracket seeds overflow; at 1 they do not, but
+        # the bracket's expansion towards H0's upper map edge does
+        doc = self.single_sample(detectors=["f_ratio"], gains=[1e306, 1.0])
+        doc["scenario"]["rfi_power"] = rfi_power
+        code, err = self.run(tmp_path, capsys, "compare", doc)
+        assert code == 3
+        assert err.startswith("computation failed: f_ratio law at gain 1e+306 failed:")
+        assert "has no finite quantile bracket" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "verb, where, field, kw",
+        [
+            ("roc", "scenario", "noncentrality_energy", {}),
+            (
+                "roc",
+                "sweeps.values[1]",
+                "noncentrality_energy",
+                {"sweeps": {"parameter": "gain", "values": [1.0, 1e307]}},
+            ),
+            ("compare", "gains[1]", "lambda_num", {"gains": [0.5, 1e307]}),
+        ],
+        ids=["roc-scenario", "roc-sweep", "compare-gains"],
+    )
+    def test_overflowed_noncentrality_is_named_as_such(
+        self, tmp_path, capsys, verb, where, field, kw
+    ):
+        # 64 samples of narrowband interference at a gain of 1e307 hold an
+        # energy beyond the float range
+        doc = base_config(**kw)
+        doc["scenario"] = {
+            "rfi_kind": "narrowband",
+            "et_kind": "narrowband",
+            "noise_power": 1.0,
+            "rfi_energy": 64.0,
+            "et_energy": 64.0,
+            "gain": 1e307 if where == "scenario" else 1.0,
+            "n_samples": 64,
+        }
+        code, err = self.run(tmp_path, capsys, verb, doc)
+        assert code == 2
+        reason = f"{field} must be finite (got inf)"
+        assert f"{where}: no sampling law for this scenario: {reason}" in err
 
 
 # --- the worker pool ------------------------------------------------------------

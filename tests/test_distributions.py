@@ -141,6 +141,21 @@ class TestLawValidation:
         with pytest.raises(ValueError):
             NoncentralChi2C(shape=2.0, power=0.0, noncentrality_energy=1.0)
 
+    @pytest.mark.parametrize("energy", [np.inf, np.nan])
+    def test_ncx2_names_a_non_finite_energy(self, energy):
+        message = rf"noncentrality_energy must be finite \(got {energy}\)"
+        with pytest.raises(ValueError, match=message):
+            NoncentralChi2C(shape=2.0, power=1.0, noncentrality_energy=energy)
+        with pytest.raises(ValueError, match="noncentrality_energy must be non-negative"):
+            NoncentralChi2C(shape=2.0, power=1.0, noncentrality_energy=-1.0)
+
+    @pytest.mark.parametrize("name", ["lambda_num", "lambda_den"])
+    def test_flaw_names_a_non_finite_noncentrality(self, name):
+        with pytest.raises(ValueError, match=rf"{name} must be finite \(got inf\)"):
+            FLaw(dof_num=2.0, dof_den=2.0, scale=1.0, **{name: np.inf})
+        with pytest.raises(ValueError, match=f"{name} must be non-negative"):
+            FLaw(dof_num=2.0, dof_den=2.0, scale=1.0, **{name: -1.0})
+
     def test_flaw_requires_positive_dofs(self):
         with pytest.raises(ValueError):
             FLaw(dof_num=0.0, dof_den=2.0, scale=1.0, lambda_num=0.0, lambda_den=0.0)
@@ -356,6 +371,13 @@ class TestLawQuantile:
         assert law_quantile(FLaw(2, 2, s), p) == pytest.approx(
             p * s / (1.0 - p), rel=QUANTILE_RTOL
         )
+
+    @pytest.mark.parametrize("scale", [1e306, 5e305])
+    def test_bracket_beyond_float_range_raises(self, scale):
+        # F(2, 2)'s upper quantile of order 1 − 1/16385 is 16384·scale; the
+        # bracket seeds overflow at 1e306, their expansion at 5e305
+        with pytest.raises(ComputationError, match="no finite quantile bracket"):
+            law_quantile(FLaw(2.0, 2.0, scale), 1.0 - 1.0 / 16385)
 
     def test_unresolvable_lower_tail_raises(self):
         # the narrower numerator is conditioned on and its cdf taken as

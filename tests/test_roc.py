@@ -15,6 +15,7 @@ from setidetect import (
     RocCurve,
     ScaledGamma,
     ScenarioSpec,
+    auc,
     compare_detectors,
     detector_laws,
     f_ratio_law,
@@ -430,26 +431,69 @@ class TestDominance:
         assert aucs[-1] > aucs[0]
 
 
+class TestAuc:
+    """auc(h0, h1) is the AUC of roc_curve(h0, h1), bit for bit."""
+
+    @pytest.mark.parametrize(
+        "spec, kinds",
+        [
+            (
+                wide_wide(et_power=0.1, gain=0.001, n_samples=1, rfi_power=1e4),
+                ("f_ratio", "on_off"),
+            ),
+            (
+                wide_wide(et_power=0.1, gain=1.0, n_samples=1, rfi_power=1e4),
+                ("f_ratio", "on_off"),
+            ),
+            (narrow_narrow(16), ("f_ratio", "on_off", "energy")),
+            (
+                wide_wide(et_power=0.1, gain=0.8, n_samples=1024, rfi_power=10.0),
+                ("f_ratio", "on_off"),
+            ),
+        ],
+        ids=["wide-N1-g0.001", "wide-N1-g1", "narrow-N16", "wide-N1024"],
+    )
+    def test_equals_the_curve_auc(self, spec, kinds):
+        for kind in kinds:
+            h0, h1 = detector_laws(spec, kind)
+            assert auc(h0, h1) == roc_curve(h0, h1, grid=64).auc
+
+
 class TestCompareDetectors:
     def test_single_gain_structure(self):
-        rows = compare_detectors(wide_wide(), [1.0], grid=128)
+        rows = compare_detectors(wide_wide(), [1.0])
         assert len(rows) == 2
         assert {r.detector for r in rows} == {DetectorKind.F_RATIO, DetectorKind.ON_OFF}
         for r in rows:
             assert r.gain == 1.0
             assert r.auc_delta == 0.0
             assert 0.5 < r.auc < 1.0
-            assert isinstance(r.curve, RocCurve)
+            assert r.spec == wide_wide().with_gain(1.0)
 
     def test_deltas_are_relative_to_unit_gain(self):
-        rows = compare_detectors(wide_wide(), [0.9, 1.0, 1.1], grid=128)
+        rows = compare_detectors(wide_wide(), [0.9, 1.0, 1.1])
         assert len(rows) == 6
         base = {r.detector: r.auc for r in rows if r.gain == 1.0}
         for r in rows:
             assert r.auc_delta == pytest.approx(r.auc - base[r.detector], abs=1e-15)
 
+    def test_rows_equal_curve_aucs_bit_for_bit(self):
+        spec = wide_wide()
+        rows = compare_detectors(spec, [0.8, 0.9, 1.0, 1.1, 1.25])
+        assert len(rows) == 10
+
+        def curve_auc(g, kind):
+            return roc_curve(*detector_laws(spec.with_gain(g), kind), grid=64).auc
+
+        base = {kind: curve_auc(1.0, kind) for kind in (DetectorKind.F_RATIO, DetectorKind.ON_OFF)}
+        for r in rows:
+            exact = curve_auc(r.gain, r.detector)
+            assert r.auc == exact
+            assert r.auc_delta == exact - base[r.detector]
+            assert r.spec == spec.with_gain(r.gain)
+
     def test_difference_detector_is_less_gain_sensitive(self):
-        rows = compare_detectors(wide_wide(), [0.9, 1.1], grid=256)
+        rows = compare_detectors(wide_wide(), [0.9, 1.1])
         worst = {}
         for r in rows:
             worst[r.detector] = max(worst.get(r.detector, 0.0), abs(r.auc_delta))
@@ -457,16 +501,25 @@ class TestCompareDetectors:
 
     @pytest.mark.parametrize("gains", [[0.9, 1.1, 0.9], [1.0, 0.9, 1.0, 1.1]])
     def test_one_curve_per_distinct_gain_and_detector(self, monkeypatch, gains):
-        real_curve = roc_module.roc_curve
+        spec = wide_wide()
+        kinds = (DetectorKind.F_RATIO, DetectorKind.ON_OFF)
+        task_of = {
+            detector_laws(spec.with_gain(g), k): (g, k) for g in {1.0, *gains} for k in kinds
+        }
+        real_auc = roc_module.auc
         built = []
 
-        def counted(h0, h1, grid, detector, spec):
-            built.append((spec.gain, detector))
-            return real_curve(h0, h1, grid=grid, detector=detector, spec=spec)
+        def counted(h0, h1):
+            built.append(task_of[h0, h1])
+            return real_auc(h0, h1)
 
-        monkeypatch.setattr(roc_module, "roc_curve", counted)
-        rows = compare_detectors(wide_wide(), gains, grid=64)
-        kinds = (DetectorKind.F_RATIO, DetectorKind.ON_OFF)
+        def no_map(h0):
+            raise AssertionError("compare_detectors built an H0 quantile map")
+
+        monkeypatch.setattr(roc_module, "auc", counted)
+        # every ROC curve builds a map, so this also shows that none is built
+        monkeypatch.setattr(roc_module, "_H0Map", no_map)
+        rows = compare_detectors(spec, gains)
         assert sorted(built) == sorted((g, k) for g in {1.0, 0.9, 1.1} for k in kinds)
         assert [(r.gain, r.detector) for r in rows] == [(g, k) for g in gains for k in kinds]
 
