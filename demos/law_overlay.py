@@ -1,10 +1,12 @@
 """Overlay Monte Carlo detector statistics on their closed-form laws.
 
-Synthesizes paired ON/OFF trials (the per-sample powers of circular
-Gaussian streams) for a scenario with wideband interference seen at gain
-0.9 plus a wideband signal, forms all three detector statistics, and
-prints the worst disagreement between the empirical CDF and the analytic
-sampling law at the law's own deciles.
+Synthesizes paired ON/OFF trials for a scenario with wideband interference
+seen at gain 0.9 plus a wideband signal, forms all three detector
+statistics, and prints the worst disagreement between the empirical CDF and
+the analytic sampling law at the law's own deciles.  Both pointings here are
+circular Gaussian of some power p, so each trial's mean power is drawn whole
+as p·Gamma(N)/N; a pointing with a narrowband chirp would still synthesize
+its complex stream end to end.
 
 Run:  python demos/law_overlay.py
 """

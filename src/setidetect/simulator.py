@@ -10,13 +10,13 @@ interference on OFF.  The narrowband interference waveform is common to both
 pointings (scaled by √g on the ON stream); the Gaussian draws are
 independent between ON and OFF.
 
-The Monte Carlo trials need only each sample's power |x[k]|².  For a
-CN(0, p) sample that is exactly p·Exp(1), so a pointing that carries no
-chirp draws its N per-sample powers directly as scaled standard
-exponentials, half the variates of the complex stream and no complex
-buffer.  A pointing that carries a chirp draws the complex stream, adds the
-waveform and takes |x|², because there the chirp's frequency, drift and
-phase shape the sum.  `synth_stream` always returns the complex stream.
+The Monte Carlo trials need only each pointing's mean power (1/N)Σ|x[k]|².
+|x|² of a CN(0, p) sample is exactly p·Exp(1), so that mean is exactly
+p·Gamma(N)/N: a pointing that carries no chirp draws it as one scaled
+standard gamma variate per trial.  A pointing that carries a chirp still
+synthesizes the complex stream end to end, adds the waveform and averages
+|x|², because there the chirp's frequency, drift and phase shape the sum.
+`synth_stream` always returns the complex stream.
 
 Trials are chunked: trial i belongs to chunk i // TRIAL_CHUNK, and chunk c
 draws from its own generator spawned from the seed, so results are fully
@@ -179,20 +179,22 @@ def _add_chirps(spec, hyp, on, off, rng, chirp_et, chirp_rfi, random_phase):
         on += wave
 
 
-def _abs2(x: np.ndarray) -> np.ndarray:
-    """|x|² with one float temporary."""
+def _mean_abs2(x: np.ndarray) -> np.ndarray:
+    """Row means of |x|² with one float temporary."""
     p = np.abs(x)
     np.square(p, out=p)
-    return p
-
-
-def _exp_powers(rng: np.random.Generator, m: int, n: int, power: float) -> np.ndarray:
-    """(m, n) i.i.d. powers |x|² of CN(0, power) samples: power·Exp(1)."""
-    e = rng.standard_exponential((m, n))
     # huge powers overflow to inf; run_experiment rejects such estimates
     with np.errstate(over="ignore"):
-        e *= power
-    return e
+        return p.mean(axis=1)
+
+
+def _gamma_means(rng: np.random.Generator, m: int, n: int, power: float) -> np.ndarray:
+    """(m,) means of n powers |x|² of CN(0, power) samples: power·Gamma(n)/n."""
+    g = rng.standard_gamma(n, m)
+    # huge powers overflow to inf; run_experiment rejects such estimates
+    with np.errstate(over="ignore"):
+        g *= power / n
+    return g
 
 
 def _synth_pair(
@@ -204,28 +206,26 @@ def _synth_pair(
     chirp_rfi,
     random_phase: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(m, N) ON and OFF per-sample powers |x[k]|²; fixed draw order for
+    """(m,) ON and OFF mean powers (1/N)Σ|x[k]|²; fixed draw order for
     reproducibility: ON, OFF, then the interference and signal chirp phases.
 
     Each pointing's Gaussian part is one CN(0, p) draw (`_gaussian_powers`).
-    A pointing without a chirp takes its powers as p·Exp(1) in its slot,
-    the exact law of |x|² of such a sample.  A pointing with one (OFF when
-    the interference is narrowband; ON then, or under H1 with a narrowband
-    signal) takes the complex draw in its slot, gets the waveform added and
-    returns |x|²."""
+    A pointing without a chirp takes its mean power as p·Gamma(N)/N in its
+    slot, the exact law of the mean of N such |x|².  A pointing with one
+    (OFF when the interference is narrowband; ON then, or under H1 with a
+    narrowband signal) takes the complex draw in its slot, gets the waveform
+    added and returns the mean of |x|²."""
     n = spec.n_samples
     p_on, p_off = _gaussian_powers(spec, hyp)
     chirp_off = spec.rfi_kind is RfiKind.NARROWBAND
-    chirp_on = chirp_off or (
-        hyp is Hypothesis.H1 and spec.et_kind is EtKind.NARROWBAND
-    )
-    on = _cgauss(rng, m, n, p_on) if chirp_on else _exp_powers(rng, m, n, p_on)
-    off = _cgauss(rng, m, n, p_off) if chirp_off else _exp_powers(rng, m, n, p_off)
+    chirp_on = chirp_off or (hyp is Hypothesis.H1 and spec.et_kind is EtKind.NARROWBAND)
+    on = _cgauss(rng, m, n, p_on) if chirp_on else _gamma_means(rng, m, n, p_on)
+    off = _cgauss(rng, m, n, p_off) if chirp_off else _gamma_means(rng, m, n, p_off)
     if chirp_on:
         _add_chirps(spec, hyp, on, off, rng, chirp_et, chirp_rfi, random_phase)
-        on = _abs2(on)
+        on = _mean_abs2(on)
         if chirp_off:
-            off = _abs2(off)
+            off = _mean_abs2(off)
     return on, off
 
 
@@ -306,13 +306,13 @@ def run_paired_estimates(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(ON, OFF) mean-power estimates over `trials` independent stream pairs.
 
-    Each estimate averages the N per-sample powers of one pointing
-    (`_synth_pair`): scaled exponentials for a chirp-free pointing, |x|² of
-    the complex stream for one with a chirp.  Chirps default to the scenario
-    energies (see `default_chirps`); passing explicit ones overrides
-    frequency and drift without touching the law.  H0 and H1 runs with one
-    seed start from the same generator states, so their estimates are
-    coupled; give each hypothesis its own seed for independent samples.
+    Each estimate is the mean of one pointing's N per-sample powers
+    (`_synth_pair`): one p·Gamma(N)/N variate for a chirp-free pointing, the
+    mean of |x|² of the complex stream for one with a chirp.  Chirps default
+    to the scenario energies (see `default_chirps`); passing explicit ones
+    overrides frequency and drift without touching the law.  H0 and H1 runs
+    with one seed start from the same generator states, so their estimates
+    are coupled; give each hypothesis its own seed for independent samples.
     """
     hyp = Hypothesis(hyp)
     trials = int(trials)
@@ -336,10 +336,8 @@ def run_paired_estimates(
         on, off = _synth_pair(
             spec, hyp, TRIAL_CHUNK, rng, chirp_et, chirp_rfi, random_phase
         )
-        # huge powers overflow to inf; run_experiment rejects such estimates
-        with np.errstate(over="ignore"):
-            on_est[lo : lo + m] = on[:m].mean(axis=1)
-            off_est[lo : lo + m] = off[:m].mean(axis=1)
+        on_est[lo : lo + m] = on[:m]
+        off_est[lo : lo + m] = off[:m]
 
     ordered_map(chunk, range(n_chunks))
     return on_est, off_est

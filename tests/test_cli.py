@@ -263,6 +263,13 @@ class TestRunExperiment:
         files = run_experiment(load_config(doc))
         rows = read_csv(tmp_path / "roc_f_ratio_base.csv")
         assert len(rows) == 32 + 2
+        # thresholds at empirical H0 quantiles realize the pfa grid to within
+        # the sample's resolution, and pd rises with pfa
+        pfa = np.array([float(r["pfa"]) for r in rows])
+        pd = np.array([float(r["pd"]) for r in rows])
+        targets = np.linspace(0.0, 1.0, 32 + 2)[1:-1]
+        assert np.all(np.abs(pfa[1:-1] - targets) <= 2 / 2000)
+        assert np.all(np.diff(pd) >= 0)
         auc = float(read_csv(tmp_path / "summary.csv")[0]["auc"])
         assert 0.5 < auc < 1.0
         # histogram overlays accompany Monte Carlo runs
@@ -628,7 +635,25 @@ class TestHugeGains:
         assert "sweeps.values[1]: no sampling law for this scenario" in err
 
     def test_monte_carlo_overflow_is_a_computation_error(self, tmp_path, capsys):
-        # 64 per-sample powers of about 1e307 overflow their sum
+        # the mean powers of 64 samples of power 1.7e308 overflow in about a
+        # third of the trials
+        doc = base_config(
+            detectors=["energy"],
+            mode="monte_carlo",
+            trials=1000,
+            sweeps={"parameter": "gain", "values": [1.7e307]},
+        )
+        doc["scenario"]["rfi_power"] = 10.0
+        code, err = self.run(tmp_path, capsys, "roc", doc)
+        assert code == 3
+        assert "energy Monte Carlo statistics at gain_1p7e+307 leave the float range" in err
+
+    @pytest.mark.parametrize("verb", ["roc", "mc-validate"])
+    def test_monte_carlo_means_near_the_float_limit_stay_finite(
+        self, tmp_path, capsys, verb
+    ):
+        # mean powers of about 1e307 are drawn whole, so no sum of 64 sample
+        # powers overflows on the way to them
         doc = base_config(
             detectors=["energy"],
             mode="monte_carlo",
@@ -636,15 +661,21 @@ class TestHugeGains:
             sweeps={"parameter": "gain", "values": [1e306]},
         )
         doc["scenario"]["rfi_power"] = 10.0
-        code, err = self.run(tmp_path, capsys, "roc", doc)
-        assert code == 3
-        assert "energy Monte Carlo statistics at gain_1e+306 leave the float range" in err
+        code, err = self.run(tmp_path, capsys, verb, doc)
+        assert code == 0, err
+        (row,) = read_csv(tmp_path / "out" / "summary.csv")
+        assert np.isfinite(float(row["auc"]))
+        hists = sorted((tmp_path / "out").glob("hist_energy_*.csv"))
+        assert len(hists) == 2
+        for path in hists:
+            values = [[float(v) for v in r.values()] for r in read_csv(path)]
+            assert np.all(np.isfinite(values))
 
     @pytest.mark.parametrize(
         "detector, n_samples, rfi_power, gain, failure",
         [
             # the per-trial mean overflows
-            ("energy", 64, 10.0, 1e306, "energy Monte Carlo statistics at gain_1e+306"),
+            ("energy", 64, 10.0, 1.7e307, "energy Monte Carlo statistics at gain_1p7e+307"),
             # ON/OFF overflows
             ("f_ratio", 1, 1.0, 1e306, "f_ratio law failed"),
             # the per-sample powers overflow
@@ -952,8 +983,8 @@ class TestEmpiricalCurve:
         # statistics rounded to 0.1 tie often, and many thresholds land on a
         # tied value, where only a strict "above" gives the same counts
         rng = np.random.default_rng(5)
-        h0 = np.round(rng.normal(size=301), 1)
-        h1 = np.round(rng.normal(0.7, 1.0, size=300), 1)
+        h0 = np.sort(np.round(rng.normal(size=301), 1))
+        h1 = np.sort(np.round(rng.normal(0.7, 1.0, size=300), 1))
         thresholds, pfa, pd, _ = _empirical_curve(h0, h1, 40)
         ts = thresholds[1:-1]
         assert np.isin(ts, h0).sum() > 10

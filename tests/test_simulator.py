@@ -4,9 +4,11 @@ import dataclasses
 import itertools
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from setidetect import (
     ChirpParams,
@@ -348,8 +350,8 @@ def sequential_estimates(spec, hyp, trials, seed, random_phase):
     its spawned generator, full-size draws in the documented order (ON at
     noise + g·interference + signal power and OFF at noise + interference
     power, counting only the wideband components, then the chirp phases).
-    A pointing without a chirp draws its per-sample powers as
-    p·Exp(1) in its slot; one with a chirp draws the complex stream."""
+    A pointing without a chirp draws its mean power as p·Gamma(N)/N in its
+    slot; one with a chirp draws the complex stream and averages |x|²."""
     chirp_et, chirp_rfi = default_chirps(spec)
     n, m = spec.n_samples, TRIAL_CHUNK
     sqrt_g = np.sqrt(spec.gain)
@@ -367,11 +369,11 @@ def sequential_estimates(spec, hyp, trials, seed, random_phase):
         if narrow_rfi or narrow_et:
             on = _cgauss(rng, m, n, p_on)
         else:
-            on = p_on * rng.standard_exponential((m, n))
+            on = rng.standard_gamma(n, m) * (p_on / n)
         if narrow_rfi:
             off = _cgauss(rng, m, n, p_off)
         else:
-            off = p_off * rng.standard_exponential((m, n))
+            off = rng.standard_gamma(n, m) * (p_off / n)
         if narrow_rfi:
             wave = chirp_rfi.waveform(n)[None, :]
             if random_phase:
@@ -384,11 +386,11 @@ def sequential_estimates(spec, hyp, trials, seed, random_phase):
                 wave = wave * np.exp(2j * np.pi * rng.random((m, 1)))
             on = on + wave
         if np.iscomplexobj(on):
-            on = np.abs(on) ** 2
+            on = np.mean(np.abs(on) ** 2, axis=1)
         if np.iscomplexobj(off):
-            off = np.abs(off) ** 2
-        on_est.append(np.mean(on, axis=1))
-        off_est.append(np.mean(off, axis=1))
+            off = np.mean(np.abs(off) ** 2, axis=1)
+        on_est.append(on)
+        off_est.append(off)
     return np.concatenate(on_est)[:trials], np.concatenate(off_est)[:trials]
 
 
@@ -532,6 +534,36 @@ class TestExponentialPowerDraw:
         assert abs(powers.mean() - power) < 5 * sem
         # circular: the real and imaginary parts carry half the power each
         assert abs(np.mean(stream.real**2) - power / 2) < 5 * sem
+
+
+class TestGammaMeanDraw:
+    @pytest.mark.parametrize("n", [1, 8, 256])
+    def test_gamma_means_match_complex_stream_means(self, n):
+        # the mean of n powers |x|² of CN(0, p) samples is p·Gamma(n)/n
+        trials, power = 100_000, 2.5
+        gamma = simulator._gamma_means(np.random.default_rng(SEED + 11), trials, n, power)
+        rng = np.random.default_rng(SEED + 12)
+        streams = np.concatenate(
+            [
+                simulator._mean_abs2(_cgauss(rng, min(TRIAL_CHUNK, trials - lo), n, power))
+                for lo in range(0, trials, TRIAL_CHUNK)
+            ]
+        )
+        assert gamma.shape == streams.shape == (trials,)
+        # asymptotic critical value of the two-sample test at level 1e-6
+        critical = np.sqrt(-np.log(1e-6 / 2) / 2) * np.sqrt(2 / trials)
+        assert stats.ks_2samp(gamma, streams).statistic < critical
+
+    def test_wideband_synthesis_memory_does_not_grow_with_n(self):
+        spec = dataclasses.replace(WIDEBAND_PAIR, n_samples=65_536)
+        tracemalloc.start()
+        try:
+            on, off = run_paired_estimates(spec, "H1", 10, SEED)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert on.shape == off.shape == (10,)
+        assert peak < 1e6
 
 
 class TestMiscalibrationWall:
