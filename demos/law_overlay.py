@@ -3,10 +3,9 @@
 Synthesizes paired ON/OFF trials for a scenario with wideband interference
 seen at gain 0.9 plus a wideband signal, forms all three detector
 statistics, and prints the worst disagreement between the empirical CDF and
-the analytic sampling law at the law's own deciles.  Both pointings here are
-circular Gaussian of some power p, so each trial's mean power is drawn whole
-as p·Gamma(N)/N; a pointing with a narrowband chirp would still synthesize
-its complex stream end to end.
+the analytic sampling law at the law's own deciles.  Each trial's mean power
+is drawn whole as p/(2N)·χ²_{2N}(2E/p), p being the pointing's Gaussian
+power and E its chirp energy (0 here: both pointings are circular Gaussian).
 
 Run:  python demos/law_overlay.py
 """

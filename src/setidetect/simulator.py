@@ -4,19 +4,21 @@ Streams are built per scenario: circular Gaussian noise, plus wideband
 components as independent Gaussians of the configured powers and narrowband
 components as deterministic chirps.  A sum of independent circular
 Gaussians is one circular Gaussian of the summed power, so each pointing's
-noise and wideband components are drawn as a single CN(0, total power)
-stream: noise + g·interference (+ signal under H1) on ON, noise +
-interference on OFF.  The narrowband interference waveform is common to both
-pointings (scaled by √g on the ON stream); the Gaussian draws are
-independent between ON and OFF.
+noise and wideband components form a single CN(0, p) stream: p is noise +
+g·interference (+ signal under H1) on ON, noise + interference on OFF.  The
+narrowband interference waveform is common to both pointings (scaled by √g
+on the ON stream); the Gaussian parts are independent between ON and OFF.
+`synth_stream` returns such a complex stream.
 
-The Monte Carlo trials need only each pointing's mean power (1/N)Σ|x[k]|².
-|x|² of a CN(0, p) sample is exactly p·Exp(1), so that mean is exactly
-p·Gamma(N)/N: a pointing that carries no chirp draws it as one scaled
-standard gamma variate per trial.  A pointing that carries a chirp still
-synthesizes the complex stream end to end, adds the waveform and averages
-|x|², because there the chirp's frequency, drift and phase shape the sum.
-`synth_stream` always returns the complex stream.
+The Monte Carlo trials need only each pointing's mean power
+(1/N)Σ|x[k] + s[k]|², where x[k] ~ CN(0, p) and s is the pointing's chirp
+sum of energy E = Σ|s[k]|².  That mean is exactly p/(2N)·χ²_{2N}(2E/p),
+whatever the chirps' frequency, drift or phase, so every pointing draws it
+as one noncentral χ² variate per trial and no stream is synthesized.  E is
+0 without a chirp, E_rfi on OFF, and on ON
+g·E_rfi + E_et + 2√g·Re(e^{iΔθ}·Σ c_rfi[k]·conj(c_et[k])): the
+interference–signal cross term is the only thing the waveforms add, and
+Δθ is the phase difference of the two chirps.
 
 Trials are chunked: trial i belongs to chunk i // TRIAL_CHUNK, and chunk c
 draws from its own generator spawned from the seed, so results are fully
@@ -138,9 +140,9 @@ def _check_chirps(spec: ScenarioSpec, chirp_et, chirp_rfi):
         raise ValueError("chirp_rfi is required iff the interference kind is narrowband")
 
 
-def _cgauss(rng: np.random.Generator, m: int, n: int, power: float) -> np.ndarray:
-    """(m, n) i.i.d. CN(0, power) samples: variance power/2 per real part."""
-    z = rng.standard_normal((m, 2 * n)).view(np.complex128)
+def _cgauss(rng: np.random.Generator, n: int, power: float) -> np.ndarray:
+    """n i.i.d. CN(0, power) samples: variance power/2 per real part."""
+    z = rng.standard_normal(2 * n).view(np.complex128)
     z *= np.sqrt(power / 2.0)
     return z
 
@@ -158,43 +160,17 @@ def _gaussian_powers(spec: ScenarioSpec, hyp: Hypothesis) -> tuple[float, float]
     return p_on, p_off
 
 
-def _add_chirps(spec, hyp, on, off, rng, chirp_et, chirp_rfi, random_phase):
-    """Add the narrowband components to the (m, N) complex streams in place,
-    drawing the random phases in order: interference, then signal.  OFF is
-    touched only when the interference is narrowband."""
-    n = spec.n_samples
-    m = on.shape[0]
-    if spec.rfi_kind is RfiKind.NARROWBAND:
-        wave = chirp_rfi.waveform(n)[None, :]
-        if random_phase:
-            # one transmitter: the same phase reaches both pointings
-            wave = wave * np.exp(2j * np.pi * rng.random((m, 1)))
-        off += wave
-        wave *= np.sqrt(spec.gain)
-        on += wave
-    if hyp is Hypothesis.H1 and spec.et_kind is EtKind.NARROWBAND:
-        wave = chirp_et.waveform(n)[None, :]
-        if random_phase:
-            wave = wave * np.exp(2j * np.pi * rng.random((m, 1)))
-        on += wave
-
-
-def _mean_abs2(x: np.ndarray) -> np.ndarray:
-    """Row means of |x|² with one float temporary."""
-    p = np.abs(x)
-    np.square(p, out=p)
-    # huge powers overflow to inf; run_experiment rejects such estimates
-    with np.errstate(over="ignore"):
-        return p.mean(axis=1)
-
-
-def _gamma_means(rng: np.random.Generator, m: int, n: int, power: float) -> np.ndarray:
-    """(m,) means of n powers |x|² of CN(0, power) samples: power·Gamma(n)/n."""
-    g = rng.standard_gamma(n, m)
-    # huge powers overflow to inf; run_experiment rejects such estimates
-    with np.errstate(over="ignore"):
-        g *= power / n
-    return g
+def _mean_powers(rng: np.random.Generator, m: int, n: int, power: float, energy):
+    """(m,) means of n powers |x[k] + s[k]|², x[k] ~ CN(0, power) and s a
+    deterministic part of energy `energy` (scalar or per trial): exactly
+    power/(2n)·χ²_{2n}(2·energy/power).  Where 2·energy/power is infinite
+    (no Gaussian power, or too little to register) the mean is energy/n; the
+    variate is drawn all the same, to keep the draw order."""
+    nonc = 2.0 * energy / power if power > 0 else np.inf
+    gaussian = np.isfinite(nonc)
+    x = rng.noncentral_chisquare(2 * n, np.where(gaussian, nonc, 0.0), m)
+    x *= power / (2 * n)
+    return np.where(gaussian, x, energy / n)
 
 
 def _synth_pair(
@@ -206,26 +182,32 @@ def _synth_pair(
     chirp_rfi,
     random_phase: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(m,) ON and OFF mean powers (1/N)Σ|x[k]|²; fixed draw order for
-    reproducibility: ON, OFF, then the interference and signal chirp phases.
-
-    Each pointing's Gaussian part is one CN(0, p) draw (`_gaussian_powers`).
-    A pointing without a chirp takes its mean power as p·Gamma(N)/N in its
-    slot, the exact law of the mean of N such |x|².  A pointing with one
-    (OFF when the interference is narrowband; ON then, or under H1 with a
-    narrowband signal) takes the complex draw in its slot, gets the waveform
-    added and returns the mean of |x|²."""
+    """(m,) ON and OFF mean powers (1/N)Σ|x[k]|², each one
+    p/(2N)·χ²_{2N}(2E/p) variate per trial (`_mean_powers`), with p from
+    `_gaussian_powers` and E the pointing's chirp energy (module docstring).
+    Fixed draw order for reproducibility: with `random_phase` and both
+    chirps present, one phase difference Δθ per trial; then ON; then OFF."""
     n = spec.n_samples
     p_on, p_off = _gaussian_powers(spec, hyp)
-    chirp_off = spec.rfi_kind is RfiKind.NARROWBAND
-    chirp_on = chirp_off or (hyp is Hypothesis.H1 and spec.et_kind is EtKind.NARROWBAND)
-    on = _cgauss(rng, m, n, p_on) if chirp_on else _gamma_means(rng, m, n, p_on)
-    off = _cgauss(rng, m, n, p_off) if chirp_off else _gamma_means(rng, m, n, p_off)
-    if chirp_on:
-        _add_chirps(spec, hyp, on, off, rng, chirp_et, chirp_rfi, random_phase)
-        on = _mean_abs2(on)
-        if chirp_off:
-            off = _mean_abs2(off)
+    e_on = e_off = 0.0
+    # huge gains, energies or powers overflow to inf; run_experiment rejects
+    # such estimates
+    with np.errstate(over="ignore"):
+        if spec.rfi_kind is RfiKind.NARROWBAND:
+            rfi = chirp_rfi.waveform(n)
+            e_off = np.vdot(rfi, rfi).real
+            e_on = spec.gain * e_off
+        if hyp is Hypothesis.H1 and spec.et_kind is EtKind.NARROWBAND:
+            et = chirp_et.waveform(n)
+            e_on += np.vdot(et, et).real
+            if spec.rfi_kind is RfiKind.NARROWBAND:
+                cross = 2.0 * np.sqrt(spec.gain) * np.vdot(et, rfi)
+                if random_phase:
+                    cross = cross * np.exp(2j * np.pi * rng.random(m))
+                # rounding can carry the sum just below zero
+                e_on = np.maximum(e_on + cross.real, 0.0)
+        on = _mean_powers(rng, m, n, p_on, e_on)
+        off = _mean_powers(rng, m, n, p_off, e_off)
     return on, off
 
 
@@ -249,9 +231,14 @@ def synth_stream(
     rng = _as_generator(rng_state)
     n = spec.n_samples
     p_on, p_off = _gaussian_powers(spec, hyp)
-    on, off = _cgauss(rng, 1, n, p_on), _cgauss(rng, 1, n, p_off)
-    _add_chirps(spec, hyp, on, off, rng, chirp_et, chirp_rfi, random_phase=False)
-    return on[0] if steering is Steering.ON else off[0]
+    on, off = _cgauss(rng, n, p_on), _cgauss(rng, n, p_off)
+    if spec.rfi_kind is RfiKind.NARROWBAND:
+        wave = chirp_rfi.waveform(n)
+        off += wave
+        on += np.sqrt(spec.gain) * wave
+    if hyp is Hypothesis.H1 and spec.et_kind is EtKind.NARROWBAND:
+        on += chirp_et.waveform(n)
+    return on if steering is Steering.ON else off
 
 
 def power_estimate(stream) -> float:
@@ -306,9 +293,10 @@ def run_paired_estimates(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(ON, OFF) mean-power estimates over `trials` independent stream pairs.
 
-    Each estimate is the mean of one pointing's N per-sample powers
-    (`_synth_pair`): one p·Gamma(N)/N variate for a chirp-free pointing, the
-    mean of |x|² of the complex stream for one with a chirp.  Chirps default
+    Each estimate is the mean of one pointing's N per-sample powers, drawn
+    whole as one p/(2N)·χ²_{2N}(2E/p) variate (`_synth_pair`): p is the
+    pointing's Gaussian power and E its chirp energy, with the
+    interference–signal cross term on ON.  Chirps default
     to the scenario energies (see `default_chirps`); passing explicit ones
     overrides frequency and drift without touching the law.  H0 and H1 runs
     with one seed start from the same generator states, so their estimates

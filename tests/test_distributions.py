@@ -8,7 +8,7 @@ samplers, quoted with their ±3·standard-error bands.
 
 import numpy as np
 import pytest
-from scipy import optimize, special
+from scipy import integrate, optimize, special
 
 from setidetect import distributions
 from setidetect.cli import _ks_bound
@@ -336,6 +336,27 @@ class TestGammaDiffPdfCdf:
             assert np.max(np.abs(law.cdf(ts) - exact)) <= QUADRATURE_TOL
             density = np.where(ts < 0, lower / b, (1.0 - upper) / a)
             assert np.max(np.abs(law.pdf(ts) - density)) <= QUADRATURE_TOL / a
+
+    def test_unequal_widths_match_quadrature_through_zero(self):
+        # on_off H0 at N = 2, g = 0.001 and INR 20 dB: the sides differ
+        # ninety-fold in width, which a rule conditioning on the wider side
+        # for t ≥ 0 gets wrong near t = 0
+        a, b = 0.55, 50.5
+        law = GammaDifference(pos=ScaledGamma(2, a), neg=ScaledGamma(2, b))
+
+        def reference(t):
+            # P(A − B ≤ t) = E_A[P(B ≥ A − t)], integrated over the narrow A
+            def integrand(x):
+                return x * np.exp(-x / a) / a**2 * special.gammaincc(2, max(x - t, 0.0) / b)
+
+            return integrate.quad(
+                integrand, 0.0, 80 * a, points=[t] if 0 < t < 80 * a else None,
+                epsabs=1e-14, epsrel=1e-13, limit=200,
+            )[0]
+
+        ts = np.concatenate([-np.geomspace(1e-3, 400.0, 30), [0.0], np.geomspace(1e-3, 12.0, 30)])
+        exact = np.array([reference(t) for t in ts])
+        assert np.max(np.abs(law.cdf(ts) - exact)) <= QUADRATURE_TOL
 
 
 # --- quantiles and sampling ---------------------------------------------------

@@ -31,7 +31,7 @@ from setidetect import (
 )
 from setidetect import _pool, simulator
 from setidetect.cli import _ks_bound
-from setidetect.simulator import TRIAL_CHUNK, _cgauss, default_chirps
+from setidetect.simulator import TRIAL_CHUNK, default_chirps
 
 SEED = 424242
 
@@ -266,7 +266,7 @@ class TestFoldedWidebandDraw:
     @pytest.mark.parametrize("n", [1, 4])
     def test_mixed_pointings_match_their_laws(self, n):
         # wideband interference with a narrowband signal under H1: ON carries
-        # the chirp and keeps the complex draw, OFF takes exponential powers
+        # the chirp's non-centrality, OFF is central
         trials = 100_000
         spec = dataclasses.replace(WIDE_RFI_NARROW_ET, n_samples=n)
         on_est, off_est = run_paired_estimates(
@@ -347,14 +347,15 @@ class TestRunTrials:
 
 def sequential_estimates(spec, hyp, trials, seed, random_phase):
     """The chunk contract written out serially: chunks in order, each from
-    its spawned generator, full-size draws in the documented order (ON at
-    noise + g·interference + signal power and OFF at noise + interference
-    power, counting only the wideband components, then the chirp phases).
-    A pointing without a chirp draws its mean power as p·Gamma(N)/N in its
-    slot; one with a chirp draws the complex stream and averages |x|²."""
+    its spawned generator, full-size draws in the documented order.  With
+    random phases and both chirps present, one phase difference per trial
+    comes first; then ON and OFF each draw their mean power as one
+    p/(2N)·χ²_{2N}(2E/p) variate, p being noise + g·interference + signal on
+    ON and noise + interference on OFF (wideband components only) and E the
+    pointing's chirp energy, with the interference–signal cross term on
+    ON."""
     chirp_et, chirp_rfi = default_chirps(spec)
     n, m = spec.n_samples, TRIAL_CHUNK
-    sqrt_g = np.sqrt(spec.gain)
     signal_on = hyp == "H1"
     wide_rfi = spec.rfi_power if spec.rfi_kind is RfiKind.WIDEBAND else 0.0
     wide_et = spec.et_power if signal_on and spec.et_kind is EtKind.WIDEBAND else 0.0
@@ -362,33 +363,21 @@ def sequential_estimates(spec, hyp, trials, seed, random_phase):
     p_off = spec.noise_power + wide_rfi
     narrow_rfi = spec.rfi_kind is RfiKind.NARROWBAND
     narrow_et = signal_on and spec.et_kind is EtKind.NARROWBAND
+    c_rfi = chirp_rfi.waveform(n) if narrow_rfi else np.zeros(n)
+    c_et = chirp_et.waveform(n) if narrow_et else np.zeros(n)
+    e_off = np.vdot(c_rfi, c_rfi).real
+    e_on = spec.gain * e_off + np.vdot(c_et, c_et).real
+    cross = 2.0 * np.sqrt(spec.gain) * np.vdot(c_et, c_rfi)
     n_chunks = -(-trials // TRIAL_CHUNK)
     on_est, off_est = [], []
     for child in np.random.SeedSequence(seed).spawn(n_chunks):
         rng = np.random.default_rng(child)
-        if narrow_rfi or narrow_et:
-            on = _cgauss(rng, m, n, p_on)
-        else:
-            on = rng.standard_gamma(n, m) * (p_on / n)
-        if narrow_rfi:
-            off = _cgauss(rng, m, n, p_off)
-        else:
-            off = rng.standard_gamma(n, m) * (p_off / n)
-        if narrow_rfi:
-            wave = chirp_rfi.waveform(n)[None, :]
-            if random_phase:
-                wave = wave * np.exp(2j * np.pi * rng.random((m, 1)))
-            on = on + sqrt_g * wave
-            off = off + wave
-        if narrow_et:
-            wave = chirp_et.waveform(n)[None, :]
-            if random_phase:
-                wave = wave * np.exp(2j * np.pi * rng.random((m, 1)))
-            on = on + wave
-        if np.iscomplexobj(on):
-            on = np.mean(np.abs(on) ** 2, axis=1)
-        if np.iscomplexobj(off):
-            off = np.mean(np.abs(off) ** 2, axis=1)
+        e = e_on
+        if narrow_rfi and narrow_et:
+            phase = np.exp(2j * np.pi * rng.random(m)) if random_phase else 1.0
+            e = np.maximum(e_on + (cross * phase).real, 0.0)
+        on = rng.noncentral_chisquare(2 * n, 2.0 * e / p_on, m) * (p_on / (2 * n))
+        off = rng.noncentral_chisquare(2 * n, 2.0 * e_off / p_off, m) * (p_off / (2 * n))
         on_est.append(on)
         off_est.append(off)
     return np.concatenate(on_est)[:trials], np.concatenate(off_est)[:trials]
@@ -498,17 +487,31 @@ class TestConcurrentChunks:
         assert threading.active_count() == before
 
 
-class TestExponentialPowerDraw:
+class TestNoncentralPowerDraw:
     @pytest.mark.parametrize(
         "spec, hyp",
-        [(WIDEBAND_PAIR, "H0"), (WIDEBAND_PAIR, "H1"), (WIDE_RFI_NARROW_ET, "H0")],
-        ids=["wideband-H0", "wideband-H1", "wideband-rfi-narrowband-et-H0"],
+        [
+            (WIDEBAND_PAIR, "H0"),
+            (WIDEBAND_PAIR, "H1"),
+            (WIDE_RFI_NARROW_ET, "H0"),
+            (WIDE_RFI_NARROW_ET, "H1"),
+            (NARROW_RFI_WIDE_ET, "H1"),
+            (NARROWBAND_PAIR, "H0"),
+            (NARROWBAND_PAIR, "H1"),
+        ],
+        ids=[
+            "wideband-H0",
+            "wideband-H1",
+            "wideband-rfi-narrowband-et-H0",
+            "wideband-rfi-narrowband-et-H1",
+            "narrowband-rfi-wideband-et-H1",
+            "narrowband-H0",
+            "narrowband-H1",
+        ],
     )
-    def test_chirp_free_pointings_draw_no_complex_stream(
-        self, monkeypatch, spec, hyp
-    ):
+    def test_no_pointing_draws_a_complex_stream(self, monkeypatch, spec, hyp):
         def no_complex(*args, **kwargs):
-            raise AssertionError("a chirp-free pointing drew a complex stream")
+            raise AssertionError("a Monte Carlo pointing drew a complex stream")
 
         monkeypatch.setattr(simulator, "_cgauss", no_complex)
         trials = TRIAL_CHUNK + 9
@@ -516,13 +519,37 @@ class TestExponentialPowerDraw:
         assert on.shape == off.shape == (trials,)
         assert np.all(on > 0) and np.all(off > 0)
 
-    def test_chirp_pointing_still_draws_complex_stream(self, monkeypatch):
-        def no_complex(*args, **kwargs):
-            raise AssertionError("complex draw")
+    @pytest.mark.parametrize("random_phase", [False, True])
+    def test_zero_gaussian_power_gives_chirp_energy(self, random_phase):
+        # no noise and no wideband part: each mean power is E/N exactly
+        n = 5
+        spec = dataclasses.replace(NARROWBAND_PAIR, noise_power=0.0, n_samples=n)
+        g = spec.gain
+        chirp_et, chirp_rfi = default_chirps(spec)
+        c_et, c_rfi = chirp_et.waveform(n), chirp_rfi.waveform(n)
+        on, off = run_paired_estimates(spec, "H1", 50, SEED, random_phase=random_phase)
+        assert np.allclose(off, spec.rfi_energy / n, rtol=1e-12)
+        if random_phase:
+            # the phase difference sweeps ON between the chirps' extremes
+            cross = 2 * np.sqrt(g) * abs(np.vdot(c_et, c_rfi))
+            mid = (g * spec.rfi_energy + spec.et_energy) / n
+            assert np.all(np.abs(on - mid) <= cross / n * (1 + 1e-12))
+            assert np.ptp(on) > cross / n
+        else:
+            assert np.allclose(on, power_estimate(np.sqrt(g) * c_rfi + c_et), rtol=1e-12)
+        chirp_free = gaussian_only(noise_power=0.0, n_samples=n)
+        on, off = run_paired_estimates(chirp_free, "H0", 50, SEED)
+        assert np.all(on == 0) and np.all(off == 0)
 
-        monkeypatch.setattr(simulator, "_cgauss", no_complex)
-        with pytest.raises(AssertionError, match="complex draw"):
-            run_paired_estimates(WIDE_RFI_NARROW_ET, "H1", 10, SEED)
+    def test_overflowing_noncentrality_gives_chirp_energy(self):
+        # 2E/p leaves the float range, yet E/N does not: the noise is too
+        # weak to register and each mean power is E/N
+        spec = dataclasses.replace(
+            NARROWBAND_PAIR, noise_power=1e-300, rfi_energy=1e300, n_samples=1
+        )
+        on, off = run_paired_estimates(spec, "H0", 50, SEED)
+        assert np.allclose(off, 1e300, rtol=1e-12)
+        assert np.allclose(on, spec.gain * 1e300, rtol=1e-12)
 
     @pytest.mark.parametrize("steering, power", [("on", 2.9), ("off", 3.0)])
     def test_synth_stream_stays_complex(self, steering, power):
@@ -536,34 +563,81 @@ class TestExponentialPowerDraw:
         assert abs(np.mean(stream.real**2) - power / 2) < 5 * sem
 
 
-class TestGammaMeanDraw:
-    @pytest.mark.parametrize("n", [1, 8, 256])
-    def test_gamma_means_match_complex_stream_means(self, n):
-        # the mean of n powers |x|² of CN(0, p) samples is p·Gamma(n)/n
-        trials, power = 100_000, 2.5
-        gamma = simulator._gamma_means(np.random.default_rng(SEED + 11), trials, n, power)
-        rng = np.random.default_rng(SEED + 12)
-        streams = np.concatenate(
-            [
-                simulator._mean_abs2(_cgauss(rng, min(TRIAL_CHUNK, trials - lo), n, power))
-                for lo in range(0, trials, TRIAL_CHUNK)
-            ]
+def complex_stream_means(spec, trials, rng, random_phase):
+    """H1 (ON, OFF) mean powers of complex streams built sample by sample:
+    CN(0, p) draws plus each chirp's waveform (at an independent uniform
+    phase per trial and chirp with `random_phase`), then the mean of |x|²."""
+    chirp_et, chirp_rfi = default_chirps(spec)
+    n, g = spec.n_samples, spec.gain
+    wide_rfi = spec.rfi_power if spec.rfi_kind is RfiKind.WIDEBAND else 0.0
+    wide_et = spec.et_power if spec.et_kind is EtKind.WIDEBAND else 0.0
+    powers = (spec.noise_power + g * wide_rfi + wide_et, spec.noise_power + wide_rfi)
+    on_est, off_est = [], []
+    for lo in range(0, trials, TRIAL_CHUNK):
+        m = min(TRIAL_CHUNK, trials - lo)
+        on, off = (
+            np.sqrt(p / 2) * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
+            for p in powers
         )
-        assert gamma.shape == streams.shape == (trials,)
+
+        def wave(chirp):
+            phase = np.exp(2j * np.pi * rng.random((m, 1))) if random_phase else 1.0
+            return chirp.waveform(n)[None, :] * phase
+
+        if spec.rfi_kind is RfiKind.NARROWBAND:
+            c = wave(chirp_rfi)
+            on += np.sqrt(g) * c
+            off += c
+        if spec.et_kind is EtKind.NARROWBAND:
+            on += wave(chirp_et)
+        on_est.append(np.mean(np.abs(on) ** 2, axis=1))
+        off_est.append(np.mean(np.abs(off) ** 2, axis=1))
+    return np.concatenate(on_est), np.concatenate(off_est)
+
+
+class TestMeanPowerDraw:
+    @pytest.mark.parametrize("random_phase", [False, True], ids=["fixed", "random-phase"])
+    # the default chirps' cross sum is real at N = 1, has a real part at
+    # N = 3 and is imaginary at N = 5, where only random phases expose it
+    @pytest.mark.parametrize("n", [1, 3, 5, 256])
+    @pytest.mark.parametrize(
+        "spec",
+        [WIDEBAND_PAIR, NARROW_RFI_WIDE_ET, NARROWBAND_PAIR],
+        ids=["chirp-free", "interference-chirp", "both-chirps"],
+    )
+    def test_draws_match_complex_stream_means(self, spec, n, random_phase):
+        # one noncentral χ² variate per pointing has the law of the mean of
+        # |x|² over the complex stream, cross term of the two chirps included
+        trials = 40_000
+        spec = dataclasses.replace(spec, n_samples=n)
+        on, off = run_paired_estimates(
+            spec, "H1", trials, SEED + 11, random_phase=random_phase
+        )
+        ref_on, ref_off = complex_stream_means(
+            spec, trials, np.random.default_rng(SEED + 12), random_phase
+        )
         # asymptotic critical value of the two-sample test at level 1e-6
         critical = np.sqrt(-np.log(1e-6 / 2) / 2) * np.sqrt(2 / trials)
-        assert stats.ks_2samp(gamma, streams).statistic < critical
+        assert stats.ks_2samp(on, ref_on).statistic < critical
+        assert stats.ks_2samp(off, ref_off).statistic < critical
 
-    def test_wideband_synthesis_memory_does_not_grow_with_n(self):
-        spec = dataclasses.replace(WIDEBAND_PAIR, n_samples=65_536)
+    @pytest.mark.parametrize(
+        "spec, bound",
+        [(WIDEBAND_PAIR, 1e6), (NARROWBAND_PAIR, 6e6)],
+        ids=["wideband", "narrowband"],
+    )
+    def test_synthesis_memory_does_not_grow_with_n(self, spec, bound):
+        # no per-sample buffer: only the chirps' waveforms (1 MB each) and
+        # their temporaries are length N
+        spec = dataclasses.replace(spec, n_samples=65_536)
         tracemalloc.start()
         try:
-            on, off = run_paired_estimates(spec, "H1", 10, SEED)
+            on, off = run_paired_estimates(spec, "H1", 10, SEED, random_phase=True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert on.shape == off.shape == (10,)
-        assert peak < 1e6
+        assert peak < bound
 
 
 class TestMiscalibrationWall:
