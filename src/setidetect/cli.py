@@ -16,13 +16,14 @@ All outputs are plain CSV plus a ``manifest.json`` recording the resolved
 configuration, the seed, and a SHA-256 per written file; nothing in the
 output depends on wall clock or host, so identical inputs produce
 byte-identical files.  Sweep points are independent (per-point seeds are
-derived, not sequential), so the analytic curves of every sweep point and
-detector run concurrently, one thread per available CPU, and are collected
-in input order; Monte Carlo synthesis then runs point by point on its own
-pool, and each file is written in one shot.  Failures are reported as a
-serial run would meet them: a scenario without a sampling law before any
+derived, not sequential), so each (point, detector) pair is one task that
+computes everything written for it: its curve, its Monte Carlo draws,
+histograms and KS bounds.  The tasks run concurrently, one thread per
+available CPU, and are collected in input order; files are written only
+once every task has succeeded, each in one shot.  Failures are reported as
+a serial run would meet them: a scenario without a sampling law before any
 computation, then the first failing curve, histogram or KS bound in
-(point, detector) order.
+(point, detector) order, and a failed run writes no result file.
 
 Exit codes: 0 success, 2 configuration error (message anchored to the
 offending config line where possible), 3 numerical non-convergence (the
@@ -32,6 +33,7 @@ message names the law involved), 4 output I/O failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -59,7 +61,13 @@ from .scenario import (
     default_assumed_noise,
     detector_laws,
 )
-from .simulator import ChirpParams, detector_stat, run_paired_estimates, spectrogram
+from .simulator import (
+    ChirpParams,
+    _cgauss,
+    detector_stat,
+    run_paired_estimates,
+    spectrogram,
+)
 
 __all__ = [
     "ConfigError",
@@ -77,19 +85,7 @@ _KS_NODES = 2048
 
 _MODES = ("analytic", "monte_carlo", "both")
 _SWEEP_PARAMETERS = ("snr_db", "gain", "n_samples")
-_SCENARIO_KEYS = {
-    "rfi_kind",
-    "et_kind",
-    "noise_power",
-    "rfi_power",
-    "rfi_energy",
-    "et_power",
-    "et_energy",
-    "gain",
-    "n_samples",
-    "snr_db",
-    "inr_db",
-}
+_SCENARIO_KEYS = {f.name for f in dataclasses.fields(ScenarioSpec)} | {"snr_db", "inr_db"}
 _TOP_KEYS = {
     "scenario",
     "detectors",
@@ -510,21 +506,10 @@ def _empirical_curve(h0_stats: np.ndarray, h1_stats: np.ndarray, grid: int):
 
 
 def _config_as_mapping(config: ExperimentConfig, command: str) -> dict:
-    scenario = {
-        "rfi_kind": config.scenario.rfi_kind.value,
-        "et_kind": config.scenario.et_kind.value,
-        "noise_power": config.scenario.noise_power,
-        "rfi_power": config.scenario.rfi_power,
-        "rfi_energy": config.scenario.rfi_energy,
-        "et_power": config.scenario.et_power,
-        "et_energy": config.scenario.et_energy,
-        "gain": config.scenario.gain,
-        "n_samples": config.scenario.n_samples,
-    }
     mapping = {
         "command": command,
         "version": __version__,
-        "scenario": scenario,
+        "scenario": dataclasses.asdict(config.scenario),
         "detectors": [k.value for k in config.detectors],
         "mode": config.mode,
         "trials": config.trials,
@@ -565,9 +550,6 @@ def run_experiment(config: ExperimentConfig, *, ks_table: bool = False) -> list[
     config.output_dir.mkdir(parents=True, exist_ok=True)
     run_analytic = config.mode in ("analytic", "both")
     run_mc = config.mode in ("monte_carlo", "both")
-    files: list[Path] = []
-    summary_rows = []
-    ks_rows = []
 
     # every point's laws before any curve, so a scenario without one is a
     # configuration error whatever else would fail
@@ -586,99 +568,72 @@ def run_experiment(config: ExperimentConfig, *, ks_table: bool = False) -> list[
             where = "scenario" if config.sweeps is None else f"sweeps.values[{index}]"
             raise ConfigError(where, f"no sampling law for this scenario: {exc}")
 
-    def analytic_curve(task):
-        """(thresholds, pfa, pd, auc, pd at SUMMARY_PFA) of one point and
-        detector, or the ComputationError that stopped it."""
+    def point_detector(task):
+        """What one point and detector write, computed in serial order: the
+        curve (thresholds, pfa, pd, auc, pd at SUMMARY_PFA), then with Monte
+        Carlo one (hypothesis, bin edges, empirical and analytic densities,
+        KS bound or None) per hypothesis."""
         index, kind = task
+        tag, spec = points[index]
         h0, h1 = laws[index][kind]
-        try:
+        if run_analytic:
             with _named_computation(f"{kind.value} law", h0, h1):
-                curve = roc_curve(
-                    h0, h1, grid=config.pfa_grid, detector=kind, spec=points[index][1]
-                )
+                curve = roc_curve(h0, h1, grid=config.pfa_grid, detector=kind, spec=spec)
                 pd_ref = [
                     pd_pfa(h0, h1, curve.h0_map.threshold(pfa_ref))[0]
                     for pfa_ref in SUMMARY_PFA
                 ]
-        except ComputationError as exc:
-            # raised where the loop below reaches this curve, so the failure
-            # reported is the first one in serial order, histograms included
-            return exc
-        return curve.thresholds, curve.pfa, curve.pd, curve.auc, pd_ref
-
-    curves = {}
-    if run_analytic:
-        tasks = [(i, kind) for i in range(len(points)) for kind in config.detectors]
-        curves = dict(zip(tasks, ordered_map(analytic_curve, tasks)))
-
-    for index, (tag, spec) in enumerate(points):
-        ident = (spec.scenario_id, spec.gain, _snr_db(spec), spec.n_samples)
-        mc_stats = {}
-        if run_mc:
-            for h_index, hyp in enumerate((Hypothesis.H0, Hypothesis.H1)):
-                on, off = run_paired_estimates(
-                    spec, hyp, config.trials, _point_seed(config.seed, index, h_index)
-                )
-                # sorted once: quantiles, counts and histograms ignore order
-                for kind in config.detectors:
-                    mc_stats[kind, hyp] = np.sort(
-                        detector_stat(kind, on, off, assumed_noise=assumed[index])
-                    )
-
-        for kind in config.detectors:
-            h0, h1 = laws[index][kind]
-            if run_analytic:
-                outcome = curves[index, kind]
-                if isinstance(outcome, ComputationError):
-                    raise outcome
-                thresholds, pfa, pd, auc, pd_ref = outcome
-            if run_mc and not all(np.all(np.isfinite(mc_stats[kind, h])) for h in Hypothesis):
-                raise ComputationError(
-                    f"{kind.value} Monte Carlo statistics at {tag} leave the float range"
-                )
-            if not run_analytic:
-                h0_stats = mc_stats[kind, Hypothesis.H0]
-                h1_stats = mc_stats[kind, Hypothesis.H1]
-                thresholds, pfa, pd, auc = _empirical_curve(
-                    h0_stats, h1_stats, config.pfa_grid
-                )
-                pd_ref = []
-                for pfa_ref in SUMMARY_PFA:
-                    t_ref = float(np.quantile(h0_stats, 1.0 - pfa_ref))
-                    pd_ref.append(float(np.mean(h1_stats > t_ref)))
-
-            roc_path = config.output_dir / f"roc_{kind.value}_{tag}.csv"
-            _write_csv(
-                roc_path, ROC_COLUMNS, (thresholds, pfa, pd), (kind.value, *ident)
+            result = (curve.thresholds, curve.pfa, curve.pd, curve.auc, pd_ref)
+        if not run_mc:
+            return result, []
+        mc_stats = []
+        for h_index, hyp in enumerate(Hypothesis):
+            on, off = run_paired_estimates(
+                spec, hyp, config.trials, _point_seed(config.seed, index, h_index)
             )
-            files.append(roc_path)
-            summary_rows.append((kind.value, *ident, auc, *pd_ref))
+            stats = detector_stat(kind, on, off, assumed_noise=assumed[index])
+            # sorted once: quantiles, counts and histograms ignore order
+            mc_stats.append(np.sort(stats))
+        if not all(np.all(np.isfinite(stats)) for stats in mc_stats):
+            raise ComputationError(
+                f"{kind.value} Monte Carlo statistics at {tag} leave the float range"
+            )
+        if not run_analytic:
+            h0_stats, h1_stats = mc_stats
+            pd_ref = []
+            for pfa_ref in SUMMARY_PFA:
+                t_ref = float(np.quantile(h0_stats, 1.0 - pfa_ref))
+                pd_ref.append(float(np.mean(h1_stats > t_ref)))
+            result = (*_empirical_curve(h0_stats, h1_stats, config.pfa_grid), pd_ref)
+        hists = []
+        for hyp, stats, law in zip(Hypothesis, mc_stats, (h0, h1)):
+            counts, edges = np.histogram(stats, bins=_HIST_BINS)
+            empirical = counts / (stats.size * np.diff(edges))
+            mids = 0.5 * (edges[:-1] + edges[1:])
+            with _named_computation(f"{kind.value} law", h0, h1):
+                analytic = np.atleast_1d(np.asarray(law.pdf(mids), dtype=float))
+                bound = _ks_bound(stats, law) if ks_table else None
+            hists.append((hyp, edges, empirical, analytic, bound))
+        return result, hists
 
-            if run_mc:
-                for hyp in (Hypothesis.H0, Hypothesis.H1):
-                    stats = mc_stats[kind, hyp]
-                    law = h0 if hyp is Hypothesis.H0 else h1
-                    counts, edges = np.histogram(stats, bins=_HIST_BINS)
-                    widths = np.diff(edges)
-                    empirical = counts / (stats.size * widths)
-                    mids = 0.5 * (edges[:-1] + edges[1:])
-                    with _named_computation(f"{kind.value} law", h0, h1):
-                        analytic = np.atleast_1d(np.asarray(law.pdf(mids), dtype=float))
-                    hist_path = (
-                        config.output_dir / f"hist_{kind.value}_{hyp.value}_{tag}.csv"
-                    )
-                    _write_csv(
-                        hist_path,
-                        HIST_COLUMNS,
-                        (edges[:-1], edges[1:], empirical, analytic),
-                    )
-                    files.append(hist_path)
-                    if ks_table:
-                        with _named_computation(f"{kind.value} law", h0, h1):
-                            bound = _ks_bound(stats, law)
-                        ks_rows.append(
-                            (kind.value, hyp.value, *ident, stats.size, bound)
-                        )
+    files: list[Path] = []
+    summary_rows = []
+    ks_rows = []
+    tasks = [(i, kind) for i in range(len(points)) for kind in config.detectors]
+    for (index, kind), (curve, hists) in zip(tasks, ordered_map(point_detector, tasks)):
+        tag, spec = points[index]
+        ident = (spec.scenario_id, spec.gain, _snr_db(spec), spec.n_samples)
+        thresholds, pfa, pd, auc, pd_ref = curve
+        roc_path = config.output_dir / f"roc_{kind.value}_{tag}.csv"
+        _write_csv(roc_path, ROC_COLUMNS, (thresholds, pfa, pd), (kind.value, *ident))
+        files.append(roc_path)
+        summary_rows.append((kind.value, *ident, auc, *pd_ref))
+        for hyp, edges, empirical, analytic, bound in hists:
+            hist_path = config.output_dir / f"hist_{kind.value}_{hyp.value}_{tag}.csv"
+            _write_csv(hist_path, HIST_COLUMNS, (edges[:-1], edges[1:], empirical, analytic))
+            files.append(hist_path)
+            if ks_table:
+                ks_rows.append((kind.value, hyp.value, *ident, config.trials, bound))
 
     summary_path = config.output_dir / "summary.csv"
     _write_csv(summary_path, SUMMARY_COLUMNS, zip(*summary_rows))
@@ -715,9 +670,7 @@ def emit_spectrogram_demo(
         raise ValueError("n_samples must cover at least one frame")
     stream = chirp.waveform(n_samples)
     if noise_power > 0:
-        rng = np.random.default_rng(seed)
-        noise = rng.standard_normal(2 * n_samples).view(np.complex128)
-        stream = stream + np.sqrt(noise_power / 2.0) * noise
+        stream = stream + _cgauss(np.random.default_rng(seed), n_samples, noise_power)
     frames = spectrogram(stream, fft_len, hop)
     path = Path(path)
     with open(path, "w", newline="\n") as handle:

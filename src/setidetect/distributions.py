@@ -663,12 +663,12 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> 
     return xcur
 
 
-def law_quantile(law, p, tol: float = QUANTILE_TOL):
-    """Value t with |cdf(t) − p| ≤ tol, by bracket expansion plus Brent root
+def law_quantile(law, p):
+    """Value t with |cdf(t) − p| ≤ QUANTILE_TOL, by bracket expansion plus Brent root
     finding (_brentq, whose roots are bit-identical to scipy.optimize.brentq's).
 
     Raises ComputationError when the law's spread leaves the float range, the
-    bracket does not close, or the root misses tol (on positive support,
+    bracket does not close, or the root misses QUANTILE_TOL (on positive support,
     also when it misses QUANTILE_RTOL·p).
     """
     p = float(p)
@@ -716,9 +716,10 @@ def law_quantile(law, p, tol: float = QUANTILE_TOL):
                 f"{QUANTILE_RTOL:.1e}",
                 achieved=err / p,
             )
-    if err > tol:
+    if err > QUANTILE_TOL:
         raise ComputationError(
-            f"quantile inversion achieved |cdf−p| = {err:.2e} > {tol:.1e}", achieved=err
+            f"quantile inversion achieved |cdf−p| = {err:.2e} > {QUANTILE_TOL:.1e}",
+            achieved=err,
         )
     return float(root)
 

@@ -22,12 +22,11 @@ interference–signal cross term is the only thing the waveforms add, and
 
 Trials are chunked: trial i belongs to chunk i // TRIAL_CHUNK, and chunk c
 draws from its own generator spawned from the seed, so results are fully
-determined by (seed, spec, hypothesis) and independent of scheduling or the
-requested trial count (a shorter run is a prefix of a longer one).  Chunks
-are synthesized concurrently on a thread pool, one thread per available
-CPU (NumPy's generators and ufuncs release the GIL); each writes only its
-own slice of the estimates, so the output is also independent of the
-number of workers and of how the trial count splits into chunks.
+determined by (seed, spec, hypothesis) and independent of the requested
+trial count (a shorter run is a prefix of a longer one).  Chunks are
+drawn one after another on the calling thread: one variate per pointing
+and trial costs too little to pay for threads, and callers that run many
+points side by side (the CLI) keep their own pool unnested.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from enum import Enum
 
 import numpy as np
 
-from ._pool import ordered_map
 from .distributions import _as_generator
 from .scenario import (
     DetectorKind,
@@ -312,22 +310,18 @@ def run_paired_estimates(
     _check_chirps(spec, chirp_et, chirp_rfi)
 
     n_chunks = (trials + TRIAL_CHUNK - 1) // TRIAL_CHUNK
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
     on_est = np.empty(trials)
     off_est = np.empty(trials)
-
-    def chunk(c: int) -> None:
+    for c, child in enumerate(np.random.SeedSequence(seed).spawn(n_chunks)):
         lo = c * TRIAL_CHUNK
         m = min(TRIAL_CHUNK, trials - lo)
-        rng = np.random.default_rng(children[c])
+        rng = np.random.default_rng(child)
         # always synthesize the full chunk so shorter runs are prefixes
         on, off = _synth_pair(
             spec, hyp, TRIAL_CHUNK, rng, chirp_et, chirp_rfi, random_phase
         )
         on_est[lo : lo + m] = on[:m]
         off_est[lo : lo + m] = off[:m]
-
-    ordered_map(chunk, range(n_chunks))
     return on_est, off_est
 
 

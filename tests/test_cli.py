@@ -789,6 +789,10 @@ SINGLE_SAMPLE = {
 POOL_CASES = {
     "roc-analytic": ("roc", NARROWBAND_SWEEP),
     "roc-both": ("roc", dict(NARROWBAND_SWEEP, mode="both", trials=1000)),
+    "mc-validate-monte-carlo": (
+        "mc-validate",
+        dict(NARROWBAND_SWEEP, mode="monte_carlo", trials=1000),
+    ),
     "compare-ladder": ("compare", GAIN_LADDER),
     "compare-single-sample": ("compare", SINGLE_SAMPLE),
 }
@@ -934,6 +938,43 @@ class TestPoolFailures:
         code = main(["roc", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 3
         assert "energy law failed: density failed" in capsys.readouterr().err
+
+    def test_earlier_density_failure_beats_faster_later_one(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the first point's density fails after a delay, the second's at
+        # once, while both points run side by side
+        class SlowDensityLaw(ScaledGamma):
+            def pdf(self, t):
+                time.sleep(0.3)
+                raise ComputationError("slow density failed", achieved=1.0)
+
+        class FastDensityLaw(ScaledGamma):
+            def pdf(self, t):
+                raise ComputationError("fast density failed", achieved=1.0)
+
+        real_laws = setidetect.cli.detector_laws
+
+        def laws(spec, kind, assumed_noise=None):
+            h0, h1 = real_laws(spec, kind, assumed_noise)
+            failing = SlowDensityLaw if spec.gain == 0.8 else FastDensityLaw
+            return failing(h0.shape, h0.scale), h1
+
+        monkeypatch.setattr(setidetect.cli, "detector_laws", laws)
+        monkeypatch.setattr(_pool, "worker_count", lambda: 2)
+        doc = base_config(
+            detectors=["energy"],
+            mode="monte_carlo",
+            trials=1000,
+            sweeps={"parameter": "gain", "values": [0.8, 0.9]},
+        )
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        before = threading.active_count()
+        code = main(["mc-validate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert threading.active_count() == before
+        assert code == 3
+        assert "energy law failed: slow density failed" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("*.csv"))
 
     def test_missing_law_is_reported_before_any_curve(
         self, tmp_path, capsys, monkeypatch

@@ -1,4 +1,4 @@
-"""Tests for the ordered worker pool shared by the curves and the simulator."""
+"""Tests for the ordered worker pool behind the CLI's per-point tasks."""
 
 import threading
 import time

@@ -2,7 +2,6 @@
 
 import dataclasses
 import itertools
-import sys
 import threading
 import tracemalloc
 
@@ -29,7 +28,7 @@ from setidetect import (
     spectrogram,
     synth_stream,
 )
-from setidetect import _pool, simulator
+from setidetect import simulator
 from setidetect.cli import _ks_bound
 from setidetect.simulator import TRIAL_CHUNK, default_chirps
 
@@ -422,8 +421,7 @@ NARROW_RFI_WIDE_ET = ScenarioSpec(
 )
 
 
-class TestConcurrentChunks:
-    @pytest.mark.parametrize("workers", [1, 2, 3])
+class TestChunks:
     @pytest.mark.parametrize("hyp", ["H0", "H1"])
     @pytest.mark.parametrize(
         "spec, random_phase",
@@ -442,11 +440,8 @@ class TestConcurrentChunks:
             "narrowband-rfi-wideband-et",
         ],
     )
-    def test_bit_identical_to_sequential_reference(
-        self, monkeypatch, spec, random_phase, hyp, workers
-    ):
+    def test_bit_identical_to_sequential_reference(self, spec, random_phase, hyp):
         trials = 2 * TRIAL_CHUNK + 17
-        monkeypatch.setattr(_pool, "worker_count", lambda: workers)
         on, off = run_paired_estimates(
             spec, hyp, trials, SEED, random_phase=random_phase
         )
@@ -454,21 +449,7 @@ class TestConcurrentChunks:
         assert on.tobytes() == ref_on.tobytes()
         assert off.tobytes() == ref_off.tobytes()
 
-    def test_more_workers_than_cores_with_fast_thread_switching(self, monkeypatch):
-        trials = 8 * TRIAL_CHUNK + 5
-        spec = WIDEBAND_PAIR
-        monkeypatch.setattr(_pool, "worker_count", lambda: 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            on, off = run_paired_estimates(spec, "H1", trials, SEED + 9)
-        finally:
-            sys.setswitchinterval(interval)
-        ref_on, ref_off = sequential_estimates(spec, "H1", trials, SEED + 9, False)
-        assert on.tobytes() == ref_on.tobytes()
-        assert off.tobytes() == ref_off.tobytes()
-
-    def test_worker_failure_propagates_and_pool_shuts_down(self, monkeypatch):
+    def test_chunk_failure_propagates(self, monkeypatch):
         calls = itertools.count(1)
         failure = RuntimeError("third chunk failed")
         synth = simulator._synth_pair
@@ -479,12 +460,19 @@ class TestConcurrentChunks:
             return synth(*args, **kwargs)
 
         monkeypatch.setattr(simulator, "_synth_pair", failing_third)
-        monkeypatch.setattr(_pool, "worker_count", lambda: 3)
-        before = threading.active_count()
         with pytest.raises(RuntimeError) as info:
             run_paired_estimates(gaussian_only(n_samples=8), "H0", 6 * TRIAL_CHUNK, SEED)
         assert info.value is failure
-        assert threading.active_count() == before
+
+    def test_starts_no_thread(self, monkeypatch):
+        # chunks run on the calling thread, so a caller's own pool of
+        # workers is never nested inside another
+        def refuse(thread):
+            raise AssertionError(f"started {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        on, off = run_paired_estimates(NARROWBAND_PAIR, "H1", 3 * TRIAL_CHUNK, SEED)
+        assert on.size == off.size == 3 * TRIAL_CHUNK
 
 
 class TestNoncentralPowerDraw:
