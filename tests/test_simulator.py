@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import sys
 import threading
 import tracemalloc
 
@@ -28,7 +29,7 @@ from setidetect import (
     spectrogram,
     synth_stream,
 )
-from setidetect import simulator
+from setidetect import _pool, simulator
 from setidetect.cli import _ks_bound
 from setidetect.simulator import TRIAL_CHUNK, default_chirps
 
@@ -421,7 +422,17 @@ NARROW_RFI_WIDE_ET = ScenarioSpec(
 )
 
 
-class TestChunks:
+class TestConcurrentChunks:
+    """`run_paired_estimates` called from the CLI's worker pool, as each
+    (point, detector) task does: concurrent calls must not disturb each
+    other's draws."""
+
+    @staticmethod
+    def concurrent(monkeypatch, workers, fn, n_tasks):
+        monkeypatch.setattr(_pool, "worker_count", lambda: workers)
+        return _pool.ordered_map(fn, range(n_tasks))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("hyp", ["H0", "H1"])
     @pytest.mark.parametrize(
         "spec, random_phase",
@@ -440,16 +451,45 @@ class TestChunks:
             "narrowband-rfi-wideband-et",
         ],
     )
-    def test_bit_identical_to_sequential_reference(self, spec, random_phase, hyp):
+    def test_bit_identical_to_sequential_reference(
+        self, monkeypatch, spec, random_phase, hyp, workers
+    ):
         trials = 2 * TRIAL_CHUNK + 17
-        on, off = run_paired_estimates(
-            spec, hyp, trials, SEED, random_phase=random_phase
+        results = self.concurrent(
+            monkeypatch,
+            workers,
+            lambda i: run_paired_estimates(
+                spec, hyp, trials, SEED + i, random_phase=random_phase
+            ),
+            workers,
         )
-        ref_on, ref_off = sequential_estimates(spec, hyp, trials, SEED, random_phase)
-        assert on.tobytes() == ref_on.tobytes()
-        assert off.tobytes() == ref_off.tobytes()
+        for i, (on, off) in enumerate(results):
+            ref_on, ref_off = sequential_estimates(
+                spec, hyp, trials, SEED + i, random_phase
+            )
+            assert on.tobytes() == ref_on.tobytes()
+            assert off.tobytes() == ref_off.tobytes()
 
-    def test_chunk_failure_propagates(self, monkeypatch):
+    def test_more_workers_than_cores_with_fast_thread_switching(self, monkeypatch):
+        trials = 2 * TRIAL_CHUNK + 5
+        spec = WIDEBAND_PAIR
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = self.concurrent(
+                monkeypatch,
+                8,
+                lambda i: run_paired_estimates(spec, "H1", trials, SEED + 9 + i),
+                8,
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        for i, (on, off) in enumerate(results):
+            ref_on, ref_off = sequential_estimates(spec, "H1", trials, SEED + 9 + i, False)
+            assert on.tobytes() == ref_on.tobytes()
+            assert off.tobytes() == ref_off.tobytes()
+
+    def test_worker_failure_propagates_and_pool_shuts_down(self, monkeypatch):
         calls = itertools.count(1)
         failure = RuntimeError("third chunk failed")
         synth = simulator._synth_pair
@@ -460,9 +500,18 @@ class TestChunks:
             return synth(*args, **kwargs)
 
         monkeypatch.setattr(simulator, "_synth_pair", failing_third)
+        before = threading.active_count()
         with pytest.raises(RuntimeError) as info:
-            run_paired_estimates(gaussian_only(n_samples=8), "H0", 6 * TRIAL_CHUNK, SEED)
+            self.concurrent(
+                monkeypatch,
+                3,
+                lambda i: run_paired_estimates(
+                    gaussian_only(n_samples=8), "H0", 2 * TRIAL_CHUNK, SEED + i
+                ),
+                3,
+            )
         assert info.value is failure
+        assert threading.active_count() == before
 
     def test_starts_no_thread(self, monkeypatch):
         # chunks run on the calling thread, so a caller's own pool of
