@@ -49,6 +49,7 @@ from .distributions import ComputationError, Law
 from .roc import (
     DEFAULT_GRID,
     _closed_curve,
+    _NoLaw,
     _named_computation,
     compare_detectors,
     pd_pfa,
@@ -711,15 +712,13 @@ def _run_spectrogram_verb(config: ExperimentConfig) -> list[Path]:
 
 def _run_compare_verb(config: ExperimentConfig) -> list[Path]:
     gains = config.gains if config.gains is not None else [0.8, 0.9, 1.0, 1.1, 1.25]
-    # every gain's laws before any curve, the gain-1 baseline's first
-    for where, gain in [("scenario", 1.0), *((f"gains[{i}]", g) for i, g in enumerate(gains))]:
-        try:
-            for kind in config.detectors:
-                detector_laws(config.scenario.with_gain(gain), kind)
-        except ValueError as exc:
-            raise ConfigError(where, f"no sampling law for this scenario: {exc}")
+    try:
+        rows = compare_detectors(config.scenario, gains, detectors=config.detectors)
+    except _NoLaw as exc:
+        # the gain-1 baseline is the scenario's own
+        where = "scenario" if exc.gain == 1.0 else f"gains[{gains.index(exc.gain)}]"
+        raise ConfigError(where, f"no sampling law for this scenario: {exc}")
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    rows = compare_detectors(config.scenario, gains, detectors=config.detectors)
     table = []
     for row in rows:
         spec = row.spec

@@ -13,7 +13,10 @@ evaluation order; importing scipy.interpolate would load scipy.linalg and
 scipy.sparse, a large part of every CLI start-up.  The AUC is not taken from
 those points: it is P(S₁ > S₀) = ∫ SF₁(t)·f₀(t) dt (Hanley & McNeil, 1982),
 one Gauss–Legendre integral over H0's mass, in log t for positive
-statistics.
+statistics.  The map and the integral share their ends, which one vectorized
+H0 cdf sweep places: the outermost sweep points inside H0's tails of mass
+1/16385, with the exact mass beyond each; a scalar Brent solve places an end
+only where the sweep has no such point.
 """
 
 from __future__ import annotations
@@ -43,8 +46,13 @@ DEFAULT_GRID = 1024
 #: |AUC| error targeted by the AUC integral: two successive rule sizes must
 #: agree this closely, and the accepted rule must integrate f₀ to 1 as closely.
 AUC_TOL = 1e-9
-# The H0 quantile map spans quantile orders [_MAP_P_EDGE, 1 − _MAP_P_EDGE].
+# The H0 quantile map and the AUC's core panels reach at least H0's quantiles
+# of orders _MAP_P_EDGE and 1 − _MAP_P_EDGE.
 _MAP_P_EDGE = 1.0 / 16385
+# The ends are placed by one cdf sweep of this many points over ±_ENDS_SPREADS
+# spreads around the law's centre (its bracket seeds lie 4 spreads out).
+_ENDS_POINTS = 65
+_ENDS_SPREADS = 8.0
 # Exact cdf knots of the map, evenly spaced in the law's variable.
 _MAP_KNOTS = 128
 # Normal-score span of a knot interval above which it is bisected.
@@ -53,17 +61,63 @@ _MAP_Z_GAP = 0.125
 _MAP_ROUNDS = 40
 # The AUC integral leaves at most this much H0 mass outside each end.
 _AUC_TAIL = 1e-13
-# Equal panels across the map's range.
+# Equal panels between the ends.
 _AUC_CORE_PANELS = 4
-# Tail panels beyond each end of the map's range, doubling in width, at most.
+# Tail panels beyond each end, doubling in width, at most.
 _AUC_TAIL_PANELS = 8
 # Gauss–Legendre nodes per panel, tried in turn.
 _AUC_RULE_SIZES = (8, 12, 16, 24, 32, 48, 64)
 
 
+def _positive(law: Law) -> bool:
+    return getattr(law, "support_lo", -np.inf) >= 0.0
+
+
+def _ends(h0: Law) -> tuple[float, float, float, float]:
+    """(t_lo, t_hi, cdf(t_lo), 1 − cdf(t_hi)): the ends of H0's quantile map
+    and of the AUC's core panels, with the H0 mass beyond each.
+
+    One cdf call places both: _ENDS_POINTS points over ±_ENDS_SPREADS spreads
+    around the centre of the law's bracket seeds, log-spaced around their
+    geometric centre for positive laws (a low seed clamped at 0 is taken as
+    _MAP_P_EDGE times the high one) and evenly spaced around their mean
+    otherwise.  t_lo is the last point with 0 < cdf ≤ _MAP_P_EDGE, t_hi the
+    first with 0 < 1 − cdf ≤ _MAP_P_EDGE; points beyond the float range are
+    dropped, and an end with no such point is law_quantile's root of order
+    _MAP_P_EDGE (1 − _MAP_P_EDGE).
+    """
+    lo, hi = (float(v) for v in h0._bracket_seeds())
+    sweep = np.linspace(-1.0, 1.0, _ENDS_POINTS) * (_ENDS_SPREADS / 4.0)
+    # huge or infinite seeds make inf or NaN points, which are dropped
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if _positive(h0):
+            lo = lo if lo > 0.0 else hi * _MAP_P_EDGE
+            x = np.log([lo, hi])
+            t = np.exp(x.mean() + 0.5 * (x[1] - x[0]) * sweep)
+        else:
+            t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * sweep
+    t = t[np.isfinite(t)]
+    cdf = np.asarray(h0.cdf(t), dtype=float) if t.size else t
+    sf = 1.0 - cdf
+    below = np.flatnonzero((cdf > 0.0) & (cdf <= _MAP_P_EDGE))
+    above = np.flatnonzero((sf > 0.0) & (sf <= _MAP_P_EDGE))
+    if below.size:
+        t_lo, m_lo = t[below[-1]], cdf[below[-1]]
+    else:
+        t_lo = law_quantile(h0, _MAP_P_EDGE)
+        m_lo = float(h0.cdf(t_lo))
+    if above.size:
+        t_hi, m_hi = t[above[0]], sf[above[0]]
+    else:
+        t_hi = law_quantile(h0, 1.0 - _MAP_P_EDGE)
+        m_hi = 1.0 - float(h0.cdf(t_hi))
+    return float(t_lo), float(t_hi), float(m_lo), float(m_hi)
+
+
 class _H0Map:
-    """Increasing p → threshold map of an H0 law between its quantiles of
-    order _MAP_P_EDGE and 1 − _MAP_P_EDGE.
+    """Increasing p → threshold map of an H0 law across the ends that _ends
+    places, at or beyond its quantiles of order _MAP_P_EDGE and
+    1 − _MAP_P_EDGE.
 
     In the law's own variable x (log t for positive laws, t otherwise, as in
     _auc) against the normal score z = Φ⁻¹(p) the map is nearly linear, so
@@ -77,13 +131,12 @@ class _H0Map:
 
     def __init__(self, h0: Law):
         self.law = h0
-        self.t_lo = law_quantile(h0, _MAP_P_EDGE)
-        self.t_hi = law_quantile(h0, 1.0 - _MAP_P_EDGE)
-        positive = getattr(h0, "support_lo", -np.inf) >= 0.0
+        self.ends = _ends(h0)
+        t_lo, t_hi = self.ends[:2]
+        positive = _positive(h0)
         self._to_t = np.exp if positive else np.asarray
-        ends = [self.t_lo, self.t_hi]
-        x = np.linspace(*(np.log(ends) if positive else ends), _MAP_KNOTS)
-        kink = not positive and self.t_lo < 0.0 < self.t_hi
+        x = np.linspace(*(np.log([t_lo, t_hi]) if positive else [t_lo, t_hi]), _MAP_KNOTS)
+        kink = not positive and t_lo < 0.0 < t_hi
         if kink:
             x = np.union1d(x, [0.0])
         p = np.asarray(h0.cdf(self._to_t(x)))
@@ -267,36 +320,39 @@ def _closed_curve(ts, pfa, pd):
     return thresholds, pfa, pd
 
 
-def _auc(h0: Law, h1: Law, t_lo: float, t_hi: float) -> float:
-    """P(S₁ > S₀) = ∫ SF₁(t)·f₀(t) dt over H0's mass, given H0's quantiles
-    t_lo and t_hi of order _MAP_P_EDGE and 1 − _MAP_P_EDGE.
+def _auc(h0: Law, h1: Law, ends: tuple[float, float, float, float]) -> float:
+    """P(S₁ > S₀) = ∫ SF₁(t)·f₀(t) dt over H0's mass, given the ends
+    (t_lo, t_hi, cdf(t_lo), 1 − cdf(t_hi)) that _ends places.
 
     The variable is x = log t for positive laws (their heavy upper tails
     decay exponentially in x) and x = t otherwise, with a panel edge at 0,
     where small-N differences have a kink.  _AUC_CORE_PANELS equal panels
-    cover the map's range [t_lo, t_hi]; beyond each end, panels doubling in
-    width from the tail's local decay length (tail mass over density at the
-    end, exact for an exponential tail) reach out to where H0 leaves at most
+    cover [t_lo, t_hi]; beyond each end, panels doubling in width from the
+    tail's local decay length (the mass beyond the end over the density at
+    it, exact for an exponential tail) reach out to where H0 leaves at most
     _AUC_TAIL.
     The first pair of rule sizes whose results agree within AUC_TOL decides,
     and the larger rule must also integrate f₀ to 1 within AUC_TOL: two
     rules can agree on a value that both miss.
     """
-    positive = getattr(h0, "support_lo", -np.inf) >= 0.0
+    positive = _positive(h0)
     to_t = np.exp if positive else np.asarray
-    ends = np.array([t_lo, t_hi])
+    masses = np.array(ends[2:])
+    ends = np.array(ends[:2])
     density = np.asarray(h0.pdf(ends)) * (ends if positive else 1.0)
     a, b = np.log(ends) if positive else ends
-    decay = np.minimum(_MAP_P_EDGE / density, b - a)
+    # a density that underflowed to 0 gives the widest panels, the core's width
+    with np.errstate(divide="ignore"):
+        decay = np.minimum(masses / density, b - a)
     reach = 2.0 ** np.arange(1, _AUC_TAIL_PANELS + 1) - 1.0
     below, above = a - decay[0] * reach, b + decay[1] * reach
     # tail panels end where the float range does
     with np.errstate(over="ignore"):
         below = below[np.isfinite(to_t(below))]
         above = above[np.isfinite(to_t(above))]
-    # masses beyond each map end, then beyond each tail panel
-    cdf_below = np.r_[_MAP_P_EDGE, h0.cdf(to_t(below))]
-    sf_above = np.r_[_MAP_P_EDGE, 1.0 - np.asarray(h0.cdf(to_t(above)))]
+    # masses beyond each end, then beyond each tail panel
+    cdf_below = np.r_[masses[0], h0.cdf(to_t(below))]
+    sf_above = np.r_[masses[1], 1.0 - np.asarray(h0.cdf(to_t(above)))]
     tail = max(cdf_below[-1], sf_above[-1])
     if tail > _AUC_TAIL:
         raise ComputationError(
@@ -349,7 +405,7 @@ def _auc(h0: Law, h1: Law, t_lo: float, t_hi: float) -> float:
 def auc(h0: Law, h1: Law) -> float:
     """P(S₁ > S₀), accurate to AUC_TOL: the AUC of roc_curve(h0, h1), bit
     for bit, without building the curve or its H0 quantile map."""
-    return _auc(h0, h1, law_quantile(h0, _MAP_P_EDGE), law_quantile(h0, 1.0 - _MAP_P_EDGE))
+    return _auc(h0, h1, _ends(h0))
 
 
 def roc_curve(
@@ -385,7 +441,7 @@ def roc_curve(
         thresholds=thresholds,
         pfa=pfa,
         pd=pd,
-        auc=_auc(h0, h1, h0_map.t_lo, h0_map.t_hi),
+        auc=_auc(h0, h1, h0_map.ends),
         detector=detector,
         spec=spec,
         h0_map=h0_map,
@@ -414,6 +470,14 @@ class DetectorComparison:
     spec: ScenarioSpec = field(repr=False)  # the scenario at this gain
 
 
+class _NoLaw(ValueError):
+    """The scenario has no sampling law at `gain` (the law's ValueError)."""
+
+    def __init__(self, gain: float, exc: ValueError):
+        super().__init__(str(exc))
+        self.gain = gain
+
+
 def compare_detectors(
     spec: ScenarioSpec,
     gains: Sequence[float],
@@ -425,25 +489,29 @@ def compare_detectors(
     For every requested gain and detector the scenario is re-solved with the
     interference gain overridden, and the AUC difference to the same
     detector at gain 1 is reported (the baseline is computed even when 1 is
-    not in `gains`).  One AUC is computed per distinct (gain, detector), the
-    AUCs concurrently, and no ROC curve is built; a failure names the first
-    failing AUC in the order baselines, then `gains` as given.
+    not in `gains`).  Every distinct (gain, detector)'s laws are built once,
+    before any AUC; then one AUC is computed per pair, the AUCs
+    concurrently, and no ROC curve is built.  A failure names the first
+    failing law or AUC in the order baselines, then `gains` as given.
     """
     gains = [float(g) for g in gains]
     if not gains:
         raise ValueError("gains must be non-empty")
     detectors = [DetectorKind(d) for d in detectors]
+    laws = {}
+    for g in dict.fromkeys([1.0, *gains]):
+        for kind in detectors:
+            try:
+                laws[g, kind] = detector_laws(spec.with_gain(g), kind, assumed_noise)
+            except ValueError as exc:
+                raise _NoLaw(g, exc) from exc
 
-    def auc_at(task: tuple[float, DetectorKind]) -> float:
-        g, kind = task
-        h0, h1 = detector_laws(spec.with_gain(g), kind, assumed_noise)
+    def auc_at(task) -> float:
+        (g, kind), (h0, h1) = task
         with _named_computation(f"{kind.value} law at gain {g:g}", h0, h1):
             return auc(h0, h1)
 
-    tasks = [(1.0, kind) for kind in detectors] + [
-        (g, kind) for g in dict.fromkeys(gains) if g != 1.0 for kind in detectors
-    ]
-    aucs = dict(zip(tasks, ordered_map(auc_at, tasks)))
+    aucs = dict(zip(laws, ordered_map(auc_at, list(laws.items()))))
     return [
         DetectorComparison(
             detector=kind,

@@ -17,6 +17,7 @@ from setidetect import _pool
 from setidetect import (
     ChirpParams,
     ComputationError,
+    DetectorKind,
     ScaledGamma,
     default_assumed_noise,
     detector_laws,
@@ -536,6 +537,49 @@ class TestCompareVerb:
         rows = read_csv(out / "compare.csv")
         assert len(rows) == 10
         assert sorted({float(r["gain"]) for r in rows}) == [0.8, 0.9, 1.0, 1.1, 1.25]
+
+    def test_laws_are_built_once_per_gain_and_detector(self, tmp_path, capsys, monkeypatch):
+        built = []
+        for module in (setidetect.cli, setidetect.roc):
+            real = module.detector_laws
+
+            def counted(spec, kind, assumed_noise=None, real=real):
+                built.append((spec.gain, DetectorKind(kind)))
+                return real(spec, kind, assumed_noise)
+
+            monkeypatch.setattr(module, "detector_laws", counted)
+        cfg = write_json(tmp_path / "cfg.json", base_config(gains=[0.9, 1.0, 1.1, 0.9]))
+        code = main(["compare", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 0, capsys.readouterr().err
+        kinds = (DetectorKind.F_RATIO, DetectorKind.ON_OFF)
+        assert sorted(built) == sorted((g, k) for g in (0.9, 1.0, 1.1) for k in kinds)
+
+    @pytest.mark.parametrize(
+        "gains, lawless, where",
+        [
+            ([0.8, 1.0], {0.8, 1.0}, "scenario"),
+            ([0.9, 0.8, 0.7, 0.8], {0.8, 0.7}, "gains[1]"),
+        ],
+        ids=["baseline-first", "gains-in-order"],
+    )
+    def test_first_gain_without_a_law_is_named(
+        self, tmp_path, capsys, monkeypatch, gains, lawless, where
+    ):
+        real_laws = setidetect.roc.detector_laws
+
+        def laws(spec, kind, assumed_noise=None):
+            if spec.gain in lawless:
+                raise ValueError(f"no law at gain {spec.gain}")
+            return real_laws(spec, kind, assumed_noise)
+
+        monkeypatch.setattr(setidetect.roc, "detector_laws", laws)
+        cfg = write_json(tmp_path / "cfg.json", base_config(gains=gains))
+        code = main(["compare", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        gain = 1.0 if where == "scenario" else 0.8
+        expected = f"{where}: no sampling law for this scenario: no law at gain {gain}"
+        assert expected in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_single_sample_config_exits_zero(self, tmp_path, capsys):
         # N = 1 with strong interference: the on_off conditional integrand

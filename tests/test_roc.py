@@ -458,6 +458,117 @@ class TestAuc:
             h0, h1 = detector_laws(spec, kind)
             assert auc(h0, h1) == roc_curve(h0, h1, grid=64).auc
 
+    @pytest.mark.parametrize(
+        "spec, kinds",
+        [
+            (
+                wide_wide(et_power=0.1, gain=0.8, n_samples=1024, rfi_power=10.0),
+                ("f_ratio", "on_off"),
+            ),
+            (narrow_narrow(16), ("f_ratio", "on_off", "energy")),
+        ],
+        ids=["wide-N1024", "narrow-N16"],
+    )
+    def test_ends_cost_no_scalar_solves(self, monkeypatch, spec, kinds):
+        def no_solve(law, p):
+            raise AssertionError("the ends took a scalar quantile solve")
+
+        monkeypatch.setattr(roc_module, "law_quantile", no_solve)
+        for kind in kinds:
+            h0, h1 = detector_laws(spec, kind)
+            curve = roc_curve(h0, h1, grid=64)
+            assert auc(h0, h1) == curve.auc
+            assert 0.5 < curve.auc < 1.0
+
+
+def _quantile_orders(monkeypatch) -> list:
+    """Orders of the law_quantile calls roc makes from now on."""
+    orders = []
+    real = roc_module.law_quantile
+
+    def recorded(law, p):
+        orders.append(p)
+        return real(law, p)
+
+    monkeypatch.setattr(roc_module, "law_quantile", recorded)
+    return orders
+
+
+class TestEnds:
+    """roc._ends: the map's and the AUC's ends from one cdf sweep."""
+
+    edge = roc_module._MAP_P_EDGE
+
+    @pytest.mark.parametrize(
+        "law",
+        [
+            detector_laws(wide_wide(gain=0.9, n_samples=1024, rfi_power=10.0), "f_ratio")[0],
+            detector_laws(wide_wide(gain=0.9, n_samples=1024, rfi_power=10.0), "on_off")[0],
+            detector_laws(narrow_narrow(16), "f_ratio")[0],
+            detector_laws(narrow_narrow(16), "on_off")[0],
+            detector_laws(single_sample(1.0), "f_ratio")[0],
+            # components whose low bracket seed is clamped at 0
+            ScaledGamma(1.0, 1.0),
+            ScaledGamma(4.0, 0.25),
+            NoncentralChi2C(1.0, 1.0, 2.0),
+            NoncentralChi2C(3.0, 2.0, 0.5),
+        ],
+        ids=["f_ratio-wide-N1024", "on_off-wide-N1024", "f_ratio-narrow-N16",
+             "on_off-narrow-N16", "f_ratio-wide-N1", "gamma-1", "gamma-4",
+             "ncx2-1", "ncx2-3"],
+    )
+    def test_ends_leave_little_mass_beyond_the_edge_quantiles(self, monkeypatch, law):
+        q_lo, q_hi = law_quantile(law, self.edge), law_quantile(law, 1.0 - self.edge)
+        orders = _quantile_orders(monkeypatch)
+        t_lo, t_hi, m_lo, m_hi = roc_module._ends(law)
+        assert orders == []
+        assert 0.0 < m_lo <= self.edge and 0.0 < m_hi <= self.edge
+        assert m_lo == law.cdf(t_lo) and m_hi == 1.0 - law.cdf(t_hi)
+        assert t_lo <= q_lo < q_hi <= t_hi
+
+    def test_clamped_low_seed_is_swept_in_log_scale(self):
+        # mean − 4 sd < 0: the low seed is 0, yet the sweep finds the low end
+        law = ScaledGamma(1.0, 1.0)
+        assert law._bracket_seeds()[0] == 0.0
+        t_lo, _, m_lo, _ = roc_module._ends(law)
+        assert 0.0 < t_lo and m_lo == pytest.approx(t_lo, rel=1e-4)
+
+    @pytest.mark.parametrize(
+        "law, fallbacks",
+        [
+            # the lower quantile of order 1/16385, about 4e-43, lies far below the sweep
+            (ScaledGamma(0.1, 1.0), ["lo"]),
+            # the sweep's 1 − cdf rounds to 0 before it drops below the edge above, and
+            # the exponential tail of −Exp(10001) reaches beyond 8 spreads below
+            (detector_laws(single_sample(0.001), "on_off")[0], ["lo", "hi"]),
+        ],
+        ids=["gamma-0.1", "on_off-N1"],
+    )
+    def test_sweep_without_a_crossing_falls_back_to_brent(self, monkeypatch, law, fallbacks):
+        orders = _quantile_orders(monkeypatch)
+        t_lo, t_hi, m_lo, m_hi = roc_module._ends(law)
+        order = {"lo": self.edge, "hi": 1.0 - self.edge}
+        assert orders == [order[end] for end in fallbacks]
+        if "lo" in fallbacks:
+            assert t_lo == law_quantile(law, self.edge)
+            assert m_lo == law.cdf(t_lo) == pytest.approx(self.edge, rel=1e-6)
+        if "hi" in fallbacks:
+            assert t_hi == law_quantile(law, 1.0 - self.edge)
+            assert m_hi == pytest.approx(self.edge, abs=1e-10)
+        assert 0.0 < m_lo and 0.0 < m_hi
+
+    def test_overflowing_sweep_is_a_computation_error(self):
+        # at scale 5e305 the sweep's upper points leave the float range and
+        # are dropped; the fallback finds no finite bracket either
+        with pytest.raises(ComputationError, match="no finite quantile bracket"):
+            roc_module._ends(FLaw(2.0, 2.0, 5e305))
+
+    def test_overflowing_sweep_points_are_dropped(self):
+        # at scale 5e300 the sweep's top points overflow, its crossings do not
+        law = FLaw(2.0, 2.0, 5e300)
+        t_lo, t_hi, m_lo, m_hi = roc_module._ends(law)
+        assert np.isfinite(t_hi) and 0.0 < m_lo <= self.edge and 0.0 < m_hi <= self.edge
+
 
 class TestCompareDetectors:
     def test_single_gain_structure(self):

@@ -1,6 +1,7 @@
 """Tests for stream synthesis, power estimation, and Monte Carlo batching."""
 
 import dataclasses
+import hashlib
 import itertools
 import sys
 import threading
@@ -598,6 +599,50 @@ class TestNoncentralPowerDraw:
         assert abs(powers.mean() - power) < 5 * sem
         # circular: the real and imaginary parts carry half the power each
         assert abs(np.mean(stream.real**2) - power / 2) < 5 * sem
+
+
+class _NoNoncentral:
+    """A generator whose noncentral_chisquare must not be called."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def __getattr__(self, name):
+        if name == "noncentral_chisquare":
+            raise AssertionError("a central pointing drew a noncentral χ²")
+        return getattr(self.rng, name)
+
+
+class TestMeanPowersBytes:
+    """_mean_powers' two paths, pinned to the bytes of the draws they replace."""
+
+    @pytest.mark.parametrize(
+        "n, power, energy, digest",
+        [
+            (1, 1.0, 0.0, "91fa7e11fb734d933b4de8e9a9d5d046b76ab6943b5ae471abef5f159ac57ef4"),
+            (64, 2.5, 0.0, "5f0fb326a52bad94a4937540eaf470d0617518e891933bcce3d1226373a6bb4b"),
+            (1024, 0.3, 0.0, "53052944bd69779b1ef513dd68b14939f4f2f9c1335eb2071ccd547a4f34d6b7"),
+            (
+                3,
+                1.7,
+                np.tile([0.0, 2.0, 0.0, 5.0], 512),
+                "0182013774db88e3f7d67c493aa22a228d1fb199e232c119c73199c2b2f5772d",
+            ),
+        ],
+        ids=["central-N1", "central-N64", "central-N1024", "mixed-N3"],
+    )
+    def test_bytes_match_the_noncentral_chi2_draw(self, n, power, energy, digest):
+        x = simulator._mean_powers(np.random.default_rng(2024), 2048, n, power, energy)
+        nonc = np.broadcast_to(2.0 * np.asarray(energy) / power, (2048,))
+        ref = np.random.default_rng(2024).noncentral_chisquare(2 * n, nonc, 2048)
+        assert x.tobytes() == (ref * (power / (2 * n))).tobytes()
+        assert hashlib.sha256(x.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n", [1, 7, 1024])
+    def test_central_pointing_draws_a_gamma(self, n):
+        x = simulator._mean_powers(_NoNoncentral(np.random.default_rng(n)), 2048, n, 1.3, 0.0)
+        ref = np.random.default_rng(n).standard_gamma(n, 2048) * (1.3 / n)
+        assert x.tobytes() == ref.tobytes()
 
 
 def complex_stream_means(spec, trials, rng, random_phase):
