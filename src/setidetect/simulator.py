@@ -163,13 +163,8 @@ def _mean_powers(rng: np.random.Generator, m: int, n: int, power: float, energy)
     deterministic part of energy `energy` (scalar or per trial): exactly
     power/(2n)·χ²_{2n}(2·energy/power).  Where 2·energy/power is infinite
     (no Gaussian power, or too little to register) the mean is energy/n; the
-    variate is drawn all the same, to keep the draw order.  Without a
-    deterministic part it is power/n·Gamma(n), drawn as such: the same bytes,
-    since NumPy's χ²_{2n}(0) is 2·Gamma(n) from the same stream, at less cost."""
+    variate is drawn all the same, to keep the draw order."""
     nonc = 2.0 * energy / power if power > 0 else np.inf
-    # a scalar (np.float64 included); per-trial energies take the general draw
-    if isinstance(nonc, float) and nonc == 0.0:
-        return rng.gamma(n, power / n, m)
     gaussian = np.isfinite(nonc)
     x = rng.noncentral_chisquare(2 * n, np.where(gaussian, nonc, 0.0), m)
     x *= power / (2 * n)

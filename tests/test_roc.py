@@ -276,13 +276,17 @@ class TestH0Map:
             (narrow_narrow(16), "f_ratio", 1e-8),
             (narrow_narrow(16), "on_off", 1e-8),
             (narrow_narrow(16), "energy", 1e-8),
+            (wide_wide(0.1, 0.5, n_samples=2, rfi_power=1e4), "on_off", 5e-6),
+            (wide_wide(0.1, 0.5, n_samples=16, rfi_power=1e4), "on_off", 4e-10),
         ],
         ids=["f_ratio-N1-g0.001", "f_ratio-N1-g1", "on_off-N1-g0.001",
              "on_off-N1-g0.5", "f_ratio-narrow-N16", "on_off-narrow-N16",
-             "energy-narrow-N16"],
+             "energy-narrow-N16", "on_off-wide-N2-g0.5", "on_off-wide-N16-g0.5"],
     )
     def test_points_sit_at_requested_pfa(self, spec, kind, tol):
-        # N = 1 covers the heavy-tailed ratio and the difference's kink at 0
+        # N = 1 covers the heavy-tailed ratio and the difference's kink at 0;
+        # the wideband differences with strong interference are the least
+        # accurate laws seen at N = 2 and N = 16 (4.5e-6 and 3.0e-10)
         h0, h1 = detector_laws(spec, kind)
         curve = roc_curve(h0, h1, grid=512)
         targets = np.linspace(0.0, 1.0, 512 + 2)[1:-1]

@@ -601,20 +601,9 @@ class TestNoncentralPowerDraw:
         assert abs(np.mean(stream.real**2) - power / 2) < 5 * sem
 
 
-class _NoNoncentral:
-    """A generator whose noncentral_chisquare must not be called."""
-
-    def __init__(self, rng):
-        self.rng = rng
-
-    def __getattr__(self, name):
-        if name == "noncentral_chisquare":
-            raise AssertionError("a central pointing drew a noncentral χ²")
-        return getattr(self.rng, name)
-
-
 class TestMeanPowersBytes:
-    """_mean_powers' two paths, pinned to the bytes of the draws they replace."""
+    """_mean_powers' draws, central and mixed-λ, pinned to their bytes: one
+    noncentral χ² draw per pointing, scaled by power/(2n)."""
 
     @pytest.mark.parametrize(
         "n, power, energy, digest",
@@ -637,12 +626,6 @@ class TestMeanPowersBytes:
         ref = np.random.default_rng(2024).noncentral_chisquare(2 * n, nonc, 2048)
         assert x.tobytes() == (ref * (power / (2 * n))).tobytes()
         assert hashlib.sha256(x.tobytes()).hexdigest() == digest
-
-    @pytest.mark.parametrize("n", [1, 7, 1024])
-    def test_central_pointing_draws_a_gamma(self, n):
-        x = simulator._mean_powers(_NoNoncentral(np.random.default_rng(n)), 2048, n, 1.3, 0.0)
-        ref = np.random.default_rng(n).standard_gamma(n, 2048) * (1.3 / n)
-        assert x.tobytes() == ref.tobytes()
 
 
 def complex_stream_means(spec, trials, rng, random_phase):
