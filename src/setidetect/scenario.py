@@ -6,9 +6,14 @@ narrowband chirp) over a window of N complex samples.  The ON stream sees
 interference through a power gain g relative to the OFF stream and, under
 H1, also the signal; the OFF stream never carries signal.
 
-Wideband components raise the Gaussian power of the power-estimate law;
-narrowband components contribute deterministic energy, i.e. non-centrality.
-From those two bookkeeping rules every detector law follows:
+Wideband components raise a pointing's Gaussian power p; narrowband
+components, the default chirps of the two carriers below, make up its
+deterministic energy E.  Each pointing's mean power is then exactly
+p/(2N)·χ²_{2N}(2E/p).  `_pointing_components` keeps that bookkeeping for
+ON and OFF, for the laws here and for the simulator's draws alike.  ON's E
+includes the interference–signal cross term 2√g·Re C, where C is the sum
+of the interference chirp times the conjugate signal chirp.  From those two
+quantities every detector law follows:
 
 * F-ratio — a scaled F with the ON/OFF Gaussian power ratio as scale and
   each side's deterministic energy (relative to its own Gaussian power) as
@@ -19,6 +24,7 @@ From those two bookkeeping rules every detector law follows:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -152,20 +158,45 @@ def _as_hypothesis(hyp) -> Hypothesis:
     return Hypothesis(hyp)
 
 
-def _on_components(spec: ScenarioSpec, hyp: Hypothesis) -> tuple[float, float]:
-    """(Gaussian power, deterministic energy) seen by the ON power estimate."""
-    power = spec.noise_power
-    energy = 0.0
+# Carriers of the default chirps, in cycles/sample (phase 0).  They sit 1/8
+# cycle/sample apart, so Re C = √(E_rfi·E_et)/N · Σ_{k<N} cos(πk/4), and that
+# sum repeats every 8 samples: exactly 0 at N ≡ 0 and 5 (mod 8).
+_DEFAULT_RFI_FREQ = 0.125
+_DEFAULT_ET_FREQ = 0.25
+_SQRT_HALF = math.sqrt(0.5)
+_COS_SUMS = (  # by N mod 8
+    0.0, 1.0, 1.0 + _SQRT_HALF, 1.0 + _SQRT_HALF, 1.0, 0.0, -_SQRT_HALF, -_SQRT_HALF
+)
+
+
+def _pointing_components(
+    spec: ScenarioSpec, hyp: Hypothesis
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """((Gaussian power, deterministic energy) of ON, the same of OFF).
+
+    ON sees noise + g·interference (+ the signal under H1); OFF sees noise
+    + interference.  With both default chirps on ON, its energy carries the
+    cross term 2√g·Re C.
+    """
+    p_on = p_off = spec.noise_power
+    e_on = e_off = 0.0
     if spec.rfi_kind is RfiKind.WIDEBAND:
-        power += spec.gain * spec.rfi_power
+        p_on += spec.gain * spec.rfi_power
+        p_off += spec.rfi_power
     elif spec.rfi_kind is RfiKind.NARROWBAND:
-        energy += spec.gain * spec.rfi_energy
-    if hyp is Hypothesis.H1:
-        if spec.et_kind is EtKind.WIDEBAND:
-            power += spec.et_power
-        else:
-            energy += spec.et_energy
-    return power, energy
+        e_on += spec.gain * spec.rfi_energy
+        e_off += spec.rfi_energy
+    if hyp is Hypothesis.H1 and spec.et_kind is EtKind.WIDEBAND:
+        p_on += spec.et_power
+    elif hyp is Hypothesis.H1:
+        e_on += spec.et_energy
+        cos_sum = _COS_SUMS[spec.n_samples % 8]
+        # 2√g·Re C; a sum that has overflowed stays inf
+        if spec.rfi_kind is RfiKind.NARROWBAND and cos_sum and e_on < math.inf:
+            amplitudes = math.sqrt(spec.gain * spec.rfi_energy) * math.sqrt(spec.et_energy)
+            # clamped at 0 against rounding
+            e_on = max(e_on + 2.0 * cos_sum / spec.n_samples * amplitudes, 0.0)
+    return (p_on, e_on), (p_off, e_off)
 
 
 def _estimate_law(n: int, power: float, energy: float) -> Law:
@@ -176,13 +207,14 @@ def _estimate_law(n: int, power: float, energy: float) -> Law:
 
 def on_distribution(spec: ScenarioSpec, hyp) -> Law:
     """Law of the ON-stream mean-power estimate under the given hypothesis."""
-    power, energy = _on_components(spec, _as_hypothesis(hyp))
+    (power, energy), _ = _pointing_components(spec, _as_hypothesis(hyp))
     return _estimate_law(spec.n_samples, power, energy)
 
 
 def off_distribution(spec: ScenarioSpec) -> Law:
     """Law of the OFF-stream mean-power estimate (no signal, unit gain)."""
-    return on_distribution(spec.with_gain(1.0), Hypothesis.H0)
+    _, (power, energy) = _pointing_components(spec, Hypothesis.H0)
+    return _estimate_law(spec.n_samples, power, energy)
 
 
 def f_ratio_law(spec: ScenarioSpec, hyp) -> FLaw:
@@ -192,10 +224,8 @@ def f_ratio_law(spec: ScenarioSpec, hyp) -> FLaw:
     degrees of freedom per side; each side's deterministic energy enters as
     the non-centrality of its own χ², λ = 2·energy/power.
     """
-    hyp = _as_hypothesis(hyp)
     n = spec.n_samples
-    p_on, e_on = _on_components(spec, hyp)
-    p_off, e_off = _on_components(spec.with_gain(1.0), Hypothesis.H0)
+    (p_on, e_on), (p_off, e_off) = _pointing_components(spec, _as_hypothesis(hyp))
     return FLaw(
         dof_num=2.0 * n,
         dof_den=2.0 * n,
@@ -230,7 +260,7 @@ def energy_law(spec: ScenarioSpec, hyp, assumed_noise: float | None = None) -> L
         assumed_noise = default_assumed_noise(spec)
     if not (np.isfinite(assumed_noise) and assumed_noise > 0):
         raise ValueError("assumed_noise must be a positive real")
-    power, energy = _on_components(spec, _as_hypothesis(hyp))
+    (power, energy), _ = _pointing_components(spec, _as_hypothesis(hyp))
     return _estimate_law(spec.n_samples, power / assumed_noise, energy / assumed_noise)
 
 

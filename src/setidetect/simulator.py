@@ -8,17 +8,15 @@ noise and wideband components form a single CN(0, p) stream: p is noise +
 g·interference (+ signal under H1) on ON, noise + interference on OFF.  The
 narrowband interference waveform is common to both pointings (scaled by √g
 on the ON stream); the Gaussian parts are independent between ON and OFF.
-`synth_stream` returns such a complex stream.
+`synth_stream` returns such a complex stream, for any chirps.
 
 The Monte Carlo trials need only each pointing's mean power
 (1/N)Σ|x[k] + s[k]|², where x[k] ~ CN(0, p) and s is the pointing's chirp
-sum of energy E = Σ|s[k]|².  That mean is exactly p/(2N)·χ²_{2N}(2E/p),
-whatever the chirps' frequency, drift or phase, so every pointing draws it
-as one noncentral χ² variate per trial and no stream is synthesized.  E is
-0 without a chirp, E_rfi on OFF, and on ON
-g·E_rfi + E_et + 2√g·Re(e^{iΔθ}·Σ c_rfi[k]·conj(c_et[k])): the
-interference–signal cross term is the only thing the waveforms add, and
-Δθ is the phase difference of the two chirps.
+sum of energy E = Σ|s[k]|².  That mean is exactly p/(2N)·χ²_{2N}(2E/p), so
+every pointing draws it as one noncentral χ² variate per trial and no
+stream is synthesized.  p and E come from `scenario._pointing_components`,
+the function the laws read too, for the default chirps (`default_chirps`);
+ON's E includes the interference–signal cross term.
 
 Trials are chunked: trial i belongs to chunk i // TRIAL_CHUNK, and chunk c
 draws from its own generator spawned from the seed, so results are fully
@@ -38,11 +36,14 @@ import numpy as np
 
 from .distributions import _as_generator
 from .scenario import (
+    _DEFAULT_ET_FREQ,
+    _DEFAULT_RFI_FREQ,
     DetectorKind,
     EtKind,
     Hypothesis,
     RfiKind,
     ScenarioSpec,
+    _pointing_components,
     default_assumed_noise,
 )
 
@@ -61,12 +62,6 @@ __all__ = [
 
 #: Trials per RNG chunk; fixed so that results never depend on scheduling.
 TRIAL_CHUNK = 2048
-
-# Default carriers sit 1/8 cycle/sample apart, so the two tones are exactly
-# orthogonal over any frame length divisible by 8 and their energies add
-# with no cross term -- the additivity the analytic laws assume.
-_DEFAULT_RFI_FREQ = 0.125
-_DEFAULT_ET_FREQ = 0.25
 
 
 class Steering(str, Enum):
@@ -115,7 +110,8 @@ class TrialBatch:
 
 def default_chirps(spec: ScenarioSpec) -> tuple[ChirpParams | None, ChirpParams | None]:
     """(signal chirp, interference chirp) with amplitudes matching the
-    scenario energies; None for each non-narrowband kind."""
+    scenario energies; None for each non-narrowband kind.  These are the
+    chirps the laws and the Monte Carlo draws model."""
     chirp_et = None
     chirp_rfi = None
     if spec.et_kind is EtKind.NARROWBAND:
@@ -145,65 +141,32 @@ def _cgauss(rng: np.random.Generator, n: int, power: float) -> np.ndarray:
     return z
 
 
-def _gaussian_powers(spec: ScenarioSpec, hyp: Hypothesis) -> tuple[float, float]:
-    """(ON, OFF) power of each pointing's circular Gaussian part: noise +
-    g·interference (+ signal under H1) on ON, noise + interference on OFF,
-    counting only the wideband components."""
-    p_on = p_off = spec.noise_power
-    if spec.rfi_kind is RfiKind.WIDEBAND:
-        p_on += spec.gain * spec.rfi_power
-        p_off += spec.rfi_power
-    if hyp is Hypothesis.H1 and spec.et_kind is EtKind.WIDEBAND:
-        p_on += spec.et_power
-    return p_on, p_off
-
-
-def _mean_powers(rng: np.random.Generator, m: int, n: int, power: float, energy):
+def _mean_powers(rng: np.random.Generator, m: int, n: int, power: float, energy: float):
     """(m,) means of n powers |x[k] + s[k]|², x[k] ~ CN(0, power) and s a
-    deterministic part of energy `energy` (scalar or per trial): exactly
+    deterministic part of energy `energy`: exactly
     power/(2n)·χ²_{2n}(2·energy/power).  Where 2·energy/power is infinite
     (no Gaussian power, or too little to register) the mean is energy/n; the
     variate is drawn all the same, to keep the draw order."""
     nonc = 2.0 * energy / power if power > 0 else np.inf
-    gaussian = np.isfinite(nonc)
-    x = rng.noncentral_chisquare(2 * n, np.where(gaussian, nonc, 0.0), m)
+    if not np.isfinite(nonc):
+        rng.noncentral_chisquare(2 * n, 0.0, m)
+        return np.full(m, energy / n)
+    x = rng.noncentral_chisquare(2 * n, nonc, m)
     x *= power / (2 * n)
-    return np.where(gaussian, x, energy / n)
+    return x
 
 
 def _synth_pair(
-    spec: ScenarioSpec,
-    hyp: Hypothesis,
-    m: int,
-    rng: np.random.Generator,
-    chirp_et,
-    chirp_rfi,
-    random_phase: bool,
+    spec: ScenarioSpec, hyp: Hypothesis, m: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """(m,) ON and OFF mean powers (1/N)Σ|x[k]|², each one
-    p/(2N)·χ²_{2N}(2E/p) variate per trial (`_mean_powers`), with p from
-    `_gaussian_powers` and E the pointing's chirp energy (module docstring).
-    Fixed draw order for reproducibility: with `random_phase` and both
-    chirps present, one phase difference Δθ per trial; then ON; then OFF."""
+    p/(2N)·χ²_{2N}(2E/p) variate per trial (`_mean_powers`), with p and E
+    from `_pointing_components`.  ON draws first, then OFF."""
     n = spec.n_samples
-    p_on, p_off = _gaussian_powers(spec, hyp)
-    e_on = e_off = 0.0
     # huge gains, energies or powers overflow to inf; run_experiment rejects
     # such estimates
     with np.errstate(over="ignore"):
-        if spec.rfi_kind is RfiKind.NARROWBAND:
-            rfi = chirp_rfi.waveform(n)
-            e_off = np.vdot(rfi, rfi).real
-            e_on = spec.gain * e_off
-        if hyp is Hypothesis.H1 and spec.et_kind is EtKind.NARROWBAND:
-            et = chirp_et.waveform(n)
-            e_on += np.vdot(et, et).real
-            if spec.rfi_kind is RfiKind.NARROWBAND:
-                cross = 2.0 * np.sqrt(spec.gain) * np.vdot(et, rfi)
-                if random_phase:
-                    cross = cross * np.exp(2j * np.pi * rng.random(m))
-                # rounding can carry the sum just below zero
-                e_on = np.maximum(e_on + cross.real, 0.0)
+        (p_on, e_on), (p_off, e_off) = _pointing_components(spec, hyp)
         on = _mean_powers(rng, m, n, p_on, e_on)
         off = _mean_powers(rng, m, n, p_off, e_off)
     return on, off
@@ -221,14 +184,15 @@ def synth_stream(
 
     Narrowband kinds require their chirp parameters; the signal appears only
     on the ON stream under H1, and interference amplitude is scaled by √g on
-    the ON stream.
+    the ON stream.  Any chirps are accepted here, but the laws model only
+    those of `default_chirps`.
     """
     steering = Steering(steering)
     hyp = Hypothesis(hyp)
     _check_chirps(spec, chirp_et, chirp_rfi)
     rng = _as_generator(rng_state)
     n = spec.n_samples
-    p_on, p_off = _gaussian_powers(spec, hyp)
+    (p_on, _), (p_off, _) = _pointing_components(spec, hyp)
     on, off = _cgauss(rng, n, p_on), _cgauss(rng, n, p_off)
     if spec.rfi_kind is RfiKind.NARROWBAND:
         wave = chirp_rfi.waveform(n)
@@ -281,22 +245,15 @@ def detector_stat(kind, on_est, off_est=None, assumed_noise=None):
 
 
 def run_paired_estimates(
-    spec: ScenarioSpec,
-    hyp,
-    trials: int,
-    seed: int,
-    chirp_et: ChirpParams | None = None,
-    chirp_rfi: ChirpParams | None = None,
-    random_phase: bool = False,
+    spec: ScenarioSpec, hyp, trials: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(ON, OFF) mean-power estimates over `trials` independent stream pairs.
 
     Each estimate is the mean of one pointing's N per-sample powers, drawn
     whole as one p/(2N)·χ²_{2N}(2E/p) variate (`_synth_pair`): p is the
-    pointing's Gaussian power and E its chirp energy, with the
-    interference–signal cross term on ON.  Chirps default
-    to the scenario energies (see `default_chirps`); passing explicit ones
-    overrides frequency and drift without touching the law.  H0 and H1 runs
+    pointing's Gaussian power and E the energy of its default chirps
+    (`default_chirps`), with the interference–signal cross term on ON; the
+    laws of `scenario` are built from the same p and E.  H0 and H1 runs
     with one seed start from the same generator states, so their estimates
     are coupled; give each hypothesis its own seed for independent samples.
     """
@@ -304,10 +261,6 @@ def run_paired_estimates(
     trials = int(trials)
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    d_et, d_rfi = default_chirps(spec)
-    chirp_et = chirp_et if chirp_et is not None else d_et
-    chirp_rfi = chirp_rfi if chirp_rfi is not None else d_rfi
-    _check_chirps(spec, chirp_et, chirp_rfi)
 
     n_chunks = (trials + TRIAL_CHUNK - 1) // TRIAL_CHUNK
     on_est = np.empty(trials)
@@ -317,9 +270,7 @@ def run_paired_estimates(
         m = min(TRIAL_CHUNK, trials - lo)
         rng = np.random.default_rng(child)
         # always synthesize the full chunk so shorter runs are prefixes
-        on, off = _synth_pair(
-            spec, hyp, TRIAL_CHUNK, rng, chirp_et, chirp_rfi, random_phase
-        )
+        on, off = _synth_pair(spec, hyp, TRIAL_CHUNK, rng)
         on_est[lo : lo + m] = on[:m]
         off_est[lo : lo + m] = off[:m]
     return on_est, off_est
@@ -332,9 +283,6 @@ def run_trials(
     trials: int,
     seed: int,
     assumed_noise: float | None = None,
-    chirp_et: ChirpParams | None = None,
-    chirp_rfi: ChirpParams | None = None,
-    random_phase: bool = False,
 ) -> TrialBatch:
     """Monte Carlo detector statistics over freshly synthesized stream pairs.
 
@@ -344,9 +292,7 @@ def run_trials(
     """
     kind = DetectorKind(kind)
     hyp = Hypothesis(hyp)
-    on_est, off_est = run_paired_estimates(
-        spec, hyp, trials, seed, chirp_et, chirp_rfi, random_phase
-    )
+    on_est, off_est = run_paired_estimates(spec, hyp, trials, seed)
     if kind is DetectorKind.ENERGY and assumed_noise is None:
         assumed_noise = default_assumed_noise(spec)
     stats = detector_stat(kind, on_est, off_est, assumed_noise)

@@ -448,6 +448,39 @@ class TestMainEntry:
         assert (out / "hist_f_ratio_H0_base.csv").exists()
         assert json.loads((out / "manifest.json").read_text())["config"]["mode"] == "both"
 
+    def test_mc_validate_narrowband_pair_h1_within_critical_value(self, tmp_path, capsys):
+        # overlapping default chirps (INR = SNR = 6 dB, g = 0.9): at N = 1, 7
+        # and 65 the chirps' cross term moves ON's energy, at N = 64 it is 0
+        trials = 20_000
+        doc = base_config(
+            scenario={
+                "rfi_kind": "narrowband",
+                "et_kind": "narrowband",
+                "noise_power": 1.0,
+                "inr_db": 6.0,
+                "snr_db": 6.0,
+                "gain": 0.9,
+                "n_samples": 64,
+            },
+            detectors=["f_ratio", "on_off", "energy"],
+            trials=trials,
+            seed=3,
+            pfa_grid=16,
+            sweeps={"parameter": "n_samples", "values": [1, 7, 64, 65]},
+        )
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        out = tmp_path / "results"
+        code, _, stderr = self.run(
+            capsys, "mc-validate", "--config", str(cfg), "--out", str(out)
+        )
+        assert code == 0, stderr
+        rows = read_csv(out / "ks_summary.csv")
+        assert len(rows) == 4 * 3 * 2
+        # DKW radius at level 1e-6, plus room for the bound's node-gap term
+        critical = np.sqrt(np.log(2 / 1e-6) / (2 * trials)) + 2e-3
+        for row in rows:
+            assert float(row["ks_bound"]) < critical, row
+
 
 class TestSpectrogramVerb:
     def test_pure_tone_single_column(self, tmp_path, capsys):

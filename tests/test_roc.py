@@ -46,8 +46,14 @@ AUC_F_SNR_2P51 = 0.9943941294455841
 #   t (log t for the ratio, split at 0 for the difference), each factor an
 #   inner quad over the OFF estimate, which H0 and H1 share
 AUC_ON_OFF_WIDE_N1 = 0.5584700965025494  # rfi_power 2, et_power 1, g 0.9
-AUC_F_NARROW_N2 = 0.6391722828981216  # narrowband, INR = SNR = 0 dB, g 0.9
+# narrowband, INR = SNR = 0 dB, g 0.9, N = 2, with ON's H1 energy taken as
+# g·E_rfi + E_et (`additive_narrow_n2_laws`)
+AUC_F_NARROW_N2 = 0.6391722828981216
 AUC_ON_OFF_NARROW_N2 = 0.6512442630890621
+# the same scenario with the default chirps' cross term 2√g·Re C in ON's H1
+# energy, Re C = √(E_rfi·E_et)/N · (1 + cos(π/4)) summed from the waveforms
+AUC_F_NARROW_N2_CROSS = 0.7745662780974171
+AUC_ON_OFF_NARROW_N2_CROSS = 0.8224511547707806
 AUC_F_NARROW_N16 = 0.8423683755435503
 AUC_ON_OFF_NARROW_N16 = 0.8620238518878695
 AUC_ON_OFF_WIDE_N1024 = 0.563106432388747  # rfi_power 10, et_power 0.1, g 0.8
@@ -75,6 +81,19 @@ def narrow_narrow(n_samples, gain=0.9):
         gain=gain,
         n_samples=n_samples,
     )
+
+
+def additive_narrow_n2_laws(kind):
+    """(H0, H1) laws of narrow_narrow(2) with ON's energies g·E_rfi and
+    g·E_rfi + E_et, as if the chirps' cross term were 0."""
+    e_off, e_on = 2.0, (0.9 * 2.0, 0.9 * 2.0 + 2.0)
+    if kind == "f_ratio":
+        return tuple(
+            FLaw(dof_num=4.0, dof_den=4.0, scale=1.0, lambda_num=2.0 * e, lambda_den=2.0 * e_off)
+            for e in e_on
+        )
+    off = NoncentralChi2C(2, 1.0, e_off)
+    return tuple(GammaDifference(pos=NoncentralChi2C(2, 1.0, e), neg=off) for e in e_on)
 
 
 def central_ratio_auc(n, s0, s1):
@@ -379,24 +398,32 @@ class TestAucIntegral:
         assert roc_curve(h0, h1, grid=64).auc == pytest.approx(reference, abs=1e-8)
 
     @pytest.mark.parametrize(
-        "spec, kind, reference",
+        "laws, reference",
         [
-            (wide_wide(et_power=1.0, gain=0.9, n_samples=1), "on_off", AUC_ON_OFF_WIDE_N1),
-            (narrow_narrow(2), "f_ratio", AUC_F_NARROW_N2),
-            (narrow_narrow(2), "on_off", AUC_ON_OFF_NARROW_N2),
-            (narrow_narrow(16), "f_ratio", AUC_F_NARROW_N16),
-            (narrow_narrow(16), "on_off", AUC_ON_OFF_NARROW_N16),
             (
-                wide_wide(et_power=0.1, gain=0.8, n_samples=1024, rfi_power=10.0),
-                "on_off",
+                detector_laws(wide_wide(et_power=1.0, gain=0.9, n_samples=1), "on_off"),
+                AUC_ON_OFF_WIDE_N1,
+            ),
+            (additive_narrow_n2_laws("f_ratio"), AUC_F_NARROW_N2),
+            (additive_narrow_n2_laws("on_off"), AUC_ON_OFF_NARROW_N2),
+            (detector_laws(narrow_narrow(2), "f_ratio"), AUC_F_NARROW_N2_CROSS),
+            (detector_laws(narrow_narrow(2), "on_off"), AUC_ON_OFF_NARROW_N2_CROSS),
+            (detector_laws(narrow_narrow(16), "f_ratio"), AUC_F_NARROW_N16),
+            (detector_laws(narrow_narrow(16), "on_off"), AUC_ON_OFF_NARROW_N16),
+            (
+                detector_laws(
+                    wide_wide(et_power=0.1, gain=0.8, n_samples=1024, rfi_power=10.0),
+                    "on_off",
+                ),
                 AUC_ON_OFF_WIDE_N1024,
             ),
         ],
         ids=["on_off-wide-N1", "f_ratio-narrow-N2", "on_off-narrow-N2",
+             "f_ratio-narrow-N2-cross", "on_off-narrow-N2-cross",
              "f_ratio-narrow-N16", "on_off-narrow-N16", "on_off-wide-N1024"],
     )
-    def test_paired_laws_match_references(self, spec, kind, reference):
-        h0, h1 = detector_laws(spec, kind)
+    def test_paired_laws_match_references(self, laws, reference):
+        h0, h1 = laws
         assert roc_curve(h0, h1, grid=64).auc == pytest.approx(reference, abs=1e-8)
 
     def test_unsettled_integral_raises_with_achieved(self):

@@ -19,10 +19,14 @@ from setidetect import (
     f_ratio_law,
     off_distribution,
     on_distribution,
+    default_chirps,
+    detector_stat,
     onoff_law,
     run_paired_estimates,
     run_trials,
 )
+from setidetect.cli import _ks_bound
+from setidetect.scenario import _pointing_components
 
 MC_TRIALS = 1_000_000
 MC_SEED = 20260816
@@ -364,3 +368,67 @@ class TestDetectorLaws:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             detector_laws(wide_wide(), "matched_filter")
+
+
+class TestPointingComponents:
+    @pytest.mark.parametrize("n", [*range(1, 25), 64, 65, 1023])
+    def test_energies_match_the_default_chirps(self, n):
+        # ON's H1 energy is Σ|√g·c_rfi + c_et|² of the default chirps'
+        # waveforms, cross term included; OFF's is Σ|c_rfi|²
+        spec = narrow_narrow(rfi_energy=3.0 * n, et_energy=5.0 * n, gain=0.9, n_samples=n)
+        chirp_et, chirp_rfi = default_chirps(spec)
+        c_et, c_rfi = chirp_et.waveform(n), chirp_rfi.waveform(n)
+        (p_on, e_on), (p_off, e_off) = _pointing_components(spec, Hypothesis.H1)
+        assert p_on == p_off == spec.noise_power
+        on = np.sqrt(spec.gain) * c_rfi + c_et
+        assert e_on == pytest.approx(np.vdot(on, on).real, rel=1e-12)
+        assert e_off == spec.rfi_energy
+        if n % 8 in (0, 5):
+            # the chirps' cross sum has no real part: the energies add
+            assert e_on == spec.gain * spec.rfi_energy + spec.et_energy
+
+    def test_overflowed_on_energy_stays_inf(self):
+        # g·E_rfi overflows; the negative cross term at N = 7 must not turn
+        # the sum into inf − inf
+        spec = narrow_narrow(rfi_energy=28.0, et_energy=28.0, gain=1e308, n_samples=7)
+        (_, e_on), _ = _pointing_components(spec, Hypothesis.H1)
+        assert e_on == np.inf
+
+    @pytest.mark.parametrize("hyp", list(Hypothesis))
+    def test_laws_read_the_same_components(self, hyp):
+        spec = narrow_narrow(gain=0.9, n_samples=7)
+        (p_on, e_on), (p_off, e_off) = _pointing_components(spec, hyp)
+        on, off = on_distribution(spec, hyp), off_distribution(spec)
+        assert (on.power, on.noncentrality_energy) == (p_on, e_on)
+        assert (off.power, off.noncentrality_energy) == (p_off, e_off)
+        law = f_ratio_law(spec, hyp)
+        assert law.lambda_num == 2.0 * e_on / p_on
+        assert law.lambda_den == 2.0 * e_off / p_off
+
+
+def narrowband_pair_6db(n):
+    """Narrowband interference and signal at INR = SNR = 6 dB, g = 0.9."""
+    level = 10.0**0.6 * n
+    return narrow_narrow(rfi_energy=level, et_energy=level, gain=0.9, n_samples=n)
+
+
+class TestLawsMatchDraws:
+    """Each detector's H0 and H1 law against `run_paired_estimates` draws
+    where both chirps overlap: Re C is nonzero at N = 1, 2, 3, 7 and 65 and
+    zero at N = 5."""
+
+    TRIALS = 20_000
+
+    @pytest.mark.parametrize("kind", list(DetectorKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 65])
+    def test_narrowband_pair(self, n, kind):
+        spec = narrowband_pair_6db(n)
+        laws = detector_laws(spec, kind)
+        assumed = default_assumed_noise(spec)
+        # DKW radius at level 1e-6, plus room for the bound's node-gap term
+        # (about 1/1024)
+        critical = np.sqrt(np.log(2 / 1e-6) / (2 * self.TRIALS)) + 3e-3
+        for i, (hyp, law) in enumerate(zip(Hypothesis, laws)):
+            on, off = run_paired_estimates(spec, hyp, self.TRIALS, MC_SEED + 10 + i)
+            stats = detector_stat(kind, on, off, assumed_noise=assumed)
+            assert _ks_bound(stats, law, nodes=1024) < critical, hyp

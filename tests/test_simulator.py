@@ -15,6 +15,7 @@ from setidetect import (
     ChirpParams,
     DetectorKind,
     EtKind,
+    Hypothesis,
     NoncentralChi2C,
     RfiKind,
     ScaledGamma,
@@ -32,6 +33,7 @@ from setidetect import (
 )
 from setidetect import _pool, simulator
 from setidetect.cli import _ks_bound
+from setidetect.scenario import _pointing_components
 from setidetect.simulator import TRIAL_CHUNK, default_chirps
 
 SEED = 424242
@@ -270,9 +272,7 @@ class TestFoldedWidebandDraw:
         # the chirp's non-centrality, OFF is central
         trials = 100_000
         spec = dataclasses.replace(WIDE_RFI_NARROW_ET, n_samples=n)
-        on_est, off_est = run_paired_estimates(
-            spec, "H1", trials, SEED + 7, random_phase=True
-        )
+        on_est, off_est = run_paired_estimates(spec, "H1", trials, SEED + 7)
         p_on = spec.noise_power + spec.gain * spec.rfi_power
         p_off = spec.noise_power + spec.rfi_power
         eps = np.sqrt(np.log(2 / 1e-6) / (2 * trials)) + 1e-3
@@ -346,38 +346,25 @@ class TestRunTrials:
             run_trials(gaussian_only(), "f_ratio", "H0", 0, SEED)
 
 
-def sequential_estimates(spec, hyp, trials, seed, random_phase):
+def sequential_estimates(spec, hyp, trials, seed):
     """The chunk contract written out serially: chunks in order, each from
-    its spawned generator, full-size draws in the documented order.  With
-    random phases and both chirps present, one phase difference per trial
-    comes first; then ON and OFF each draw their mean power as one
-    p/(2N)·χ²_{2N}(2E/p) variate, p being noise + g·interference + signal on
-    ON and noise + interference on OFF (wideband components only) and E the
-    pointing's chirp energy, with the interference–signal cross term on
-    ON."""
-    chirp_et, chirp_rfi = default_chirps(spec)
+    its spawned generator, full-size draws in the documented order.  ON and
+    then OFF draw their mean power as one p/(2N)·χ²_{2N}(2E/p) variate, p
+    being noise + g·interference + signal on ON and noise + interference on
+    OFF (wideband components only) and E each pointing's chirp energy as the
+    laws read it (checked against the waveforms in test_scenario)."""
     n, m = spec.n_samples, TRIAL_CHUNK
     signal_on = hyp == "H1"
     wide_rfi = spec.rfi_power if spec.rfi_kind is RfiKind.WIDEBAND else 0.0
     wide_et = spec.et_power if signal_on and spec.et_kind is EtKind.WIDEBAND else 0.0
     p_on = spec.noise_power + spec.gain * wide_rfi + wide_et
     p_off = spec.noise_power + wide_rfi
-    narrow_rfi = spec.rfi_kind is RfiKind.NARROWBAND
-    narrow_et = signal_on and spec.et_kind is EtKind.NARROWBAND
-    c_rfi = chirp_rfi.waveform(n) if narrow_rfi else np.zeros(n)
-    c_et = chirp_et.waveform(n) if narrow_et else np.zeros(n)
-    e_off = np.vdot(c_rfi, c_rfi).real
-    e_on = spec.gain * e_off + np.vdot(c_et, c_et).real
-    cross = 2.0 * np.sqrt(spec.gain) * np.vdot(c_et, c_rfi)
+    (_, e_on), (_, e_off) = _pointing_components(spec, Hypothesis(hyp))
     n_chunks = -(-trials // TRIAL_CHUNK)
     on_est, off_est = [], []
     for child in np.random.SeedSequence(seed).spawn(n_chunks):
         rng = np.random.default_rng(child)
-        e = e_on
-        if narrow_rfi and narrow_et:
-            phase = np.exp(2j * np.pi * rng.random(m)) if random_phase else 1.0
-            e = np.maximum(e_on + (cross * phase).real, 0.0)
-        on = rng.noncentral_chisquare(2 * n, 2.0 * e / p_on, m) * (p_on / (2 * n))
+        on = rng.noncentral_chisquare(2 * n, 2.0 * e_on / p_on, m) * (p_on / (2 * n))
         off = rng.noncentral_chisquare(2 * n, 2.0 * e_off / p_off, m) * (p_off / (2 * n))
         on_est.append(on)
         off_est.append(off)
@@ -436,38 +423,25 @@ class TestConcurrentChunks:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("hyp", ["H0", "H1"])
     @pytest.mark.parametrize(
-        "spec, random_phase",
-        [
-            (WIDEBAND_PAIR, False),
-            (NARROWBAND_PAIR, False),
-            (NARROWBAND_PAIR, True),
-            (WIDE_RFI_NARROW_ET, True),
-            (NARROW_RFI_WIDE_ET, True),
-        ],
+        "spec",
+        [WIDEBAND_PAIR, NARROWBAND_PAIR, WIDE_RFI_NARROW_ET, NARROW_RFI_WIDE_ET],
         ids=[
             "wideband",
             "narrowband",
-            "narrowband-random-phase",
             "wideband-rfi-narrowband-et",
             "narrowband-rfi-wideband-et",
         ],
     )
-    def test_bit_identical_to_sequential_reference(
-        self, monkeypatch, spec, random_phase, hyp, workers
-    ):
+    def test_bit_identical_to_sequential_reference(self, monkeypatch, spec, hyp, workers):
         trials = 2 * TRIAL_CHUNK + 17
         results = self.concurrent(
             monkeypatch,
             workers,
-            lambda i: run_paired_estimates(
-                spec, hyp, trials, SEED + i, random_phase=random_phase
-            ),
+            lambda i: run_paired_estimates(spec, hyp, trials, SEED + i),
             workers,
         )
         for i, (on, off) in enumerate(results):
-            ref_on, ref_off = sequential_estimates(
-                spec, hyp, trials, SEED + i, random_phase
-            )
+            ref_on, ref_off = sequential_estimates(spec, hyp, trials, SEED + i)
             assert on.tobytes() == ref_on.tobytes()
             assert off.tobytes() == ref_off.tobytes()
 
@@ -486,7 +460,7 @@ class TestConcurrentChunks:
         finally:
             sys.setswitchinterval(interval)
         for i, (on, off) in enumerate(results):
-            ref_on, ref_off = sequential_estimates(spec, "H1", trials, SEED + 9 + i, False)
+            ref_on, ref_off = sequential_estimates(spec, "H1", trials, SEED + 9 + i)
             assert on.tobytes() == ref_on.tobytes()
             assert off.tobytes() == ref_off.tobytes()
 
@@ -553,28 +527,21 @@ class TestNoncentralPowerDraw:
 
         monkeypatch.setattr(simulator, "_cgauss", no_complex)
         trials = TRIAL_CHUNK + 9
-        on, off = run_paired_estimates(spec, hyp, trials, SEED, random_phase=True)
+        on, off = run_paired_estimates(spec, hyp, trials, SEED)
         assert on.shape == off.shape == (trials,)
         assert np.all(on > 0) and np.all(off > 0)
 
-    @pytest.mark.parametrize("random_phase", [False, True])
-    def test_zero_gaussian_power_gives_chirp_energy(self, random_phase):
-        # no noise and no wideband part: each mean power is E/N exactly
-        n = 5
+    def test_zero_gaussian_power_gives_chirp_energy(self):
+        # no noise and no wideband part: each mean power is E/N exactly; at
+        # N = 3 the chirps' cross term is part of ON's E
+        n = 3
         spec = dataclasses.replace(NARROWBAND_PAIR, noise_power=0.0, n_samples=n)
         g = spec.gain
         chirp_et, chirp_rfi = default_chirps(spec)
         c_et, c_rfi = chirp_et.waveform(n), chirp_rfi.waveform(n)
-        on, off = run_paired_estimates(spec, "H1", 50, SEED, random_phase=random_phase)
+        on, off = run_paired_estimates(spec, "H1", 50, SEED)
         assert np.allclose(off, spec.rfi_energy / n, rtol=1e-12)
-        if random_phase:
-            # the phase difference sweeps ON between the chirps' extremes
-            cross = 2 * np.sqrt(g) * abs(np.vdot(c_et, c_rfi))
-            mid = (g * spec.rfi_energy + spec.et_energy) / n
-            assert np.all(np.abs(on - mid) <= cross / n * (1 + 1e-12))
-            assert np.ptp(on) > cross / n
-        else:
-            assert np.allclose(on, power_estimate(np.sqrt(g) * c_rfi + c_et), rtol=1e-12)
+        assert np.allclose(on, power_estimate(np.sqrt(g) * c_rfi + c_et), rtol=1e-12)
         chirp_free = gaussian_only(noise_power=0.0, n_samples=n)
         on, off = run_paired_estimates(chirp_free, "H0", 50, SEED)
         assert np.all(on == 0) and np.all(off == 0)
@@ -602,8 +569,8 @@ class TestNoncentralPowerDraw:
 
 
 class TestMeanPowersBytes:
-    """_mean_powers' draws, central and mixed-λ, pinned to their bytes: one
-    noncentral χ² draw per pointing, scaled by power/(2n)."""
+    """_mean_powers' draws, central and noncentral, pinned to their bytes:
+    one noncentral χ² draw per pointing, scaled by power/(2n)."""
 
     @pytest.mark.parametrize(
         "n, power, energy, digest",
@@ -614,24 +581,23 @@ class TestMeanPowersBytes:
             (
                 3,
                 1.7,
-                np.tile([0.0, 2.0, 0.0, 5.0], 512),
-                "0182013774db88e3f7d67c493aa22a228d1fb199e232c119c73199c2b2f5772d",
+                5.0,
+                "6b5578062498bbb18e17a7c1f146ebdee5069043cc75ee07ca345aa1b29e4769",
             ),
         ],
-        ids=["central-N1", "central-N64", "central-N1024", "mixed-N3"],
+        ids=["central-N1", "central-N64", "central-N1024", "noncentral-N3"],
     )
     def test_bytes_match_the_noncentral_chi2_draw(self, n, power, energy, digest):
         x = simulator._mean_powers(np.random.default_rng(2024), 2048, n, power, energy)
-        nonc = np.broadcast_to(2.0 * np.asarray(energy) / power, (2048,))
-        ref = np.random.default_rng(2024).noncentral_chisquare(2 * n, nonc, 2048)
+        ref = np.random.default_rng(2024).noncentral_chisquare(2 * n, 2.0 * energy / power, 2048)
         assert x.tobytes() == (ref * (power / (2 * n))).tobytes()
         assert hashlib.sha256(x.tobytes()).hexdigest() == digest
 
 
-def complex_stream_means(spec, trials, rng, random_phase):
+def complex_stream_means(spec, trials, rng):
     """H1 (ON, OFF) mean powers of complex streams built sample by sample:
-    CN(0, p) draws plus each chirp's waveform (at an independent uniform
-    phase per trial and chirp with `random_phase`), then the mean of |x|²."""
+    CN(0, p) draws plus each default chirp's waveform, then the mean of
+    |x|²."""
     chirp_et, chirp_rfi = default_chirps(spec)
     n, g = spec.n_samples, spec.gain
     wide_rfi = spec.rfi_power if spec.rfi_kind is RfiKind.WIDEBAND else 0.0
@@ -645,64 +611,53 @@ def complex_stream_means(spec, trials, rng, random_phase):
             for p in powers
         )
 
-        def wave(chirp):
-            phase = np.exp(2j * np.pi * rng.random((m, 1))) if random_phase else 1.0
-            return chirp.waveform(n)[None, :] * phase
-
         if spec.rfi_kind is RfiKind.NARROWBAND:
-            c = wave(chirp_rfi)
+            c = chirp_rfi.waveform(n)
             on += np.sqrt(g) * c
             off += c
         if spec.et_kind is EtKind.NARROWBAND:
-            on += wave(chirp_et)
+            on += chirp_et.waveform(n)
         on_est.append(np.mean(np.abs(on) ** 2, axis=1))
         off_est.append(np.mean(np.abs(off) ** 2, axis=1))
     return np.concatenate(on_est), np.concatenate(off_est)
 
 
 class TestMeanPowerDraw:
-    @pytest.mark.parametrize("random_phase", [False, True], ids=["fixed", "random-phase"])
-    # the default chirps' cross sum is real at N = 1, has a real part at
-    # N = 3 and is imaginary at N = 5, where only random phases expose it
+    # the real part of the default chirps' cross sum is nonzero at N = 1
+    # and 3, and zero at N = 5 and 256
     @pytest.mark.parametrize("n", [1, 3, 5, 256])
     @pytest.mark.parametrize(
         "spec",
         [WIDEBAND_PAIR, NARROW_RFI_WIDE_ET, NARROWBAND_PAIR],
         ids=["chirp-free", "interference-chirp", "both-chirps"],
     )
-    def test_draws_match_complex_stream_means(self, spec, n, random_phase):
+    def test_draws_match_complex_stream_means(self, spec, n):
         # one noncentral χ² variate per pointing has the law of the mean of
         # |x|² over the complex stream, cross term of the two chirps included
         trials = 40_000
         spec = dataclasses.replace(spec, n_samples=n)
-        on, off = run_paired_estimates(
-            spec, "H1", trials, SEED + 11, random_phase=random_phase
-        )
-        ref_on, ref_off = complex_stream_means(
-            spec, trials, np.random.default_rng(SEED + 12), random_phase
-        )
+        on, off = run_paired_estimates(spec, "H1", trials, SEED + 11)
+        ref_on, ref_off = complex_stream_means(spec, trials, np.random.default_rng(SEED + 12))
         # asymptotic critical value of the two-sample test at level 1e-6
         critical = np.sqrt(-np.log(1e-6 / 2) / 2) * np.sqrt(2 / trials)
         assert stats.ks_2samp(on, ref_on).statistic < critical
         assert stats.ks_2samp(off, ref_off).statistic < critical
 
     @pytest.mark.parametrize(
-        "spec, bound",
-        [(WIDEBAND_PAIR, 1e6), (NARROWBAND_PAIR, 6e6)],
-        ids=["wideband", "narrowband"],
+        "spec", [WIDEBAND_PAIR, NARROWBAND_PAIR], ids=["wideband", "narrowband"]
     )
-    def test_synthesis_memory_does_not_grow_with_n(self, spec, bound):
-        # no per-sample buffer: only the chirps' waveforms (1 MB each) and
-        # their temporaries are length N
+    def test_synthesis_memory_does_not_grow_with_n(self, spec):
+        # no length-N array at all, chirps included: the chunk's variates
+        # are the largest allocation
         spec = dataclasses.replace(spec, n_samples=65_536)
         tracemalloc.start()
         try:
-            on, off = run_paired_estimates(spec, "H1", 10, SEED, random_phase=True)
+            on, off = run_paired_estimates(spec, "H1", 10, SEED)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert on.shape == off.shape == (10,)
-        assert peak < bound
+        assert peak < 1e6
 
 
 class TestMiscalibrationWall:
