@@ -3,8 +3,9 @@
 The heavy work of every verb runs in native code that releases the GIL
 (`scipy.special` ufuncs for the analytic curves and AUCs, NumPy's
 generators and ufuncs for the Monte Carlo draws), so independent tasks
-overlap on threads: one per (sweep point, detector) in `roc` and
-`mc-validate`, one per (gain, detector) in `compare`.
+overlap on threads: one per Monte Carlo (sweep point, hypothesis) draw,
+then one per (sweep point, detector), in `roc` and `mc-validate`; one per
+(gain, detector) in `compare`.
 Results come back in input order, which keeps every output independent of
 the number of workers and of scheduling.
 

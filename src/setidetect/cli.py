@@ -16,14 +16,17 @@ All outputs are plain CSV plus a ``manifest.json`` recording the resolved
 configuration, the seed, and a SHA-256 per written file; nothing in the
 output depends on wall clock or host, so identical inputs produce
 byte-identical files.  Sweep points are independent (per-point seeds are
-derived, not sequential), so each (point, detector) pair is one task that
-computes everything written for it: its curve, its Monte Carlo draws,
-histograms and KS bounds.  The tasks run concurrently, one thread per
-available CPU, and are collected in input order; files are written only
-once every task has succeeded, each in one shot.  Failures are reported as
-a serial run would meet them: a scenario without a sampling law before any
-computation, then the first failing curve, histogram or KS bound in
-(point, detector) order, and a failed run writes no result file.
+derived, not sequential).  Monte Carlo runs first draw each (point,
+hypothesis) sample once, one task each, and every detector forms its
+statistic from those shared ON/OFF estimates.  Then each (point, detector)
+pair is one task that computes everything written for it: its curve,
+statistics, histograms and KS bounds.  Each pass runs its tasks
+concurrently, one thread per available CPU, and collects them in input
+order; files are written only once every task has succeeded, each in one
+shot.  Failures are reported as a serial run would meet them: a scenario
+without a sampling law before any computation, then the first failing
+curve, histogram or KS bound in (point, detector) order, and a failed run
+writes no result file.
 
 Exit codes: 0 success, 2 configuration error (message anchored to the
 offending config line where possible), 3 numerical non-convergence (the
@@ -458,6 +461,14 @@ def _point_seed(seed: int, *indices: int) -> int:
     return int(np.random.SeedSequence([int(seed), *indices]).generate_state(1)[0])
 
 
+def _sorted_histogram(stats: np.ndarray, bins: int):
+    """np.histogram(stats, bins) of sorted statistics, counted by bisection:
+    bin i holds edges[i] ≤ x < edges[i + 1], the last bin closed."""
+    edges = np.histogram_bin_edges(stats, bins=bins)
+    counts = np.diff(np.searchsorted(stats, edges[:-1]), append=stats.size)
+    return counts, edges
+
+
 def _ks_bound(stats: np.ndarray, law: Law, nodes: int = _KS_NODES) -> float:
     """Upper bound on the exact KS distance from a subsample of cdf nodes."""
     x = np.sort(np.asarray(stats, dtype=float))
@@ -569,6 +580,20 @@ def run_experiment(config: ExperimentConfig, *, ks_table: bool = False) -> list[
             where = "scenario" if config.sweeps is None else f"sweeps.values[{index}]"
             raise ConfigError(where, f"no sampling law for this scenario: {exc}")
 
+    if run_mc:
+        # each (point, hypothesis) is drawn once and shared by every
+        # detector: its seed does not depend on the detector
+        def draw(task):
+            index, h_index, hyp = task
+            seed = _point_seed(config.seed, index, h_index)
+            return run_paired_estimates(points[index][1], hyp, config.trials, seed)
+
+        draw_tasks = [
+            (i, h, hyp) for i in range(len(points)) for h, hyp in enumerate(Hypothesis)
+        ]
+        pairs = ordered_map(draw, draw_tasks)
+        draws = {(i, h): pair for (i, h, _), pair in zip(draw_tasks, pairs)}
+
     def point_detector(task):
         """What one point and detector write, computed in serial order: the
         curve (thresholds, pfa, pd, auc, pd at SUMMARY_PFA), then with Monte
@@ -588,10 +613,8 @@ def run_experiment(config: ExperimentConfig, *, ks_table: bool = False) -> list[
         if not run_mc:
             return result, []
         mc_stats = []
-        for h_index, hyp in enumerate(Hypothesis):
-            on, off = run_paired_estimates(
-                spec, hyp, config.trials, _point_seed(config.seed, index, h_index)
-            )
+        for h_index in range(len(Hypothesis)):
+            on, off = draws[index, h_index]
             stats = detector_stat(kind, on, off, assumed_noise=assumed[index])
             # sorted once: quantiles, counts and histograms ignore order
             mc_stats.append(np.sort(stats))
@@ -608,7 +631,7 @@ def run_experiment(config: ExperimentConfig, *, ks_table: bool = False) -> list[
             result = (*_empirical_curve(h0_stats, h1_stats, config.pfa_grid), pd_ref)
         hists = []
         for hyp, stats, law in zip(Hypothesis, mc_stats, (h0, h1)):
-            counts, edges = np.histogram(stats, bins=_HIST_BINS)
+            counts, edges = _sorted_histogram(stats, _HIST_BINS)
             empirical = counts / (stats.size * np.diff(edges))
             mids = 0.5 * (edges[:-1] + edges[1:])
             with _named_computation(f"{kind.value} law", h0, h1):

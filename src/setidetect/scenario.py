@@ -226,6 +226,8 @@ def f_ratio_law(spec: ScenarioSpec, hyp) -> FLaw:
     """
     n = spec.n_samples
     (p_on, e_on), (p_off, e_off) = _pointing_components(spec, _as_hypothesis(hyp))
+    if p_on == 0 or p_off == 0:
+        raise ValueError("the F-ratio law needs Gaussian power on both pointings")
     return FLaw(
         dof_num=2.0 * n,
         dof_den=2.0 * n,

@@ -32,6 +32,7 @@ from setidetect.cli import (
     SUMMARY_COLUMNS,
     ConfigError,
     _empirical_curve,
+    _sorted_histogram,
     _write_csv,
     emit_spectrogram_demo,
     load_config,
@@ -638,6 +639,24 @@ class TestCompareVerb:
         assert len(rows) == 8
         assert all(0.5 <= float(r["auc"]) <= 1.0 for r in rows)
 
+    def test_scenario_without_gaussian_power_has_no_law(self, tmp_path, capsys):
+        # no noise and no interference: OFF has no Gaussian power, nor ON
+        # under H0, so the ratio's scale and non-centralities are undefined
+        doc = base_config(pfa_grid=16)
+        doc["scenario"] = {
+            "rfi_kind": "none",
+            "et_kind": "wideband",
+            "noise_power": 0.0,
+            "et_power": 1.0,
+            "n_samples": 16,
+        }
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        code = main(["compare", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "scenario: no sampling law for this scenario: the F-ratio law" in err
+        assert not (tmp_path / "out").exists()
+
     def test_failing_law_is_named(self, tmp_path, capsys, monkeypatch):
         class FailingLaw(ScaledGamma):
             def cdf(self, t):
@@ -870,6 +889,15 @@ POOL_CASES = {
         "mc-validate",
         dict(NARROWBAND_SWEEP, mode="monte_carlo", trials=1000),
     ),
+    # one point: the draw pass has only its two hypotheses to share out
+    "mc-validate-single-point": (
+        "mc-validate",
+        dict(
+            {k: v for k, v in NARROWBAND_SWEEP.items() if k != "sweeps"},
+            mode="both",
+            trials=1000,
+        ),
+    ),
     "compare-ladder": ("compare", GAIN_LADDER),
     "compare-single-sample": ("compare", SINGLE_SAMPLE),
 }
@@ -1094,6 +1122,45 @@ class TestCurveCount:
         assert sorted(built) == sorted(
             (n, kind) for n in (16, 24, 32) for kind in ("f_ratio", "on_off", "energy")
         )
+
+
+class TestDrawCount:
+    def test_each_point_and_hypothesis_is_drawn_once(self, tmp_path, monkeypatch):
+        real_draw = setidetect.cli.run_paired_estimates
+        seeds = []
+
+        def counted(spec, hyp, trials, seed):
+            seeds.append(seed)
+            return real_draw(spec, hyp, trials, seed)
+
+        monkeypatch.setattr(setidetect.cli, "run_paired_estimates", counted)
+        doc = dict(
+            NARROWBAND_SWEEP,
+            trials=1000,
+            sweeps={"parameter": "n_samples", "values": [16, 24]},
+            output_dir=str(tmp_path),
+        )
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        assert main(["mc-validate", "--config", str(cfg)]) == 0
+        assert len(seeds) == 4
+        assert len(set(seeds)) == 4
+
+
+class TestSortedHistogram:
+    def test_counts_match_np_histogram_with_ties_on_edges(self):
+        # the data's ends fix the edges, so adding copies of every edge puts
+        # ties on each interior edge and at the maximum
+        rng = np.random.default_rng(11)
+        data = rng.uniform(0.1, 0.7, size=997)
+        data[:2] = 0.1, 0.7
+        edges = np.histogram_bin_edges(data, bins=80)
+        stats = np.sort(np.concatenate([data, np.repeat(edges[1:], 3)]))
+        counts, got_edges = _sorted_histogram(stats, 80)
+        want_counts, want_edges = np.histogram(stats, bins=80)
+        assert np.array_equal(got_edges, want_edges)
+        assert np.array_equal(got_edges, edges)
+        assert np.array_equal(counts, want_counts)
+        assert counts.sum() == stats.size
 
 
 class TestEmpiricalCurve:
