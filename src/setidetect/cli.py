@@ -19,14 +19,16 @@ byte-identical files.  Sweep points are independent (per-point seeds are
 derived, not sequential).  Monte Carlo runs first draw each (point,
 hypothesis) sample once, one task each, and every detector forms its
 statistic from those shared ON/OFF estimates.  Then each (point, detector)
-pair is one task that computes everything written for it: its curve,
-statistics, histograms and KS bounds.  Each pass runs its tasks
-concurrently, one thread per available CPU, and collects them in input
-order; files are written only once every task has succeeded, each in one
-shot.  Failures are reported as a serial run would meet them: a scenario
-without a sampling law before any computation, then the first failing
-curve, histogram or KS bound in (point, detector) order, and a failed run
-writes no result file.
+pair is one task that computes everything written for it (its curve,
+statistics, histograms and KS bounds) and returns its files finished: their
+bytes and SHA-256 digests.  Each pass runs its tasks concurrently, one
+thread per available CPU, and collects them in input order.  Only once
+every task has succeeded does the calling thread write those bytes, each
+file in one shot, then the small summary tables and the manifest from the
+digests it was handed; no verb reads its outputs back.  Failures are
+reported as a serial run would meet them: a scenario without a sampling
+law before any computation, then the first failing curve, histogram or KS
+bound in (point, detector) order, and a failed run writes no result file.
 
 Exit codes: 0 success, 2 configuration error (message anchored to the
 offending config line where possible), 3 numerical non-convergence (the
@@ -438,13 +440,26 @@ def _cells(column) -> list[str]:
     return [_fmt(v) for v in column]
 
 
-def _write_csv(path: Path, header: Sequence[str], columns, constants=()) -> None:
-    """Write a CSV file by columns; every row ends with the fields of
-    `constants`, formatted once."""
+def _csv_bytes(header: Sequence[str], columns, constants=()) -> bytes:
+    """A CSV file's bytes, given by columns; every row ends with the fields
+    of `constants`, formatted once."""
     tail = "".join("," + _fmt(v) for v in constants) + "\n"
-    with open(path, "w", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
-        handle.writelines(",".join(row) + tail for row in zip(*map(_cells, columns)))
+    rows = (",".join(row) + tail for row in zip(*map(_cells, columns)))
+    return "".join([",".join(header) + "\n", *rows]).encode()
+
+
+def _csv_file(name: str, header: Sequence[str], columns, constants=()):
+    """(file name, bytes, SHA-256 hex digest) of a CSV file, for a task to
+    hand to the writing thread."""
+    data = _csv_bytes(header, columns, constants)
+    return name, data, hashlib.sha256(data).hexdigest()
+
+
+def _write_csv(path: Path, header: Sequence[str], columns, constants=()) -> str:
+    """Write a CSV file (see _csv_bytes); returns its SHA-256 hex digest."""
+    data = _csv_bytes(header, columns, constants)
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def _slug(value) -> str:
@@ -504,10 +519,26 @@ def _sweep_points(config: ExperimentConfig) -> list[tuple[str, ScenarioSpec]]:
     return points
 
 
+def _sorted_quantile(x: np.ndarray, q) -> np.ndarray:
+    """np.quantile(x, q) of sorted x, bit for bit (its default linear
+    method), read from x without copying or partitioning it."""
+    n = x.size
+    v = (n - 1) * np.asarray(q, dtype=float)
+    # as NumPy does: both neighbours are the last value from n − 1 on, and
+    # the weight is still taken from the index −1 put there
+    last = v >= n - 1
+    lo = np.where(last, -1.0, np.floor(v))
+    hi = np.where(last, -1.0, lo + 1.0)
+    a, b = x[lo.astype(np.intp)], x[hi.astype(np.intp)]
+    t = v - lo
+    diff = b - a
+    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
+
+
 def _empirical_curve(h0_stats: np.ndarray, h1_stats: np.ndarray, grid: int):
     """(thresholds, pfa, pd, auc) from sorted Monte Carlo statistics alone."""
     targets = np.linspace(0.0, 1.0, grid + 2)[1:-1]
-    ts = np.quantile(h0_stats, 1.0 - targets)
+    ts = _sorted_quantile(h0_stats, 1.0 - targets)
     # counts strictly above each threshold
     n0, n1 = h0_stats.size, h1_stats.size
     pfa = (n0 - np.searchsorted(h0_stats, ts, side="right")) / n0
@@ -537,10 +568,12 @@ def _config_as_mapping(config: ExperimentConfig, command: str) -> dict:
     return mapping
 
 
-def _write_manifest(config: ExperimentConfig, command: str, files: list[Path]) -> Path:
-    digests = {
-        path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in files
-    }
+def _write_manifest(
+    config: ExperimentConfig, command: str, digests: dict[str, str]
+) -> Path:
+    """Write manifest.json: the resolved config and the SHA-256 hex digest
+    of each written file, by file name, as the caller computed them from
+    the bytes it wrote (nothing is read back)."""
     manifest = {
         "config": _config_as_mapping(config, command),
         "files": dict(sorted(digests.items())),
@@ -597,11 +630,13 @@ def run_experiment(config: ExperimentConfig, *, ks_table: bool = False) -> list[
     def point_detector(task):
         """What one point and detector write, computed in serial order: the
         curve (thresholds, pfa, pd, auc, pd at SUMMARY_PFA), then with Monte
-        Carlo one (hypothesis, bin edges, empirical and analytic densities,
-        KS bound or None) per hypothesis."""
+        Carlo the histograms and KS bounds of each hypothesis.  Returns the
+        finished files as (name, bytes, digest), the summary row and the KS
+        rows."""
         index, kind = task
         tag, spec = points[index]
         h0, h1 = laws[index][kind]
+        ident = (spec.scenario_id, spec.gain, _snr_db(spec), spec.n_samples)
         if run_analytic:
             with _named_computation(f"{kind.value} law", h0, h1):
                 curve = roc_curve(h0, h1, grid=config.pfa_grid, detector=kind, spec=spec)
@@ -609,64 +644,65 @@ def run_experiment(config: ExperimentConfig, *, ks_table: bool = False) -> list[
                     pd_pfa(h0, h1, curve.h0_map.threshold(pfa_ref))[0]
                     for pfa_ref in SUMMARY_PFA
                 ]
-            result = (curve.thresholds, curve.pfa, curve.pd, curve.auc, pd_ref)
-        if not run_mc:
-            return result, []
+            thresholds, pfa, pd, auc = curve.thresholds, curve.pfa, curve.pd, curve.auc
         mc_stats = []
-        for h_index in range(len(Hypothesis)):
-            on, off = draws[index, h_index]
-            stats = detector_stat(kind, on, off, assumed_noise=assumed[index])
-            # sorted once: quantiles, counts and histograms ignore order
-            mc_stats.append(np.sort(stats))
-        if not all(np.all(np.isfinite(stats)) for stats in mc_stats):
-            raise ComputationError(
-                f"{kind.value} Monte Carlo statistics at {tag} leave the float range"
-            )
+        if run_mc:
+            for h_index in range(len(Hypothesis)):
+                on, off = draws[index, h_index]
+                stats = detector_stat(kind, on, off, assumed_noise=assumed[index])
+                # sorted once: quantiles, counts and histograms ignore order
+                mc_stats.append(np.sort(stats))
+            if not all(np.all(np.isfinite(stats)) for stats in mc_stats):
+                raise ComputationError(
+                    f"{kind.value} Monte Carlo statistics at {tag} leave the float range"
+                )
         if not run_analytic:
             h0_stats, h1_stats = mc_stats
-            pd_ref = []
-            for pfa_ref in SUMMARY_PFA:
-                t_ref = float(np.quantile(h0_stats, 1.0 - pfa_ref))
-                pd_ref.append(float(np.mean(h1_stats > t_ref)))
-            result = (*_empirical_curve(h0_stats, h1_stats, config.pfa_grid), pd_ref)
-        hists = []
+            t_ref = _sorted_quantile(h0_stats, 1.0 - np.array(SUMMARY_PFA))
+            n1 = h1_stats.size
+            pd_ref = ((n1 - np.searchsorted(h1_stats, t_ref, side="right")) / n1).tolist()
+            thresholds, pfa, pd, auc = _empirical_curve(h0_stats, h1_stats, config.pfa_grid)
+        written = [
+            _csv_file(
+                f"roc_{kind.value}_{tag}.csv",
+                ROC_COLUMNS,
+                (thresholds, pfa, pd),
+                (kind.value, *ident),
+            )
+        ]
+        ks_rows = []
         for hyp, stats, law in zip(Hypothesis, mc_stats, (h0, h1)):
             counts, edges = _sorted_histogram(stats, _HIST_BINS)
             empirical = counts / (stats.size * np.diff(edges))
             mids = 0.5 * (edges[:-1] + edges[1:])
             with _named_computation(f"{kind.value} law", h0, h1):
                 analytic = np.atleast_1d(np.asarray(law.pdf(mids), dtype=float))
-                bound = _ks_bound(stats, law) if ks_table else None
-            hists.append((hyp, edges, empirical, analytic, bound))
-        return result, hists
+                if ks_table:
+                    bound = _ks_bound(stats, law)
+                    ks_rows.append((kind.value, hyp.value, *ident, config.trials, bound))
+            written.append(
+                _csv_file(
+                    f"hist_{kind.value}_{hyp.value}_{tag}.csv",
+                    HIST_COLUMNS,
+                    (edges[:-1], edges[1:], empirical, analytic),
+                )
+            )
+        return written, (kind.value, *ident, auc, *pd_ref), ks_rows
 
-    files: list[Path] = []
-    summary_rows = []
-    ks_rows = []
     tasks = [(i, kind) for i in range(len(points)) for kind in config.detectors]
-    for (index, kind), (curve, hists) in zip(tasks, ordered_map(point_detector, tasks)):
-        tag, spec = points[index]
-        ident = (spec.scenario_id, spec.gain, _snr_db(spec), spec.n_samples)
-        thresholds, pfa, pd, auc, pd_ref = curve
-        roc_path = config.output_dir / f"roc_{kind.value}_{tag}.csv"
-        _write_csv(roc_path, ROC_COLUMNS, (thresholds, pfa, pd), (kind.value, *ident))
-        files.append(roc_path)
-        summary_rows.append((kind.value, *ident, auc, *pd_ref))
-        for hyp, edges, empirical, analytic, bound in hists:
-            hist_path = config.output_dir / f"hist_{kind.value}_{hyp.value}_{tag}.csv"
-            _write_csv(hist_path, HIST_COLUMNS, (edges[:-1], edges[1:], empirical, analytic))
-            files.append(hist_path)
-            if ks_table:
-                ks_rows.append((kind.value, hyp.value, *ident, config.trials, bound))
-
-    summary_path = config.output_dir / "summary.csv"
-    _write_csv(summary_path, SUMMARY_COLUMNS, zip(*summary_rows))
-    files.append(summary_path)
+    outputs = ordered_map(point_detector, tasks)
+    written = [file for task_files, _, _ in outputs for file in task_files]
+    summary_rows = [row for _, row, _ in outputs]
+    written.append(_csv_file("summary.csv", SUMMARY_COLUMNS, zip(*summary_rows)))
     if ks_table:
-        ks_path = config.output_dir / "ks_summary.csv"
-        _write_csv(ks_path, KS_COLUMNS, zip(*ks_rows))
-        files.append(ks_path)
-    files.append(_write_manifest(config, "mc-validate" if ks_table else "roc", files))
+        ks_rows = [row for _, _, rows in outputs for row in rows]
+        written.append(_csv_file("ks_summary.csv", KS_COLUMNS, zip(*ks_rows)))
+    files = []
+    for name, data, _ in written:
+        files.append(config.output_dir / name)
+        files[-1].write_bytes(data)
+    digests = {name: digest for name, _, digest in written}
+    files.append(_write_manifest(config, "mc-validate" if ks_table else "roc", digests))
     return files
 
 
@@ -728,9 +764,8 @@ def _run_spectrogram_verb(config: ExperimentConfig) -> list[Path]:
         )
     except ValueError as exc:
         raise ConfigError("spectrogram", str(exc)) from exc
-    files = [out]
-    files.append(_write_manifest(config, "spectrogram", files))
-    return files
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    return [out, _write_manifest(config, "spectrogram", {out.name: digest})]
 
 
 def _run_compare_verb(config: ExperimentConfig) -> list[Path]:
@@ -757,10 +792,8 @@ def _run_compare_verb(config: ExperimentConfig) -> list[Path]:
             )
         )
     out = config.output_dir / "compare.csv"
-    _write_csv(out, COMPARE_COLUMNS, zip(*table))
-    files = [out]
-    files.append(_write_manifest(config, "compare", files))
-    return files
+    digest = _write_csv(out, COMPARE_COLUMNS, zip(*table))
+    return [out, _write_manifest(config, "compare", {out.name: digest})]
 
 
 # ---------------------------------------------------------------------------

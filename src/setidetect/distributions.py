@@ -366,9 +366,12 @@ class _Conditioned:
         """B's range covered by the Gauss–Legendre panels."""
         return self.b._ppf(np.array([_PANEL_TAIL, 1.0 - _PANEL_TAIL]))
 
+    def _h(self, u, y):
+        return u[:, None] * y if self.ratio else u[:, None] + y
+
     def _sum(self, u, n: int, density: bool):
         y, w = self._nodes(u, n)
-        h = u[:, None] * y if self.ratio else u[:, None] + y
+        h = self._h(u, y)
         if not density:
             return np.sum(self.a._cdf(h) * w, axis=1)
         # ∂h/∂u is y for the ratio and 1 for the difference
@@ -386,9 +389,14 @@ class _Conditioned:
     def size(self) -> int:
         """Smallest rule size that agrees with the next one at the probes."""
         u = self._centred(_PROBES)
-        prev = self._sum(u, _RULE_SIZES[0], False)
+        # the first two rules always run, so one component-cdf call serves both
+        (y0, w0), (y1, w1) = (self._nodes(u, n) for n in _RULE_SIZES[:2])
+        h0, h1 = self._h(u, y0), self._h(u, y1)
+        f = self.a._cdf(np.concatenate([h0.ravel(), h1.ravel()]))
+        prev = np.sum(f[: h0.size].reshape(h0.shape) * w0, axis=1)
+        second = np.sum(f[h0.size :].reshape(h1.shape) * w1, axis=1)
         for n, larger in zip(_RULE_SIZES, _RULE_SIZES[1:]):
-            nxt = self._sum(u, larger, False)
+            nxt = second if n == _RULE_SIZES[0] else self._sum(u, larger, False)
             miss = float(np.max(np.abs(nxt - prev)))
             # the rule error oscillates between probes, so demand a tenth
             if miss <= 0.1 * QUADRATURE_TOL:

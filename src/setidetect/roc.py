@@ -350,9 +350,10 @@ def _auc(h0: Law, h1: Law, ends: tuple[float, float, float, float]) -> float:
     with np.errstate(over="ignore"):
         below = below[np.isfinite(to_t(below))]
         above = above[np.isfinite(to_t(above))]
-    # masses beyond each end, then beyond each tail panel
-    cdf_below = np.r_[masses[0], h0.cdf(to_t(below))]
-    sf_above = np.r_[masses[1], 1.0 - np.asarray(h0.cdf(to_t(above)))]
+    # masses beyond each end, then beyond each tail panel, from one cdf call
+    tails = np.asarray(h0.cdf(to_t(np.concatenate([below, above]))))
+    cdf_below = np.r_[masses[0], tails[: below.size]]
+    sf_above = np.r_[masses[1], 1.0 - tails[below.size :]]
     tail = max(cdf_below[-1], sf_above[-1])
     if tail > _AUC_TAIL:
         raise ComputationError(
@@ -374,17 +375,29 @@ def _auc(h0: Law, h1: Law, ends: tuple[float, float, float, float]) -> float:
     mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
     rad = 0.5 * np.diff(edges)[:, None]
 
-    def rule(n):
-        x, w = _legendre(n)
-        t = to_t((mid + rad * x).ravel())
-        w = (rad * w).ravel() * (t if positive else 1.0)
-        f0 = np.asarray(h0.pdf(t)) * w
-        mass = float(np.sum(f0))
-        return float(np.sum(f0 * (1.0 - np.asarray(h1.cdf(t))))) / mass, mass
+    def rules(*sizes):
+        """(auc, mass) of each rule size, from one h0.pdf and one h1.cdf
+        call over all their nodes."""
+        nodes = []
+        for n in sizes:
+            x, w = _legendre(n)
+            t = to_t((mid + rad * x).ravel())
+            nodes.append((t, (rad * w).ravel() * (t if positive else 1.0)))
+        ts = np.concatenate([t for t, _ in nodes])
+        pdf0, sf1 = np.asarray(h0.pdf(ts)), 1.0 - np.asarray(h1.cdf(ts))
+        out, start = [], 0
+        for t, w in nodes:
+            part = slice(start, start + t.size)
+            f0 = pdf0[part] * w
+            mass = float(np.sum(f0))
+            out.append((float(np.sum(f0 * sf1[part])) / mass, mass))
+            start += t.size
+        return out
 
-    prev, _ = rule(_AUC_RULE_SIZES[0])
+    # the first two rules always run, so they share their calls
+    (prev, _), second = rules(*_AUC_RULE_SIZES[:2])
     for n in _AUC_RULE_SIZES[1:]:
-        auc, mass = rule(n)
+        auc, mass = second if n == _AUC_RULE_SIZES[1] else rules(n)[0]
         miss = abs(auc - prev)
         if miss <= AUC_TOL:
             if abs(mass - 1.0) > AUC_TOL:

@@ -1,6 +1,7 @@
 """Tests for the batch front-end: config parsing, result files, exit codes."""
 
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -31,8 +32,10 @@ from setidetect.cli import (
     ROC_COLUMNS,
     SUMMARY_COLUMNS,
     ConfigError,
+    _csv_bytes,
     _empirical_curve,
     _sorted_histogram,
+    _sorted_quantile,
     _write_csv,
     emit_spectrogram_demo,
     load_config,
@@ -1179,14 +1182,42 @@ class TestEmpiricalCurve:
         assert np.array_equal(pd[1:-1], pd_ref)
 
 
+class TestSortedQuantile:
+    """_sorted_quantile equals np.quantile bit for bit on sorted data."""
+
+    PFA_GRID = 1.0 - np.linspace(0.0, 1.0, 1024 + 2)[1:-1]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 50_000])
+    @pytest.mark.parametrize("kind", ["ties", "large"])
+    def test_matches_np_quantile(self, n, kind):
+        rng = np.random.default_rng(n)
+        if kind == "ties":
+            x = np.round(rng.normal(size=n), 1)
+        else:
+            x = rng.uniform(-1.0, 1.0, size=n) * 1e300
+        x = np.sort(x)
+        # read straight from the caller's array, which it must not reorder
+        x.flags.writeable = False
+        q = np.concatenate([[0.0, 1.0], self.PFA_GRID, rng.uniform(size=50)])
+        assert np.array_equal(_sorted_quantile(x, q), np.quantile(x, q))
+        for order in (0.0, 1.0, 0.99, 0.9):
+            want = float(np.quantile(x, order))
+            got = float(_sorted_quantile(x, order))
+            assert got == want and np.signbit(got) == np.signbit(want)
+
+
 class TestWriteCsv:
     def test_columns_and_constants_give_repr_fields(self, tmp_path):
         values = np.array([np.inf, 0.1 + 0.2, 1e-300, -0.0, -np.inf])
         counts = np.arange(5)
-        path = tmp_path / "out.csv"
-        _write_csv(path, ("a", "b", "c", "d"), (values, counts), ("x", np.float64(0.9)))
+        columns, constants = (values, counts), ("x", np.float64(0.9))
         rows = [f"{v!r},{int(c)},x,0.9" for v, c in zip(values.tolist(), counts)]
-        assert path.read_text() == "a,b,c,d\n" + "\n".join(rows) + "\n"
+        text = "a,b,c,d\n" + "\n".join(rows) + "\n"
+        assert _csv_bytes(("a", "b", "c", "d"), columns, constants) == text.encode()
+        path = tmp_path / "out.csv"
+        digest = _write_csv(path, ("a", "b", "c", "d"), columns, constants)
+        assert path.read_bytes() == text.encode()
+        assert digest == hashlib.sha256(text.encode()).hexdigest()
 
     @pytest.mark.parametrize(
         "columns, constants",
@@ -1195,7 +1226,47 @@ class TestWriteCsv:
     )
     def test_booleans_are_rejected(self, tmp_path, columns, constants):
         with pytest.raises(TypeError, match="booleans"):
+            _csv_bytes(("a", "b"), columns, constants)
+        with pytest.raises(TypeError, match="booleans"):
             _write_csv(tmp_path / "out.csv", ("a", "b"), columns, constants)
+        assert not (tmp_path / "out.csv").exists()
+
+
+SPECTROGRAM_BLOCK = {
+    "amplitude": 1.0,
+    "start_freq": 0.1,
+    "drift_rate": 1e-4,
+    "fft_len": 32,
+    "hop": 16,
+    "noise_power": 0.5,
+}
+MANIFEST_CASES = {
+    "roc-analytic": ("roc", base_config(pfa_grid=16)),
+    "roc-both": ("roc", base_config(pfa_grid=16, mode="both", trials=1000)),
+    "mc-validate": ("mc-validate", base_config(pfa_grid=16, trials=1000)),
+    "mc-validate-monte-carlo": (
+        "mc-validate",
+        base_config(pfa_grid=16, mode="monte_carlo", trials=1000),
+    ),
+    "compare": ("compare", base_config(pfa_grid=16, gains=[0.9, 1.0])),
+    "spectrogram": ("spectrogram", base_config(spectrogram=SPECTROGRAM_BLOCK)),
+}
+
+
+class TestManifest:
+    @pytest.mark.parametrize("case", MANIFEST_CASES)
+    def test_each_digest_is_that_of_the_file_on_disk(self, tmp_path, capsys, case):
+        verb, doc = MANIFEST_CASES[case]
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        out = tmp_path / "out"
+        assert main([verb, "--config", str(cfg), "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.split()
+        assert sorted(printed) == sorted(str(p) for p in out.iterdir())
+        listed = json.loads((out / "manifest.json").read_text())["files"]
+        on_disk = {p.name for p in out.iterdir() if p.name != "manifest.json"}
+        assert set(listed) == on_disk
+        for name, digest in listed.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 IMPORT_GUARD = """
