@@ -22,13 +22,14 @@ statistic from those shared ON/OFF estimates.  Then each (point, detector)
 pair is one task that computes everything written for it (its curve,
 statistics, histograms and KS bounds) and returns its files finished: their
 bytes and SHA-256 digests.  Each pass runs its tasks concurrently, one
-thread per available CPU, and collects them in input order.  Only once
-every task has succeeded does the calling thread write those bytes, each
-file in one shot, then the small summary tables and the manifest from the
-digests it was handed; no verb reads its outputs back.  Failures are
-reported as a serial run would meet them: a scenario without a sampling
-law before any computation, then the first failing curve, histogram or KS
-bound in (point, detector) order, and a failed run writes no result file.
+thread per available CPU, and collects them in input order.  Every verb
+writes through one function, and only once its computation has succeeded:
+it makes the output directory, writes each file's bytes in one shot, then
+the manifest from the digests it was handed; no verb reads its outputs
+back.  Failures are reported as a serial run would meet them: a scenario
+without a sampling law before any computation, then the first failing
+curve, histogram or KS bound in (point, detector) order, and a failed run
+makes no output directory.
 
 Exit codes: 0 success, 2 configuration error (message anchored to the
 offending config line where possible), 3 numerical non-convergence (the
@@ -448,18 +449,15 @@ def _csv_bytes(header: Sequence[str], columns, constants=()) -> bytes:
     return "".join([",".join(header) + "\n", *rows]).encode()
 
 
-def _csv_file(name: str, header: Sequence[str], columns, constants=()):
-    """(file name, bytes, SHA-256 hex digest) of a CSV file, for a task to
-    hand to the writing thread."""
-    data = _csv_bytes(header, columns, constants)
+def _file(name: str, data: bytes):
+    """(file name, bytes, SHA-256 hex digest) of one output file, for _publish."""
     return name, data, hashlib.sha256(data).hexdigest()
 
 
-def _write_csv(path: Path, header: Sequence[str], columns, constants=()) -> str:
-    """Write a CSV file (see _csv_bytes); returns its SHA-256 hex digest."""
-    data = _csv_bytes(header, columns, constants)
-    path.write_bytes(data)
-    return hashlib.sha256(data).hexdigest()
+def _csv_file(name: str, header: Sequence[str], columns, constants=()):
+    """_file of a CSV file (see _csv_bytes), for a task to hand to the
+    writing thread."""
+    return _file(name, _csv_bytes(header, columns, constants))
 
 
 def _slug(value) -> str:
@@ -487,7 +485,8 @@ def _sorted_histogram(stats: np.ndarray, bins: int):
 def _ks_bound(stats: np.ndarray, law: Law, nodes: int = _KS_NODES) -> float:
     """Upper bound on the exact KS distance from a subsample of cdf nodes."""
     x = np.sort(np.asarray(stats, dtype=float))
-    idx = np.unique(np.linspace(0, x.size - 1, min(nodes, x.size)).astype(int))
+    # strictly increasing already: the step is at least 1
+    idx = np.linspace(0, x.size - 1, min(nodes, x.size)).astype(int)
     cdf = np.atleast_1d(np.asarray(law.cdf(x[idx]), dtype=float))
     upper = (idx + 1) / x.size
     lower = idx / x.size
@@ -568,19 +567,23 @@ def _config_as_mapping(config: ExperimentConfig, command: str) -> dict:
     return mapping
 
 
-def _write_manifest(
-    config: ExperimentConfig, command: str, digests: dict[str, str]
-) -> Path:
-    """Write manifest.json: the resolved config and the SHA-256 hex digest
-    of each written file, by file name, as the caller computed them from
-    the bytes it wrote (nothing is read back)."""
+def _publish(config: ExperimentConfig, command: str, files) -> list[Path]:
+    """Make the output directory, write each (name, bytes, digest) of
+    `files` in one shot, then manifest.json: the resolved config and those
+    digests by file name (nothing is read back).  Returns the written
+    paths, the manifest last."""
+    config.output_dir.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for name, data, _ in files:
+        paths.append(config.output_dir / name)
+        paths[-1].write_bytes(data)
     manifest = {
         "config": _config_as_mapping(config, command),
-        "files": dict(sorted(digests.items())),
+        "files": {name: digest for name, _, digest in files},
     }
-    path = config.output_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    paths.append(config.output_dir / "manifest.json")
+    paths[-1].write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return paths
 
 
 def run_experiment(config: ExperimentConfig, *, ks_table: bool = False) -> list[Path]:
@@ -592,7 +595,6 @@ def run_experiment(config: ExperimentConfig, *, ks_table: bool = False) -> list[
     statistics.  Mode ``both`` writes analytic curves plus histogram files
     with empirical/analytic density overlays.
     """
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     run_analytic = config.mode in ("analytic", "both")
     run_mc = config.mode in ("monte_carlo", "both")
 
@@ -697,13 +699,23 @@ def run_experiment(config: ExperimentConfig, *, ks_table: bool = False) -> list[
     if ks_table:
         ks_rows = [row for _, _, rows in outputs for row in rows]
         written.append(_csv_file("ks_summary.csv", KS_COLUMNS, zip(*ks_rows)))
-    files = []
-    for name, data, _ in written:
-        files.append(config.output_dir / name)
-        files[-1].write_bytes(data)
-    digests = {name: digest for name, _, digest in written}
-    files.append(_write_manifest(config, "mc-validate" if ks_table else "roc", digests))
-    return files
+    return _publish(config, "mc-validate" if ks_table else "roc", written)
+
+
+def _spectrogram_csv(chirp: ChirpParams, noise_power, fft_len, hop, n_samples, seed) -> bytes:
+    """The bytes of emit_spectrogram_demo's file."""
+    if not (np.isfinite(noise_power) and noise_power >= 0):
+        raise ValueError("noise_power must be non-negative")
+    if n_samples is None:
+        n_samples = fft_len + 63 * hop
+    n_samples = int(n_samples)
+    if n_samples < fft_len:
+        raise ValueError("n_samples must cover at least one frame")
+    stream = chirp.waveform(n_samples)
+    if noise_power > 0:
+        stream = stream + _cgauss(np.random.default_rng(seed), n_samples, noise_power)
+    frames = spectrogram(stream, fft_len, hop)
+    return "".join(",".join(map(repr, row)) + "\n" for row in frames.tolist()).encode()
 
 
 def emit_spectrogram_demo(
@@ -721,21 +733,8 @@ def emit_spectrogram_demo(
 
     The stream length defaults to 64 frames' worth of samples.
     """
-    if not (np.isfinite(noise_power) and noise_power >= 0):
-        raise ValueError("noise_power must be non-negative")
-    if n_samples is None:
-        n_samples = fft_len + 63 * hop
-    n_samples = int(n_samples)
-    if n_samples < fft_len:
-        raise ValueError("n_samples must cover at least one frame")
-    stream = chirp.waveform(n_samples)
-    if noise_power > 0:
-        stream = stream + _cgauss(np.random.default_rng(seed), n_samples, noise_power)
-    frames = spectrogram(stream, fft_len, hop)
     path = Path(path)
-    with open(path, "w", newline="\n") as handle:
-        for row in frames:
-            handle.write(",".join(repr(float(v)) for v in row) + "\n")
+    path.write_bytes(_spectrogram_csv(chirp, noise_power, fft_len, hop, n_samples, seed))
     return path
 
 
@@ -743,29 +742,21 @@ def _run_spectrogram_verb(config: ExperimentConfig) -> list[Path]:
     params = config.spectrogram_params
     if params is None:
         raise ConfigError("spectrogram", "missing required key for this command")
-    chirp = ChirpParams(
-        amplitude=params["amplitude"],
-        start_freq=params["start_freq"],
-        drift_rate=params["drift_rate"],
-        phase0=params["phase0"],
-    )
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    out = config.output_dir / "spectrogram.csv"
     seed = params["seed"] if params["seed"] is not None else config.seed
     try:
-        emit_spectrogram_demo(
-            chirp,
-            params["noise_power"],
-            params["fft_len"],
-            params["hop"],
-            out,
-            n_samples=params["n_samples"],
-            seed=seed,
+        chirp = ChirpParams(
+            **{k: params[k] for k in ("amplitude", "start_freq", "drift_rate", "phase0")}
+        )
+        data = _spectrogram_csv(
+            chirp, *(params[k] for k in ("noise_power", "fft_len", "hop", "n_samples")), seed
         )
     except ValueError as exc:
-        raise ConfigError("spectrogram", str(exc)) from exc
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    return [out, _write_manifest(config, "spectrogram", {out.name: digest})]
+        # the chirp's and the frames' messages lead with the offending field
+        # name; anchor the error at that key's line when possible
+        first_word = str(exc).split(" ", 1)[0]
+        where = "spectrogram" + (f".{first_word}" if first_word in _SPECTROGRAM_KEYS else "")
+        raise ConfigError(where, str(exc)) from exc
+    return _publish(config, "spectrogram", [_file("spectrogram.csv", data)])
 
 
 def _run_compare_verb(config: ExperimentConfig) -> list[Path]:
@@ -776,7 +767,6 @@ def _run_compare_verb(config: ExperimentConfig) -> list[Path]:
         # the gain-1 baseline is the scenario's own
         where = "scenario" if exc.gain == 1.0 else f"gains[{gains.index(exc.gain)}]"
         raise ConfigError(where, f"no sampling law for this scenario: {exc}")
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     table = []
     for row in rows:
         spec = row.spec
@@ -791,9 +781,8 @@ def _run_compare_verb(config: ExperimentConfig) -> list[Path]:
                 spec.n_samples,
             )
         )
-    out = config.output_dir / "compare.csv"
-    digest = _write_csv(out, COMPARE_COLUMNS, zip(*table))
-    return [out, _write_manifest(config, "compare", {out.name: digest})]
+    compare = _csv_file("compare.csv", COMPARE_COLUMNS, zip(*table))
+    return _publish(config, "compare", [compare])
 
 
 # ---------------------------------------------------------------------------
@@ -824,15 +813,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _line_anchor(text: str, dotted_path: str) -> Optional[int]:
-    """Best-effort line number of the key a validation error points at."""
-    for segment in reversed(dotted_path.replace("]", "").split(".")):
+    """Best-effort line number of the key a validation error points at:
+    each key of the dotted path is looked for from its parent's line on
+    (`spectrogram.n_samples` is not `scenario.n_samples`), and the
+    innermost key found gives the line."""
+    lines = text.splitlines()
+    anchor = None
+    for segment in dotted_path.replace("]", "").split("."):
         key = segment.split("[")[0]
         if not key:
             continue
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if f'"{key}"' in line:
-                return lineno
-    return None
+        start = anchor or 0
+        found = next((i for i in range(start, len(lines)) if f'"{key}"' in lines[i]), None)
+        if found is None:
+            break
+        anchor = found
+    return None if anchor is None else anchor + 1
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -4,13 +4,13 @@ The decision rule is one-sided for every detector: declare a signal when
 the statistic exceeds the threshold, so pd = 1 − cdf_H1(t) and
 pfa = 1 − cdf_H0(t).  ROC curves place thresholds at H0 quantiles of an
 equispaced false-alarm grid, read from one H0 quantile map per curve, and
-evaluate pfa and pd exactly at each threshold.  The map is a cubic spline of
-log t (t for differences) against the normal score Φ⁻¹(p), in which it is
-nearly linear, through about 130 exact H0 cdf knots.  The spline is SciPy's
-not-a-knot CubicSpline rebuilt in NumPy, bit for bit: the same slope system,
-solved by tridiagonal elimination with LAPACK's pivoting, and PPoly's
-evaluation order; importing scipy.interpolate would load scipy.linalg and
-scipy.sparse, a large part of every CLI start-up.  The AUC is not taken from
+evaluate pfa and pd exactly at each threshold.  The map is a piecewise cubic
+in log t (t for differences) against the normal score Φ⁻¹(p), in which it is
+nearly linear, through about 130 exact H0 cdf knots.  Its slope at each knot
+is that of the degree-5 polynomial through the six knots around it, so no
+global system is solved, and each interval is the cubic Hermite on those
+slopes; NumPy alone builds it (scipy.interpolate would load scipy.linalg and
+scipy.sparse, a large part of every CLI start-up).  The AUC is not taken from
 those points: it is P(S₁ > S₀) = ∫ SF₁(t)·f₀(t) dt (Hanley & McNeil, 1982),
 one Gauss–Legendre integral over H0's mass, in log t for positive
 statistics.  The map and the integral share their ends, which one vectorized
@@ -59,6 +59,9 @@ _MAP_KNOTS = 128
 _MAP_Z_GAP = 0.125
 # Bisection rounds, at most.
 _MAP_ROUNDS = 40
+# Knots in each slope stencil: the map's misses grow at widths 3, 4 and 5,
+# and do not shrink at 7 or 8.
+_SLOPE_KNOTS = 6
 # The AUC integral leaves at most this much H0 mass outside each end.
 _AUC_TAIL = 1e-13
 # Equal panels between the ends.
@@ -121,12 +124,13 @@ class _H0Map:
 
     In the law's own variable x (log t for positive laws, t otherwise, as in
     _auc) against the normal score z = Φ⁻¹(p) the map is nearly linear, so
-    x(z) is a cubic spline through exact cdf knots: _MAP_KNOTS evenly spaced
-    in x, plus t = 0 inside a difference's range, where small-N differences
-    have a kink and the spline is split in two.  Knot intervals are bisected
-    while they span more than _MAP_Z_GAP in z, for at most _MAP_ROUNDS rounds.
-    A spline piece that is not increasing throughout (the map is flat across
-    an atom, say) is made linear, so the map increases by construction.
+    x(z) is a piecewise cubic through exact cdf knots (see _spline):
+    _MAP_KNOTS evenly spaced in x, plus t = 0 inside a difference's range,
+    where small-N differences have a kink and the cubic is split in two.
+    Knot intervals are bisected while they span more than _MAP_Z_GAP in z,
+    for at most _MAP_ROUNDS rounds.  A cubic piece that is not increasing
+    throughout (the map is flat across an atom, say) is made linear, so the
+    map increases by construction.
     """
 
     def __init__(self, h0: Law):
@@ -190,78 +194,37 @@ class _Cubic:
         return c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
 
 
-def _tridiagonal_solve(dl, d, du, b) -> list[float]:
-    """Solution of the tridiagonal system with sub-, main and super-diagonals
-    dl, d, du and right-hand side b, by Gaussian elimination with partial
-    pivoting in the steps of LAPACK's dgtsv for one right-hand side."""
-    dl, d, du, b = (np.asarray(v, dtype=float).tolist() for v in (dl, d, du, b))
-    n = len(d)
-    for i in range(n - 1):
-        if abs(d[i]) >= abs(dl[i]):
-            fact = dl[i] / d[i]
-            d[i + 1] -= fact * du[i]
-            b[i + 1] -= fact * b[i]
-            dl[i] = 0.0
-        else:
-            # interchange rows i and i + 1; dl[i] becomes row i's second
-            # super-diagonal
-            fact = d[i] / dl[i]
-            d[i], temp = dl[i], d[i + 1]
-            d[i + 1] = du[i] - fact * temp
-            if i < n - 2:
-                dl[i] = du[i + 1]
-                du[i + 1] = -fact * dl[i]
-            du[i] = temp
-            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
-    b[n - 1] /= d[n - 1]
-    if n > 1:
-        b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
-    for i in range(n - 3, -1, -1):
-        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
-    return b
-
-
-def _not_a_knot(z: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """PPoly coefficients (4, n − 1) of the not-a-knot cubic spline x(z)
-    through n ≥ 2 knots, as scipy's CubicSpline builds them: the parabola
-    through 3 knots, the line through 2."""
-    h = np.diff(z)
-    m = np.diff(x) / h
+def _slopes(z: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Slope of x(z) at each of n ≥ 2 knots: the derivative there of the
+    polynomial through the _SLOPE_KNOTS knots around it (all n if fewer), by
+    barycentric differentiation (Berrut & Trefethen, SIAM Review 46, 2004)."""
     n = z.size
-    if n == 2:
-        s = [m[0], m[0]]
-    elif n == 3:
-        s = _tridiagonal_solve(
-            [h[1], 1.0],
-            [1.0, 2.0 * (h[0] + h[1]), 1.0],
-            [1.0, h[0]],
-            [2.0 * m[0], 3.0 * (h[0] * m[1] + h[1] * m[0]), 2.0 * m[1]],
-        )
-    else:
-        # slope s[i] at every knot: interior rows from continuous curvature,
-        # end rows from a continuous third derivative at the second and the
-        # last-but-one knot
-        d0, d1 = z[2] - z[0], z[-1] - z[-3]
-        s = _tridiagonal_solve(
-            np.r_[h[1:], d1],
-            np.r_[h[1], 2.0 * (h[:-1] + h[1:]), h[-2]],
-            np.r_[d0, h[:-1]],
-            np.r_[
-                ((h[0] + 2.0 * d0) * h[1] * m[0] + h[0] ** 2 * m[1]) / d0,
-                3.0 * (h[1:] * m[:-1] + h[:-1] * m[1:]),
-                (h[-1] ** 2 * m[-2] + (2.0 * d1 + h[-1]) * h[-2] * m[-1]) / d1,
-            ],
-        )
-    s = np.asarray(s)
-    t = (s[:-1] + s[1:] - 2.0 * m) / h
-    return np.stack([t / h, (m - s[:-1]) / h - t, s[:-1], x[:-1]])
+    w = min(_SLOPE_KNOTS, n)
+    # each knot's stencil, centred where the ends allow
+    start = np.clip(np.arange(n) - (w - 1) // 2, 0, n - w)
+    stencil = start[:, None] + np.arange(w)
+    zs, xs = z[stencil], x[stencil]
+    gaps = zs[:, :, None] - zs[:, None, :]
+    weights = 1.0 / np.prod(np.where(np.eye(w, dtype=bool), 1.0, gaps), axis=2)
+    own = stencil == np.arange(n)[:, None]
+    # the knot's own term is 0/0, and is dropped
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = weights * (xs - x[:, None]) / (z[:, None] - zs)
+    return np.sum(np.where(own, 0.0, terms), axis=1) / weights[own]
 
 
 def _spline(z: np.ndarray, x: np.ndarray, kinks) -> _Cubic:
-    """Not-a-knot cubic spline x(z), split into independent splines at the
-    knot indices `kinks`."""
+    """Cubic Hermite interpolant x(z) on the slopes of _slopes, split into
+    independent pieces at the knot indices `kinks`: no stencil crosses one."""
     cuts = [0, *(int(i) for i in kinks if 0 < i < z.size - 1), z.size - 1]
-    parts = [_not_a_knot(z[a : b + 1], x[a : b + 1]) for a, b in zip(cuts, cuts[1:])]
+    parts = []
+    for a, b in zip(cuts, cuts[1:]):
+        zp, xp = z[a : b + 1], x[a : b + 1]
+        s = _slopes(zp, xp)
+        h = np.diff(zp)
+        m = np.diff(xp) / h
+        t = (s[:-1] + s[1:] - 2.0 * m) / h
+        parts.append(np.stack([t / h, (m - s[:-1]) / h - t, s[:-1], xp[:-1]]))
     return _Cubic(np.hstack(parts), z)
 
 

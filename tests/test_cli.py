@@ -33,10 +33,11 @@ from setidetect.cli import (
     SUMMARY_COLUMNS,
     ConfigError,
     _csv_bytes,
+    _csv_file,
     _empirical_curve,
+    _ks_bound,
     _sorted_histogram,
     _sorted_quantile,
-    _write_csv,
     emit_spectrogram_demo,
     load_config,
     main,
@@ -538,6 +539,41 @@ class TestSpectrogramVerb:
             frames += matrix.shape[0]
         assert hits / frames > 0.9
 
+    @pytest.mark.parametrize(
+        "key, text, message",
+        [
+            ("amplitude", "-1.0", "amplitude must be non-negative"),
+            ("start_freq", "1e400", "start_freq must be finite"),
+            ("fft_len", "0", "fft_len must satisfy"),
+            # keys the scenario block has too, on earlier lines
+            ("n_samples", "8", "n_samples must cover at least one frame"),
+            ("noise_power", "-1.0", "must be non-negative"),
+        ],
+        ids=["negative-amplitude", "infinite-start-freq", "zero-fft-len",
+             "short-stream", "negative-noise-power"],
+    )
+    def test_bad_block_value_is_anchored_config_error(
+        self, tmp_path, capsys, key, text, message
+    ):
+        block = {"amplitude": 1.0, "start_freq": 0.1, "fft_len": 32, "hop": 16,
+                 "n_samples": 256, "noise_power": 0.5}
+        doc = {"scenario": base_config()["scenario"], "spectrogram": block}
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        # JSON reads 1e400 as inf, which json.dumps would not write
+        lines = cfg.read_text().splitlines()
+        start = next(i for i, line in enumerate(lines) if '"spectrogram"' in line)
+        lineno = next(i for i in range(start, len(lines)) if f'"{key}"' in lines[i]) + 1
+        comma = "," if lines[lineno - 1].endswith(",") else ""
+        lines[lineno - 1] = f'    "{key}": {text}{comma}'
+        cfg.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        code = main(["spectrogram", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{cfg}:{lineno}: spectrogram.{key}: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_rejects_short_stream(self):
         with pytest.raises(ValueError):
             emit_spectrogram_demo(
@@ -1016,6 +1052,7 @@ class TestPoolFailures:
         assert code == 3
         assert "on_off law failed: shape 4 did not settle" in err
         assert "FailingLaw(shape=4.0, scale=1.0)" in err
+        assert not (tmp_path / "out").exists()
 
     def test_histogram_failure_precedes_later_curve_failure(
         self, tmp_path, capsys, monkeypatch
@@ -1082,7 +1119,7 @@ class TestPoolFailures:
         assert threading.active_count() == before
         assert code == 3
         assert "energy law failed: slow density failed" in capsys.readouterr().err
-        assert not list((tmp_path / "out").glob("*.csv"))
+        assert not (tmp_path / "out").exists()
 
     def test_missing_law_is_reported_before_any_curve(
         self, tmp_path, capsys, monkeypatch
@@ -1166,6 +1203,35 @@ class TestSortedHistogram:
         assert counts.sum() == stats.size
 
 
+class _RecordingLaw:
+    """A law whose cdf records the points it is asked for."""
+
+    def __init__(self):
+        self.points = []
+
+    def cdf(self, t):
+        self.points.append(np.array(t))
+        return np.clip(t, 0.0, 1.0)
+
+
+class TestKsBound:
+    @pytest.mark.parametrize("nodes", [1024, 2048])
+    @pytest.mark.parametrize(
+        "n",
+        [1, 2, 1023, 1024, 1025, 2047, 2048, 2049, 4095, 4097, 6151, 69_999, 10**5,
+         10**6, 2**20 + 1],
+    )
+    def test_node_grid_is_strictly_increasing(self, nodes, n):
+        # sorted distinct statistics 0, 1, …, n − 1: the cdf points are the
+        # node indices themselves
+        law = _RecordingLaw()
+        _ks_bound(np.arange(float(n)), law, nodes=nodes)
+        (idx,) = law.points
+        assert idx.size == min(n, nodes)
+        assert idx[0] == 0 and idx[-1] == n - 1
+        assert np.all(np.diff(idx) > 0)
+
+
 class TestEmpiricalCurve:
     def test_counts_match_broadcast_comparison(self):
         # statistics rounded to 0.1 tie often, and many thresholds land on a
@@ -1207,16 +1273,15 @@ class TestSortedQuantile:
 
 
 class TestWriteCsv:
-    def test_columns_and_constants_give_repr_fields(self, tmp_path):
+    def test_columns_and_constants_give_repr_fields(self):
         values = np.array([np.inf, 0.1 + 0.2, 1e-300, -0.0, -np.inf])
         counts = np.arange(5)
         columns, constants = (values, counts), ("x", np.float64(0.9))
         rows = [f"{v!r},{int(c)},x,0.9" for v, c in zip(values.tolist(), counts)]
         text = "a,b,c,d\n" + "\n".join(rows) + "\n"
         assert _csv_bytes(("a", "b", "c", "d"), columns, constants) == text.encode()
-        path = tmp_path / "out.csv"
-        digest = _write_csv(path, ("a", "b", "c", "d"), columns, constants)
-        assert path.read_bytes() == text.encode()
+        name, data, digest = _csv_file("out.csv", ("a", "b", "c", "d"), columns, constants)
+        assert (name, data) == ("out.csv", text.encode())
         assert digest == hashlib.sha256(text.encode()).hexdigest()
 
     @pytest.mark.parametrize(
@@ -1224,12 +1289,11 @@ class TestWriteCsv:
         [((np.array([True, False]),), ()), ((np.array([1.0, 2.0]),), (True,))],
         ids=["column", "constant"],
     )
-    def test_booleans_are_rejected(self, tmp_path, columns, constants):
+    def test_booleans_are_rejected(self, columns, constants):
         with pytest.raises(TypeError, match="booleans"):
             _csv_bytes(("a", "b"), columns, constants)
         with pytest.raises(TypeError, match="booleans"):
-            _write_csv(tmp_path / "out.csv", ("a", "b"), columns, constants)
-        assert not (tmp_path / "out.csv").exists()
+            _csv_file("out.csv", ("a", "b"), columns, constants)
 
 
 SPECTROGRAM_BLOCK = {

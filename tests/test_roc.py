@@ -1,10 +1,12 @@
 """Tests for analytic detection performance: pd/pfa, thresholds, ROC, AUC."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.integrate import quad
-from scipy.interpolate import CubicSpline, PPoly
+from scipy.interpolate import CubicHermiteSpline, PPoly
 
 from setidetect import (
     ComputationError,
@@ -292,20 +294,25 @@ class TestH0Map:
             (single_sample(1.0), "f_ratio", 1e-6),
             (single_sample(0.001), "on_off", 1e-6),
             (single_sample(0.5), "on_off", 1e-6),
-            (narrow_narrow(16), "f_ratio", 1e-8),
-            (narrow_narrow(16), "on_off", 1e-8),
-            (narrow_narrow(16), "energy", 1e-8),
-            (wide_wide(0.1, 0.5, n_samples=2, rfi_power=1e4), "on_off", 5e-6),
+            *(
+                (narrow_narrow(n), kind, 1e-10)
+                for n in (16, 32, 64)
+                for kind in ("f_ratio", "on_off", "energy")
+            ),
+            (wide_wide(0.1, 0.5, n_samples=2, rfi_power=1e4), "on_off", 2e-6),
             (wide_wide(0.1, 0.5, n_samples=16, rfi_power=1e4), "on_off", 4e-10),
         ],
         ids=["f_ratio-N1-g0.001", "f_ratio-N1-g1", "on_off-N1-g0.001",
-             "on_off-N1-g0.5", "f_ratio-narrow-N16", "on_off-narrow-N16",
-             "energy-narrow-N16", "on_off-wide-N2-g0.5", "on_off-wide-N16-g0.5"],
+             "on_off-N1-g0.5",
+             *(f"{kind}-narrow-N{n}" for n in (16, 32, 64)
+               for kind in ("f_ratio", "on_off", "energy")),
+             "on_off-wide-N2-g0.5", "on_off-wide-N16-g0.5"],
     )
     def test_points_sit_at_requested_pfa(self, spec, kind, tol):
         # N = 1 covers the heavy-tailed ratio and the difference's kink at 0;
+        # the narrowband laws are the README's 1e-10 (at most 8.4e-11 seen);
         # the wideband differences with strong interference are the least
-        # accurate laws seen at N = 2 and N = 16 (4.5e-6 and 3.0e-10)
+        # accurate laws seen at N = 2 and N = 16 (1.1e-6 and 3.0e-10)
         h0, h1 = detector_laws(spec, kind)
         curve = roc_curve(h0, h1, grid=512)
         targets = np.linspace(0.0, 1.0, 512 + 2)[1:-1]
@@ -334,14 +341,40 @@ class TestH0Map:
 
 
 def scipy_spline(z, x, kinks) -> PPoly:
-    """roc._spline's reference: scipy's not-a-knot splines, split at `kinks`."""
+    """roc._spline's reference: scipy's cubic Hermite splines on the slopes
+    of roc._slopes, split at `kinks`."""
     cuts = [0, *(int(i) for i in kinks if 0 < i < z.size - 1), z.size - 1]
-    parts = [CubicSpline(z[a : b + 1], x[a : b + 1]) for a, b in zip(cuts, cuts[1:])]
+    parts = [
+        CubicHermiteSpline(zp, xp, roc_module._slopes(zp, xp))
+        for zp, xp in ((z[a : b + 1], x[a : b + 1]) for a, b in zip(cuts, cuts[1:]))
+    ]
     return PPoly(np.hstack([s.c for s in parts]), z)
 
 
+def random_knots(rng, n):
+    z = np.cumsum(rng.exponential(size=n)) * 10.0 ** rng.uniform(-3, 1)
+    x = np.cumsum(rng.normal(0.5, 1.0, size=n))
+    return z, x
+
+
+def map_knots(law):
+    """The (z, x, kinks) knots an H0 map of `law` builds its cubic on."""
+    calls = []
+    real = roc_module._spline
+
+    def spy(z, x, kinks):
+        calls.append((z, x, kinks))
+        return real(z, x, kinks)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(roc_module, "_spline", spy)
+        roc_module._H0Map(law)
+    (knots,) = calls
+    return knots
+
+
 class TestSpline:
-    """roc's NumPy spline against scipy.interpolate.CubicSpline."""
+    """roc's NumPy cubic against scipy.interpolate.CubicHermiteSpline."""
 
     def assert_matches(self, z, x, kinks=()):
         ours, ref = roc_module._spline(z, x, kinks), scipy_spline(z, x, kinks)
@@ -356,22 +389,11 @@ class TestSpline:
     def test_random_increasing_knots(self, n):
         rng = np.random.default_rng(n)
         for _ in range(50):
-            z = np.cumsum(rng.exponential(size=n)) * 10.0 ** rng.uniform(-3, 1)
-            x = np.cumsum(rng.normal(0.5, 1.0, size=n))
-            self.assert_matches(z, x)
+            self.assert_matches(*random_knots(rng, n))
 
-    def test_kink_split_difference_map(self, monkeypatch):
+    def test_kink_split_difference_map(self):
         # the N = 1 on_off H0 law has its kink inside the map's range
-        calls = []
-        real = roc_module._spline
-
-        def spy(z, x, kinks):
-            calls.append((z, x, kinks))
-            return real(z, x, kinks)
-
-        monkeypatch.setattr(roc_module, "_spline", spy)
-        roc_module._H0Map(detector_laws(single_sample(0.5), "on_off")[0])
-        (z, x, kinks), = calls
+        z, x, kinks = map_knots(detector_laws(single_sample(0.5), "on_off")[0])
         assert len(kinks) == 1 and 0 < kinks[0] < z.size - 1
         self.assert_matches(z, x, kinks)
 
@@ -380,6 +402,48 @@ class TestSpline:
         z = np.array([-2.0, -1.2, 0.1, 0.3, 0.9, 1.7, 2.2, 3.0])
         x = np.array([-3.0, -2.1, -0.4, 0.0, 0.5, 1.8, 2.0, 2.6])
         self.assert_matches(z, x, [2, 6])
+
+
+def exact_slopes(z, x):
+    """Slope at each knot of the Lagrange polynomial through its stencil of
+    roc._SLOPE_KNOTS knots (all of them if fewer), in exact rationals."""
+    n = z.size
+    w = min(roc_module._SLOPE_KNOTS, n)
+    z, x = [Fraction(v) for v in z.tolist()], [Fraction(v) for v in x.tolist()]
+    slopes = []
+    for i in range(n):
+        lo = min(max(i - (w - 1) // 2, 0), n - w)
+        stencil = range(lo, lo + w)
+        slope = Fraction(0)
+        for j in stencil:
+            # L_j'(z_i) by the product rule, one dropped factor at a time
+            for k in stencil:
+                if k == j:
+                    continue
+                term = 1 / (z[j] - z[k])
+                for m in stencil:
+                    if m not in (j, k):
+                        term *= (z[i] - z[m]) / (z[j] - z[m])
+                slope += x[j] * term
+        slopes.append(float(slope))
+    return np.array(slopes)
+
+
+class TestSlopes:
+    def assert_exact(self, z, x):
+        exact = exact_slopes(z, x)
+        miss = np.max(np.abs(roc_module._slopes(z, x) - exact))
+        assert miss <= 1e-12 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 30])
+    def test_random_knots_match_rational_derivatives(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(20):
+            self.assert_exact(*random_knots(rng, n))
+
+    def test_map_knots_match_rational_derivatives(self):
+        z, x, _ = map_knots(detector_laws(narrow_narrow(16), "on_off")[0])
+        self.assert_exact(z, x)
 
 
 class TestAucIntegral:
