@@ -14,7 +14,8 @@ arise for the ON/OFF detectors:
 
 The two component laws are evaluated by `scipy.special` directly: the
 regularized incomplete gamma function and its inverse, and Boost's
-non-central χ² (`chndtr`/`chndtrix`).  Both paired laws (FLaw, except in the
+non-central χ² (`chndtr`/`chndtrix`, and its density `_ncx2_pdf`, the private
+ufunc behind `scipy.stats.ncx2`).  Both paired laws (FLaw, except in the
 central case, which keeps its incomplete-beta closed form, and
 GammaDifference) are evaluated by one mechanism, conditioning on one
 component: with B the component of smaller (relative, for the ratio) spread
@@ -55,6 +56,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 from scipy import special
+from scipy.special._ufuncs import _ncx2_pdf
 
 __all__ = [
     "ComputationError",
@@ -246,7 +248,7 @@ class NoncentralChi2C:
         return max(self.mean - 4.0 * sd, 0.0), self.mean + 4.0 * sd
 
     def _checked(self, out):
-        # Boost's series gives NaN where it cannot converge (λ ≳ 5e10)
+        # NaN where Boost's series fails: λ ≳ 5e10, or λ ≳ 5e6 far out in the tails
         if np.any(np.isnan(out)):
             raise ComputationError(
                 f"non-central χ² with 2N = {2.0 * self.shape:g}, "
@@ -255,8 +257,9 @@ class NoncentralChi2C:
         return out
 
     def _chi2(self, x):
-        """χ²_{2N} argument of the estimate value x (clamped at 0)."""
-        return np.maximum(x, 0.0) * (2.0 * self.shape / self.power)
+        """χ²_{2N} argument of the estimate value x (clamped at 0; inf past the float range)."""
+        with np.errstate(over="ignore"):
+            return np.maximum(x, 0.0) * (2.0 * self.shape / self.power)
 
     def _cdf(self, x):
         return self._checked(
@@ -264,15 +267,11 @@ class NoncentralChi2C:
         )
 
     def _pdf(self, x):
-        # x·f_k = k·f_{k+2} + λ·f_{k+4} and F_k − F_{k+2} = 2·f_{k+2} give the
-        # density from three cdfs at any k > 0, without the Bessel function
-        # (whose exponentially scaled form underflows at large k)
         out = np.zeros_like(x)
-        pos = x > 0
-        u = self._chi2(x[pos])
-        k, lam = 2.0 * self.shape, self.noncentrality
-        f0, f2, f4 = (self._checked(special.chndtr(u, k + d, lam)) for d in (0, 2, 4))
-        dens = (k * (f0 - f2) + lam * (f2 - f4)) / (2.0 * u)
+        u = self._chi2(x)
+        # Boost gives NaN at u = inf, where the density is 0
+        pos = (x > 0) & np.isfinite(u)
+        dens = self._checked(_ncx2_pdf(u[pos], 2.0 * self.shape, self.noncentrality))
         out[pos] = np.maximum(dens, 0.0) * (2.0 * self.shape / self.power)
         return out
 

@@ -6,6 +6,8 @@ independent of scipy) and 10⁷-draw Monte Carlo estimates from numpy's own
 samplers, quoted with their ±3·standard-error bands.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate, optimize, special
@@ -210,6 +212,67 @@ class TestNcChi2Cdf:
         pair = GammaDifference(pos=law, neg=ScaledGamma(1e5, 1e6 / 1e5))
         with pytest.raises(ComputationError):
             pair.cdf(pair.mean)
+
+
+def ncx2_pdf_bessel(x, k, lam):
+    """χ²_k(λ) density in the Bessel form, evaluated with 50 mpmath digits:
+    f(x) = ½·exp(−(x + λ)/2)·(x/λ)^(k/4 − 1/2)·I_{k/2 − 1}(√(λx))."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        x, k, lam = (mpmath.mpf(v) for v in (x, k, lam))
+        half = mpmath.mpf(1) / 2
+        return float(
+            half
+            * mpmath.exp(-(x + lam) / 2)
+            * (x / lam) ** (k / 4 - half)
+            * mpmath.besseli(k / 2 - 1, mpmath.sqrt(lam * x))
+        )
+
+
+class TestNcChi2Pdf:
+    @pytest.mark.parametrize(
+        "dof, lam", [(2, 1.8), (8, 7.2), (32, 28.8), (2048, 40.0), (2, 200.0)]
+    )
+    def test_matches_bessel_form(self, dof, lam):
+        # power = 2N makes the estimate the χ² variate itself.  The upper-tail
+        # points are where a density formed from differences of cdfs cancels:
+        # 3.2e-3 off at (2048, 40) and 8 spreads, 0 at (32, 28.8) and 15
+        law = NoncentralChi2C(shape=dof / 2, power=dof, noncentrality_energy=lam * dof / 2)
+        assert law.noncentrality == lam
+        spread = np.sqrt(2.0 * (dof + 2.0 * lam))
+        xs = dof + lam + spread * np.array([-3.0, 0.0, 3.0, 8.0, 15.0])
+        xs = xs[xs > 0]
+        expected = np.array([ncx2_pdf_bessel(x, dof, lam) for x in xs])
+        assert np.allclose(law.pdf(xs), expected, rtol=1e-12, atol=0.0)
+
+    def test_overflowed_argument_has_zero_density(self):
+        # 2N/power = 2e300 carries x = 1e10 beyond the float range; the
+        # density there is 0, reached without an overflow warning
+        law = NoncentralChi2C(shape=1, power=1e-300, noncentrality_energy=1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dens = law.pdf(np.array([law.mean, 1e10]))
+            assert law.pdf(1e10) == 0.0
+            assert law.cdf(1e10) == 1.0
+        assert dens[0] > 0.0 and dens[1] == 0.0
+
+    def test_densities_call_no_cdf(self, monkeypatch):
+        # a non-central density is one Boost density call, not a difference
+        # of chndtr values; the paired law's rule size is settled (by cdf
+        # calls) before chndtr is taken away
+        pair = GammaDifference(
+            pos=NoncentralChi2C(shape=4, power=1.1, noncentrality_energy=3.0),
+            neg=NoncentralChi2C(shape=4, power=1.0, noncentrality_energy=2.0),
+        )
+        pair.cdf(pair.mean)
+
+        def chndtr(*args):
+            raise AssertionError("a density called chndtr")
+
+        monkeypatch.setattr(distributions.special, "chndtr", chndtr)
+        assert pair.pos.pdf(pair.pos.mean) > 0
+        ts = pair.mean + np.sqrt(pair.variance) * np.linspace(-4.0, 4.0, 9)
+        assert np.all(pair.pdf(ts) > 0)
 
 
 class TestFLawCdf:
