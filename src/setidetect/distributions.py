@@ -81,8 +81,9 @@ QUANTILE_TOL = 1e-10
 #: support.  Above p = 1e-4 QUANTILE_TOL implies it; below, it keeps
 #: lower-tail quantiles from being accepted however far off they are.
 QUANTILE_RTOL = 1e-6
-# Brent's absolute tolerance when only its relative one should count.
-_TINY = np.finfo(float).tiny
+# On positive support a low bracket seed clamped at 0 stands for this
+# fraction of the high one, so that it has a logarithm.
+_LOW_SEED = 1.0 / 16385
 
 # Rule sizes tried in turn: Gauss–Hermite nodes, or Gauss–Legendre nodes per panel.
 _RULE_SIZES = (16, 20, 24, 32, 48, 64, 96, 128)
@@ -139,6 +140,13 @@ def _eval_1d(fn, t):
     return out
 
 
+def _spread_seeds(law):
+    """Bracket seeds 4 spreads either side of the mean, the low one clamped
+    at the support's edge; refined by expansion in law_quantile."""
+    sd = np.sqrt(law.variance)
+    return max(law.mean - 4.0 * sd, law.support_lo), law.mean + 4.0 * sd
+
+
 def _check_noncentrality(name: str, v: float) -> None:
     """Reject a non-centrality that is not a finite, non-negative real."""
     if not np.isfinite(v):
@@ -175,9 +183,7 @@ class ScaledGamma:
     def variance(self) -> float:
         return self.shape * _square(self.scale)
 
-    def _bracket_seeds(self):
-        sd = np.sqrt(self.variance)
-        return max(self.mean - 4.0 * sd, 0.0), self.mean + 4.0 * sd
+    _bracket_seeds = _spread_seeds
 
     def _pdf(self, x):
         out = np.zeros_like(x)
@@ -243,9 +249,7 @@ class NoncentralChi2C:
             + 2.0 * self.noncentrality_energy * self.power / _square(self.shape)
         )
 
-    def _bracket_seeds(self):
-        sd = np.sqrt(self.variance)
-        return max(self.mean - 4.0 * sd, 0.0), self.mean + 4.0 * sd
+    _bracket_seeds = _spread_seeds
 
     def _checked(self, out):
         # NaN where Boost's series fails: λ ≳ 5e10, or λ ≳ 5e6 far out in the tails
@@ -575,9 +579,7 @@ class GammaDifference:
     def variance(self) -> float:
         return self.pos.variance + self.neg.variance
 
-    def _bracket_seeds(self):
-        sd = np.sqrt(self.variance)
-        return self.mean - 4.0 * sd, self.mean + 4.0 * sd
+    _bracket_seeds = _spread_seeds
 
     @cached_property
     def _conditioned(self) -> _Conditioned:
@@ -604,131 +606,102 @@ Law = Union[ScaledGamma, NoncentralChi2C, FLaw, GammaDifference]
 # ---------------------------------------------------------------------------
 
 
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float:
-    """Root of f in the sign-changing bracket [xa, xb] by Brent's method.
+@dataclass(frozen=True)
+class _Axis:
+    """The variable x in which a law is nearly normal: log t on positive
+    support (`support_lo` ≥ 0), where heavy upper tails decay exponentially
+    in x, and t otherwise."""
 
-    A step-for-step transliteration of scipy's `Zeros/brentq.c`, so each root
-    is bit-identical to `scipy.optimize.brentq(f, xa, xb, xtol, rtol, maxiter,
-    disp=False)`: the iterate is accepted once half the bracket is below
-    delta = (xtol + rtol·|xcur|)/2, and the last iterate is returned when
-    maxiter iterations do not get there.  Raises ValueError when f(xa) and
-    f(xb) have the same sign or f returns NaN, as scipy does.
-    """
+    log: bool
 
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
+    def to_x(self, t):
+        return np.log(t) if self.log else np.asarray(t)
 
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:
-                    # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:
-                    # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                # C's division gives ±inf or NaN here, which the test below rejects
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    return xcur
+    def to_t(self, x):
+        return np.exp(x) if self.log else np.asarray(x)
+
+    def seeds(self, law) -> tuple[float, float]:
+        """The law's bracket seeds in x, a low seed clamped at 0 taken as
+        _LOW_SEED times the high one."""
+        lo, hi = (float(v) for v in law._bracket_seeds())
+        if self.log:
+            with np.errstate(divide="ignore"):
+                lo, hi = np.log([lo if lo > 0.0 else hi * _LOW_SEED, hi]).tolist()
+        return lo, hi
+
+
+def _axis(law) -> _Axis:
+    return _Axis(getattr(law, "support_lo", -np.inf) >= 0.0)
 
 
 def law_quantile(law, p):
-    """Value t with |cdf(t) − p| ≤ QUANTILE_TOL, by bracket expansion plus Brent root
-    finding (_brentq, whose roots are bit-identical to scipy.optimize.brentq's).
+    """Value t with |cdf(t) − p| ≤ QUANTILE_TOL, and ≤ QUANTILE_RTOL·p on
+    positive support.
 
-    Raises ComputationError when the law's spread leaves the float range, the
-    bracket does not close, or the root misses QUANTILE_TOL (on positive support,
-    also when it misses QUANTILE_RTOL·p).
+    Solves z(x) = Φ⁻¹(cdf(t)) − Φ⁻¹(p) = 0 in the law's own variable x (see
+    _Axis), where z is nearly linear, by regula falsi with the Illinois rule
+    (Dowell & Jarratt, BIT 11, 1971: an end kept twice has its z halved),
+    bisecting where z is infinite or a step leaves the bracket.  The bracket
+    grows from the seeds by doubling steps in x; the solve stops when it is
+    4 ulps wide, relative in t on positive support (x = log t) and relative
+    to the law's spread otherwise.  Raises ComputationError when the bracket
+    leaves the float range or does not close, or the root misses its tolerance.
     """
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError("quantile order must lie strictly inside (0, 1)")
-    lo_support = getattr(law, "support_lo", -np.inf)
-    # Python floats, which overflow to ±inf without a warning
-    lo, hi = (float(v) for v in law._bracket_seeds())
-    lo = max(lo, lo_support)
-    width = max(hi - lo, np.sqrt(np.finfo(float).eps))
+    axis = _axis(law)
+    target = float(special.ndtri(p))
 
-    step = width
+    def at(x):
+        """(x, z, cdf): one end of the bracket."""
+        with np.errstate(over="ignore"):
+            t = float(axis.to_t(x))
+        if not math.isfinite(t):
+            raise ComputationError(f"{law!r} has no finite quantile bracket: its spread overflows")
+        c = float(law.cdf(t))
+        return x, float(special.ndtri(c)) - target, c
+
+    lo, hi = (at(x) for x in axis.seeds(law))
+    step = width = max(hi[0] - lo[0], math.sqrt(np.finfo(float).eps))
     for _ in range(80):
-        if not math.isfinite(hi) or law.cdf(hi) >= p:
+        if lo[1] <= 0.0 <= hi[1]:
             break
-        hi += step
+        # the end left behind becomes the other end
+        lo, hi = (hi, at(hi[0] + step)) if hi[1] < 0.0 else (at(lo[0] - step), lo)
         step *= 2.0
     else:
-        raise ComputationError("quantile bracket expansion diverged above")
-    step = width
-    for _ in range(80):
-        if lo <= lo_support or not math.isfinite(lo) or law.cdf(lo) <= p:
+        raise ComputationError("quantile bracket expansion did not close")
+
+    ulps = 4.0 * np.finfo(float).eps
+    scale = 1.0 if axis.log else width
+    f_lo, f_hi = lo[1], hi[1]
+    kept = 0  # −1 after hi was kept, +1 after lo was
+    for _ in range(200):
+        (a, z_a, _), (b, z_b, _) = lo, hi
+        if z_a == 0.0 or z_b == 0.0 or b - a <= ulps * max(-a, b, scale):
             break
-        lo = max(lo - step, lo_support)
-        step *= 2.0
-    else:
-        raise ComputationError("quantile bracket expansion diverged below")
-    # the seeds or their expansion left the float range
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ComputationError(f"{law!r} has no finite quantile bracket: its spread overflows")
-
-    def excess(t):
-        return law.cdf(t) - p
-
-    root = _brentq(excess, lo, hi, 1e-14, 8.9e-16, 200)
-    err = abs(law.cdf(root) - p)
-    if lo_support >= 0.0 and err > QUANTILE_RTOL * p:
-        # the absolute xtol stops short of a quantile near 0: retry with a
-        # tolerance relative to the root alone
-        root = _brentq(excess, lo, hi, _TINY, 8.9e-16, 200)
-        err = abs(law.cdf(root) - p)
-        if err > QUANTILE_RTOL * p:
-            raise ComputationError(
-                f"quantile inversion achieved |cdf−p|/p = {err / p:.2e} > "
-                f"{QUANTILE_RTOL:.1e}",
-                achieved=err / p,
-            )
-    if err > QUANTILE_TOL:
+        x = a - f_lo * (b - a) / (f_hi - f_lo)
+        end = at(x if a < x < b else 0.5 * a + 0.5 * b)
+        if end[1] < 0.0:
+            lo, f_lo, f_hi = end, end[1], f_hi * (0.5 if kept < 0 else 1.0)
+            kept = -1
+        else:
+            hi, f_hi, f_lo = end, end[1], f_lo * (0.5 if kept > 0 else 1.0)
+            kept = 1
+    root, _, c = min(lo, hi, key=lambda end: abs(end[2] - p))
+    err = abs(c - p)
+    if axis.log and not err <= QUANTILE_RTOL * p:
+        raise ComputationError(
+            f"quantile inversion achieved |cdf−p|/p = {err / p:.2e} > {QUANTILE_RTOL:.1e}",
+            achieved=err / p,
+        )
+    if not err <= QUANTILE_TOL:
         raise ComputationError(
             f"quantile inversion achieved |cdf−p| = {err:.2e} > {QUANTILE_TOL:.1e}",
             achieved=err,
         )
-    return float(root)
+    return float(axis.to_t(root))
 
 
 def law_sample(law, rng_state, count: int) -> np.ndarray:

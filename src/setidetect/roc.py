@@ -15,8 +15,8 @@ those points: it is P(S₁ > S₀) = ∫ SF₁(t)·f₀(t) dt (Hanley & McNeil, 
 one Gauss–Legendre integral over H0's mass, in log t for positive
 statistics.  The map and the integral share their ends, which one vectorized
 H0 cdf sweep places: the outermost sweep points inside H0's tails of mass
-1/16385, with the exact mass beyond each; a scalar Brent solve places an end
-only where the sweep has no such point.
+1/16385, with the exact mass beyond each; a scalar `law_quantile` solve places
+an end only where the sweep has no such point.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from ._pool import ordered_map
-from .distributions import QUANTILE_TOL, ComputationError, Law, _legendre, law_quantile
+from .distributions import QUANTILE_TOL, ComputationError, Law, _axis, _legendre, law_quantile
 from .scenario import DetectorKind, ScenarioSpec, detector_laws
 
 __all__ = [
@@ -72,33 +72,24 @@ _AUC_TAIL_PANELS = 8
 _AUC_RULE_SIZES = (8, 12, 16, 24, 32, 48, 64)
 
 
-def _positive(law: Law) -> bool:
-    return getattr(law, "support_lo", -np.inf) >= 0.0
-
-
 def _ends(h0: Law) -> tuple[float, float, float, float]:
     """(t_lo, t_hi, cdf(t_lo), 1 − cdf(t_hi)): the ends of H0's quantile map
     and of the AUC's core panels, with the H0 mass beyond each.
 
-    One cdf call places both: _ENDS_POINTS points over ±_ENDS_SPREADS spreads
-    around the centre of the law's bracket seeds, log-spaced around their
-    geometric centre for positive laws (a low seed clamped at 0 is taken as
-    _MAP_P_EDGE times the high one) and evenly spaced around their mean
-    otherwise.  t_lo is the last point with 0 < cdf ≤ _MAP_P_EDGE, t_hi the
-    first with 0 < 1 − cdf ≤ _MAP_P_EDGE; points beyond the float range are
-    dropped, and an end with no such point is law_quantile's root of order
-    _MAP_P_EDGE (1 − _MAP_P_EDGE).
+    One cdf call places both: _ENDS_POINTS points evenly spaced in the law's
+    own variable (log t for positive laws, t otherwise; see
+    distributions._Axis) over ±_ENDS_SPREADS spreads around the centre of
+    its bracket seeds.  t_lo is the last point with 0 < cdf ≤ _MAP_P_EDGE,
+    t_hi the first with 0 < 1 − cdf ≤ _MAP_P_EDGE; points beyond the float
+    range are dropped, and an end with no such point is law_quantile's
+    solution of order _MAP_P_EDGE (1 − _MAP_P_EDGE).
     """
-    lo, hi = (float(v) for v in h0._bracket_seeds())
+    axis = _axis(h0)
+    lo, hi = axis.seeds(h0)
     sweep = np.linspace(-1.0, 1.0, _ENDS_POINTS) * (_ENDS_SPREADS / 4.0)
     # huge or infinite seeds make inf or NaN points, which are dropped
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if _positive(h0):
-            lo = lo if lo > 0.0 else hi * _MAP_P_EDGE
-            x = np.log([lo, hi])
-            t = np.exp(x.mean() + 0.5 * (x[1] - x[0]) * sweep)
-        else:
-            t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * sweep
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = axis.to_t(0.5 * (lo + hi) + 0.5 * (hi - lo) * sweep)
     t = t[np.isfinite(t)]
     cdf = np.asarray(h0.cdf(t), dtype=float) if t.size else t
     sf = 1.0 - cdf
@@ -122,11 +113,11 @@ class _H0Map:
     places, at or beyond its quantiles of order _MAP_P_EDGE and
     1 − _MAP_P_EDGE.
 
-    In the law's own variable x (log t for positive laws, t otherwise, as in
-    _auc) against the normal score z = Φ⁻¹(p) the map is nearly linear, so
-    x(z) is a piecewise cubic through exact cdf knots (see _spline):
-    _MAP_KNOTS evenly spaced in x, plus t = 0 inside a difference's range,
-    where small-N differences have a kink and the cubic is split in two.
+    In the law's own variable x (log t for positive laws, t otherwise; see
+    distributions._Axis) against the normal score z = Φ⁻¹(p) the map is
+    nearly linear, so x(z) is a piecewise cubic through exact cdf knots (see
+    _spline): _MAP_KNOTS evenly spaced in x, plus t = 0 inside a difference's
+    range, where small-N differences have a kink and the cubic is split.
     Knot intervals are bisected while they span more than _MAP_Z_GAP in z,
     for at most _MAP_ROUNDS rounds.  A cubic piece that is not increasing
     throughout (the map is flat across an atom, say) is made linear, so the
@@ -137,10 +128,10 @@ class _H0Map:
         self.law = h0
         self.ends = _ends(h0)
         t_lo, t_hi = self.ends[:2]
-        positive = _positive(h0)
-        self._to_t = np.exp if positive else np.asarray
-        x = np.linspace(*(np.log([t_lo, t_hi]) if positive else [t_lo, t_hi]), _MAP_KNOTS)
-        kink = not positive and t_lo < 0.0 < t_hi
+        axis = _axis(h0)
+        self._to_t = axis.to_t
+        x = np.linspace(*axis.to_x([t_lo, t_hi]), _MAP_KNOTS)
+        kink = not axis.log and t_lo < 0.0 < t_hi
         if kink:
             x = np.union1d(x, [0.0])
         p = np.asarray(h0.cdf(self._to_t(x)))
@@ -170,7 +161,7 @@ class _H0Map:
 
     def threshold(self, target_pfa: float) -> float:
         """Threshold of false-alarm rate target_pfa: the map's value when it
-        meets QUANTILE_TOL, else threshold_for_pfa's root."""
+        meets QUANTILE_TOL, else law_quantile's, through threshold_for_pfa."""
         p = 1.0 - float(target_pfa)
         t = float(self(p))
         if abs(float(self.law.cdf(t)) - p) <= QUANTILE_TOL:
@@ -287,23 +278,23 @@ def _auc(h0: Law, h1: Law, ends: tuple[float, float, float, float]) -> float:
     """P(S₁ > S₀) = ∫ SF₁(t)·f₀(t) dt over H0's mass, given the ends
     (t_lo, t_hi, cdf(t_lo), 1 − cdf(t_hi)) that _ends places.
 
-    The variable is x = log t for positive laws (their heavy upper tails
-    decay exponentially in x) and x = t otherwise, with a panel edge at 0,
-    where small-N differences have a kink.  _AUC_CORE_PANELS equal panels
-    cover [t_lo, t_hi]; beyond each end, panels doubling in width from the
-    tail's local decay length (the mass beyond the end over the density at
-    it, exact for an exponential tail) reach out to where H0 leaves at most
+    The variable is the law's own x (log t for positive laws, t otherwise;
+    see distributions._Axis), with a panel edge at 0 for differences, where
+    small-N ones have a kink.  _AUC_CORE_PANELS equal panels cover
+    [t_lo, t_hi]; beyond each end, panels doubling in width from the tail's
+    local decay length (the mass beyond the end over the density at it,
+    exact for an exponential tail) reach out to where H0 leaves at most
     _AUC_TAIL.
     The first pair of rule sizes whose results agree within AUC_TOL decides,
     and the larger rule must also integrate f₀ to 1 within AUC_TOL: two
     rules can agree on a value that both miss.
     """
-    positive = _positive(h0)
-    to_t = np.exp if positive else np.asarray
+    axis = _axis(h0)
+    to_t = axis.to_t
     masses = np.array(ends[2:])
     ends = np.array(ends[:2])
-    density = np.asarray(h0.pdf(ends)) * (ends if positive else 1.0)
-    a, b = np.log(ends) if positive else ends
+    density = np.asarray(h0.pdf(ends)) * (ends if axis.log else 1.0)
+    a, b = axis.to_x(ends)
     # a density that underflowed to 0 gives the widest panels, the core's width
     with np.errstate(divide="ignore"):
         decay = np.minimum(masses / density, b - a)
@@ -333,7 +324,7 @@ def _auc(h0: Law, h1: Law, ends: tuple[float, float, float, float]) -> float:
             above[:n_above],
         ]
     )
-    if not positive and edges[0] < 0.0 < edges[-1]:
+    if not axis.log and edges[0] < 0.0 < edges[-1]:
         edges = np.union1d(edges, [0.0])
     mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
     rad = 0.5 * np.diff(edges)[:, None]
@@ -345,7 +336,7 @@ def _auc(h0: Law, h1: Law, ends: tuple[float, float, float, float]) -> float:
         for n in sizes:
             x, w = _legendre(n)
             t = to_t((mid + rad * x).ravel())
-            nodes.append((t, (rad * w).ravel() * (t if positive else 1.0)))
+            nodes.append((t, (rad * w).ravel() * (t if axis.log else 1.0)))
         ts = np.concatenate([t for t, _ in nodes])
         pdf0, sf1 = np.asarray(h0.pdf(ts)), 1.0 - np.asarray(h1.cdf(ts))
         out, start = [], 0

@@ -154,10 +154,6 @@ class ScenarioSpec:
         return replace(self, gain=float(gain))
 
 
-def _as_hypothesis(hyp) -> Hypothesis:
-    return Hypothesis(hyp)
-
-
 # Carriers of the default chirps, in cycles/sample (phase 0).  They sit 1/8
 # cycle/sample apart, so Re C = √(E_rfi·E_et)/N · Σ_{k<N} cos(πk/4), and that
 # sum repeats every 8 samples: exactly 0 at N ≡ 0 and 5 (mod 8).
@@ -207,7 +203,7 @@ def _estimate_law(n: int, power: float, energy: float) -> Law:
 
 def on_distribution(spec: ScenarioSpec, hyp) -> Law:
     """Law of the ON-stream mean-power estimate under the given hypothesis."""
-    (power, energy), _ = _pointing_components(spec, _as_hypothesis(hyp))
+    (power, energy), _ = _pointing_components(spec, Hypothesis(hyp))
     return _estimate_law(spec.n_samples, power, energy)
 
 
@@ -225,7 +221,7 @@ def f_ratio_law(spec: ScenarioSpec, hyp) -> FLaw:
     the non-centrality of its own χ², λ = 2·energy/power.
     """
     n = spec.n_samples
-    (p_on, e_on), (p_off, e_off) = _pointing_components(spec, _as_hypothesis(hyp))
+    (p_on, e_on), (p_off, e_off) = _pointing_components(spec, Hypothesis(hyp))
     if p_on == 0 or p_off == 0:
         raise ValueError("the F-ratio law needs Gaussian power on both pointings")
     return FLaw(
@@ -262,7 +258,7 @@ def energy_law(spec: ScenarioSpec, hyp, assumed_noise: float | None = None) -> L
         assumed_noise = default_assumed_noise(spec)
     if not (np.isfinite(assumed_noise) and assumed_noise > 0):
         raise ValueError("assumed_noise must be a positive real")
-    (power, energy), _ = _pointing_components(spec, _as_hypothesis(hyp))
+    (power, energy), _ = _pointing_components(spec, Hypothesis(hyp))
     return _estimate_law(spec.n_samples, power / assumed_noise, energy / assumed_noise)
 
 

@@ -212,7 +212,7 @@ class TestRunExperiment:
 
     def test_summary_pd_matches_root_found_thresholds(self, tmp_path):
         # summary thresholds come from each curve's H0 quantile map; they must
-        # give the pd of the Brent-root thresholds of threshold_for_pfa
+        # give the pd of threshold_for_pfa's law_quantile thresholds
         doc = base_config(
             detectors=["f_ratio", "on_off", "energy"], output_dir=str(tmp_path)
         )
@@ -1337,6 +1337,7 @@ IMPORT_GUARD = """
 import json, sys
 from pathlib import Path
 import setidetect.cli as cli
+from setidetect.distributions import GammaDifference, ScaledGamma, law_quantile
 
 root = Path(sys.argv[1])
 scenario = {"rfi_kind": "wideband", "et_kind": "wideband", "noise_power": 1.0,
@@ -1349,6 +1350,12 @@ for verb, doc in runs:
     path = root / f"{verb}.json"
     path.write_text(json.dumps(doc))
     assert cli.main([verb, "--config", str(path), "--out", str(root / verb)]) == 0, verb
+# the verbs reach the quantile solver only where an H0 map misses its
+# tolerance, so it is called directly too
+side = ScaledGamma(4.0, 0.25)
+for law in (side, GammaDifference(side, ScaledGamma(4.0, 0.5))):
+    for p in (1e-13, 1.0 - 1.0 / 16385):
+        law_quantile(law, p)
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy."))))
 """
 
@@ -1357,8 +1364,9 @@ class TestImportCost:
     def test_verbs_load_only_scipy_special(self, tmp_path):
         # scipy.optimize and scipy.interpolate would pull in scipy.linalg,
         # scipy.sparse and scipy.spatial, about 0.4 s of every CLI start-up,
-        # and scipy.stats about half a second more.  Running the verbs
-        # catches imports made inside functions too.
+        # and scipy.stats about half a second more.  Running the verbs, and
+        # law_quantile on a positive and a difference law, catches imports
+        # made inside functions too.
         src = str(Path(__file__).resolve().parents[1] / "src")
         out = subprocess.run(
             [sys.executable, "-c", IMPORT_GUARD, str(tmp_path)],
