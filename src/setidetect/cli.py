@@ -32,7 +32,8 @@ curve, histogram or KS bound in (point, detector) order, and a failed run
 makes no output directory.
 
 Exit codes: 0 success, 2 configuration error (message anchored to the
-offending config line where possible), 3 numerical non-convergence (the
+offending config line where possible; every sweep point is resolved at
+load) or a size too large to allocate, 3 numerical non-convergence (the
 message names the law involved), 4 output I/O failure.
 """
 
@@ -174,8 +175,10 @@ class ExperimentConfig:
 
     `scenario` is the base data model; `sweeps`, when present, re-resolves
     it per point with exactly one parameter replaced, everything else held
-    as configured.  `trials` must be at least 10³ whenever Monte Carlo runs
-    (mode monte_carlo or both).
+    as configured.  `points` holds the (file tag, scenario) of each sweep
+    point, resolved and checked at load; without a sweep it is the single
+    point ("base", `scenario`).  `seed` is non-negative, and `trials` must
+    be at least 10³ whenever Monte Carlo runs (mode monte_carlo or both).
     """
 
     scenario: ScenarioSpec
@@ -186,35 +189,50 @@ class ExperimentConfig:
     pfa_grid: int = DEFAULT_GRID
     sweeps: Optional[dict] = None
     output_dir: Path = Path("results")
-    # raw scenario mapping kept for per-sweep-point re-resolution, plus the
-    # verb-specific optional blocks
-    raw_scenario: dict = field(default_factory=dict, repr=False)
+    points: list[tuple[str, ScenarioSpec]] = field(default_factory=list, repr=False)
+    # the verb-specific optional blocks
     gains: Optional[list[float]] = field(default=None, repr=False)
     spectrogram_params: Optional[dict] = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if not self.points:
+            self.points = [("base", self.scenario)]
 
 
 # ---------------------------------------------------------------------------
 # config parsing
 
 
+def _in_float_range(value, where: str):
+    """`value`, unless it is an integer that no float can hold."""
+    if isinstance(value, int) and not abs(value) <= sys.float_info.max:
+        raise ConfigError(where, "beyond the float range")
+    return value
+
+
 def _expect(raw: dict, key: str, types, path: str, default=None, required=False):
+    """raw[key], of `types` (a bool is no int); a value that may be a float
+    is returned as one."""
+    where = f"{path}.{key}" if path else key
     if key not in raw:
         if required:
-            raise ConfigError(f"{path}.{key}" if path else key, "missing required key")
+            raise ConfigError(where, "missing required key")
         return default
     value = raw[key]
     if isinstance(value, bool) or not isinstance(value, types):
         want = types.__name__ if isinstance(types, type) else "/".join(
             t.__name__ for t in types
         )
-        raise ConfigError(
-            f"{path}.{key}" if path else key, f"expected {want}, got {value!r}"
-        )
-    return value
+        raise ConfigError(where, f"expected {want}, got {value!r}")
+    value = _in_float_range(value, where)
+    return float(value) if types == (int, float) else value
 
 
 def _db_to_linear(db: float) -> float:
-    return float(10.0 ** (db / 10.0))
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:  # past about 3080 dB; ScenarioSpec rejects the inf
+        return float("inf")
 
 
 def _resolve_scenario(raw: dict, path: str = "scenario") -> ScenarioSpec:
@@ -227,22 +245,20 @@ def _resolve_scenario(raw: dict, path: str = "scenario") -> ScenarioSpec:
     rfi_kind = _expect(raw, "rfi_kind", str, path, required=True)
     et_kind = _expect(raw, "et_kind", str, path, required=True)
     n_samples = _expect(raw, "n_samples", int, path, required=True)
-    noise_power = float(_expect(raw, "noise_power", (int, float), path, default=1.0))
-    gain = float(_expect(raw, "gain", (int, float), path, default=1.0))
+    noise_power = _expect(raw, "noise_power", (int, float), path, default=1.0)
+    gain = _expect(raw, "gain", (int, float), path, default=1.0)
 
     fields = {}
     for key in ("rfi_power", "rfi_energy", "et_power", "et_energy"):
         if key in raw:
-            fields[key] = float(_expect(raw, key, (int, float), path))
+            fields[key] = _expect(raw, key, (int, float), path)
 
     if "snr_db" in raw:
         if "et_power" in fields or "et_energy" in fields:
             raise ConfigError(
                 f"{path}.snr_db", "give either snr_db or a linear signal strength"
             )
-        level = noise_power * _db_to_linear(
-            float(_expect(raw, "snr_db", (int, float), path))
-        )
+        level = noise_power * _db_to_linear(_expect(raw, "snr_db", (int, float), path))
         if et_kind == "narrowband":
             fields["et_energy"] = n_samples * level
         else:
@@ -254,9 +270,7 @@ def _resolve_scenario(raw: dict, path: str = "scenario") -> ScenarioSpec:
             )
         if rfi_kind == "none":
             raise ConfigError(f"{path}.inr_db", "meaningless without interference")
-        level = noise_power * _db_to_linear(
-            float(_expect(raw, "inr_db", (int, float), path))
-        )
+        level = noise_power * _db_to_linear(_expect(raw, "inr_db", (int, float), path))
         if rfi_kind == "narrowband":
             fields["rfi_energy"] = n_samples * level
         else:
@@ -279,9 +293,11 @@ def _resolve_scenario(raw: dict, path: str = "scenario") -> ScenarioSpec:
         raise ConfigError(where, str(exc)) from exc
 
 
-def _resolve_sweeps(raw, base_scenario_raw: dict) -> Optional[dict]:
+def _resolve_sweeps(raw, base_scenario_raw: dict):
+    """(sweeps block, (file tag, resolved scenario) per sweep value), or
+    (None, []) when no sweep is configured."""
     if raw is None:
-        return None
+        return None, []
     if not isinstance(raw, dict):
         raise ConfigError("sweeps", f"expected a mapping, got {raw!r}")
     unknown = sorted(set(raw) - {"parameter", "values"})
@@ -295,13 +311,6 @@ def _resolve_sweeps(raw, base_scenario_raw: dict) -> Optional[dict]:
     values = _expect(raw, "values", list, "sweeps", required=True)
     if not values:
         raise ConfigError("sweeps.values", "must be a non-empty list")
-    for i, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"sweeps.values[{i}]", f"expected a number, got {v!r}")
-        if parameter == "n_samples" and (not isinstance(v, int) or v < 1):
-            raise ConfigError(
-                f"sweeps.values[{i}]", "n_samples values must be positive integers"
-            )
     if parameter == "snr_db" and (
         "et_power" in base_scenario_raw or "et_energy" in base_scenario_raw
     ):
@@ -309,7 +318,20 @@ def _resolve_sweeps(raw, base_scenario_raw: dict) -> Optional[dict]:
             "sweeps.parameter",
             "an snr_db sweep conflicts with a linear signal strength in scenario",
         )
-    return {"parameter": parameter, "values": list(values)}
+    points = []
+    for i, v in enumerate(values):
+        where = f"sweeps.values[{i}]"
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ConfigError(where, f"expected a number, got {v!r}")
+        if parameter == "n_samples" and (not isinstance(v, int) or v < 1):
+            raise ConfigError(where, "n_samples values must be positive integers")
+        value = v if parameter == "n_samples" else float(_in_float_range(v, where))
+        try:
+            spec = _resolve_scenario({**base_scenario_raw, parameter: value})
+        except ConfigError as exc:
+            raise ConfigError(where, exc.message) from exc
+        points.append((f"{parameter}_{_slug(v)}", spec))
+    return {"parameter": parameter, "values": list(values)}, points
 
 
 def load_config(
@@ -351,6 +373,7 @@ def load_config(
     if mode not in _MODES:
         raise ConfigError("mode", f"must be one of {', '.join(_MODES)}")
 
+    sweeps, points = _resolve_sweeps(source.get("sweeps"), raw_scenario)
     cfg = ExperimentConfig(
         scenario=scenario,
         detectors=detectors,
@@ -358,9 +381,9 @@ def load_config(
         trials=int(_expect(source, "trials", int, "", default=10_000)),
         seed=int(_expect(source, "seed", int, "", default=0)),
         pfa_grid=int(_expect(source, "pfa_grid", int, "", default=DEFAULT_GRID)),
-        sweeps=_resolve_sweeps(source.get("sweeps"), raw_scenario),
+        sweeps=sweeps,
         output_dir=Path(_expect(source, "output_dir", str, "", default="results")),
-        raw_scenario=dict(raw_scenario),
+        points=points,
     )
     if "gains" in source:
         gains = _expect(source, "gains", list, "")
@@ -369,6 +392,7 @@ def load_config(
         for i, g in enumerate(gains):
             if isinstance(g, bool) or not isinstance(g, (int, float)) or g <= 0:
                 raise ConfigError(f"gains[{i}]", f"expected a positive number, got {g!r}")
+            _in_float_range(g, f"gains[{i}]")
         cfg.gains = [float(g) for g in gains]
     if "spectrogram" in source:
         cfg.spectrogram_params = _resolve_spectrogram_block(source["spectrogram"])
@@ -381,6 +405,8 @@ def load_config(
     if out is not None:
         cfg.output_dir = Path(out)
 
+    if cfg.seed < 0:
+        raise ConfigError("seed", f"must be non-negative, got {cfg.seed}")
     if cfg.trials < 1:
         raise ConfigError("trials", "must be positive")
     if cfg.mode != "analytic" and cfg.trials < 1_000:
@@ -400,15 +426,11 @@ def _resolve_spectrogram_block(raw) -> dict:
     if unknown:
         raise ConfigError(f"{path}.{unknown[0]}", "unknown key")
     params = {
-        "amplitude": float(_expect(raw, "amplitude", (int, float), path, required=True)),
-        "start_freq": float(
-            _expect(raw, "start_freq", (int, float), path, required=True)
-        ),
-        "drift_rate": float(_expect(raw, "drift_rate", (int, float), path, default=0.0)),
-        "phase0": float(_expect(raw, "phase0", (int, float), path, default=0.0)),
-        "noise_power": float(
-            _expect(raw, "noise_power", (int, float), path, default=0.0)
-        ),
+        "amplitude": _expect(raw, "amplitude", (int, float), path, required=True),
+        "start_freq": _expect(raw, "start_freq", (int, float), path, required=True),
+        "drift_rate": _expect(raw, "drift_rate", (int, float), path, default=0.0),
+        "phase0": _expect(raw, "phase0", (int, float), path, default=0.0),
+        "noise_power": _expect(raw, "noise_power", (int, float), path, default=0.0),
         "fft_len": int(_expect(raw, "fft_len", int, path, required=True)),
         "hop": int(_expect(raw, "hop", int, path, required=True)),
         "n_samples": _expect(raw, "n_samples", int, path, default=None),
@@ -416,6 +438,8 @@ def _resolve_spectrogram_block(raw) -> dict:
     }
     if params["noise_power"] < 0:
         raise ConfigError(f"{path}.noise_power", "must be non-negative")
+    if params["seed"] is not None and params["seed"] < 0:
+        raise ConfigError(f"{path}.seed", f"must be non-negative, got {params['seed']}")
     return params
 
 
@@ -499,25 +523,6 @@ def _ks_bound(stats: np.ndarray, law: Law, nodes: int = _KS_NODES) -> float:
 # experiment pipeline
 
 
-def _sweep_points(config: ExperimentConfig) -> list[tuple[str, ScenarioSpec]]:
-    """(file tag, resolved scenario) per sweep value; a single base point
-    when no sweep is configured."""
-    if config.sweeps is None:
-        return [("base", config.scenario)]
-    parameter = config.sweeps["parameter"]
-    points = []
-    for value in config.sweeps["values"]:
-        raw = dict(config.raw_scenario)
-        if parameter == "gain":
-            raw["gain"] = float(value)
-        elif parameter == "n_samples":
-            raw["n_samples"] = int(value)
-        else:
-            raw["snr_db"] = float(value)
-        points.append((f"{parameter}_{_slug(value)}", _resolve_scenario(raw)))
-    return points
-
-
 def _sorted_quantile(x: np.ndarray, q) -> np.ndarray:
     """np.quantile(x, q) of sorted x, bit for bit (its default linear
     method), read from x without copying or partitioning it."""
@@ -534,15 +539,21 @@ def _sorted_quantile(x: np.ndarray, q) -> np.ndarray:
     return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
 
 
-def _empirical_curve(h0_stats: np.ndarray, h1_stats: np.ndarray, grid: int):
-    """(thresholds, pfa, pd, auc) from sorted Monte Carlo statistics alone."""
-    targets = np.linspace(0.0, 1.0, grid + 2)[1:-1]
+def _empirical_points(h0_stats: np.ndarray, h1_stats: np.ndarray, targets: np.ndarray):
+    """(thresholds, pfa, pd) of sorted Monte Carlo statistics at target
+    false-alarm rates: each threshold is the H0 statistics' 1 − target
+    quantile, and pfa and pd count the statistics strictly above it."""
     ts = _sorted_quantile(h0_stats, 1.0 - targets)
-    # counts strictly above each threshold
     n0, n1 = h0_stats.size, h1_stats.size
     pfa = (n0 - np.searchsorted(h0_stats, ts, side="right")) / n0
     pd = (n1 - np.searchsorted(h1_stats, ts, side="right")) / n1
-    thresholds, pfa, pd = _closed_curve(ts, pfa, pd)
+    return ts, pfa, pd
+
+
+def _empirical_curve(h0_stats: np.ndarray, h1_stats: np.ndarray, grid: int):
+    """(thresholds, pfa, pd, auc) from sorted Monte Carlo statistics alone."""
+    targets = np.linspace(0.0, 1.0, grid + 2)[1:-1]
+    thresholds, pfa, pd = _closed_curve(*_empirical_points(h0_stats, h1_stats, targets))
     auc = float(np.sum(0.5 * (pd[1:] + pd[:-1]) * np.diff(pfa)))
     return thresholds, pfa, pd, auc
 
@@ -600,7 +611,7 @@ def run_experiment(config: ExperimentConfig, *, ks_table: bool = False) -> list[
 
     # every point's laws before any curve, so a scenario without one is a
     # configuration error whatever else would fail
-    points = _sweep_points(config)
+    points = config.points
     assumed, laws = [], []
     for index, (_, spec) in enumerate(points):
         try:
@@ -659,11 +670,8 @@ def run_experiment(config: ExperimentConfig, *, ks_table: bool = False) -> list[
                     f"{kind.value} Monte Carlo statistics at {tag} leave the float range"
                 )
         if not run_analytic:
-            h0_stats, h1_stats = mc_stats
-            t_ref = _sorted_quantile(h0_stats, 1.0 - np.array(SUMMARY_PFA))
-            n1 = h1_stats.size
-            pd_ref = ((n1 - np.searchsorted(h1_stats, t_ref, side="right")) / n1).tolist()
-            thresholds, pfa, pd, auc = _empirical_curve(h0_stats, h1_stats, config.pfa_grid)
+            pd_ref = _empirical_points(*mc_stats, np.array(SUMMARY_PFA))[2].tolist()
+            thresholds, pfa, pd, auc = _empirical_curve(*mc_stats, config.pfa_grid)
         written = [
             _csv_file(
                 f"roc_{kind.value}_{tag}.csv",
@@ -870,6 +878,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"cannot write results: {exc}", file=sys.stderr)
         return 4
+    except MemoryError:
+        print("out of memory: lower trials, pfa_grid or spectrogram.n_samples", file=sys.stderr)
+        return 2
 
     for path in files:
         print(path)

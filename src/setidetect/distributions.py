@@ -16,10 +16,9 @@ The two component laws are evaluated by `scipy.special` directly: the
 regularized incomplete gamma function and its inverse, and Boost's
 non-central χ² (`chndtr`/`chndtrix`, and its density `_ncx2_pdf`, the private
 ufunc behind `scipy.stats.ncx2`).  Both paired laws (FLaw, except in the
-central case, which keeps its incomplete-beta closed form, and
-GammaDifference) are evaluated by one mechanism, conditioning on one
-component: with B the component of smaller (relative, for the ratio) spread
-and A the other,
+central case, which has closed forms, and GammaDifference) are evaluated by
+one mechanism, conditioning on one component: with B the component of
+smaller (relative, for the ratio) spread and A the other,
 
     cdf(t) = E_B[F_A(h(t, B))] ≈ Σᵢ wᵢ·F_A(h(t, yᵢ)),
     pdf(t) = Σᵢ wᵢ·f_A(h(t, yᵢ))·∂h/∂t,
@@ -145,6 +144,28 @@ def _spread_seeds(law):
     at the support's edge; refined by expansion in law_quantile."""
     sd = np.sqrt(law.variance)
     return max(law.mean - 4.0 * sd, law.support_lo), law.mean + 4.0 * sd
+
+
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _stirling_error(x: float) -> float:
+    """log Γ(x) − ((x − ½)·log x − x + ½·log 2π): from gammaln below 16,
+    where the difference loses under 1e-14, else by its asymptotic series."""
+    if x < 16.0:
+        return float(special.gammaln(x)) - ((x - 0.5) * math.log(x) - x + _HALF_LOG_2PI)
+    r = 1.0 / (x * x)
+    return (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r / 1680.0))) / x
+
+
+def _betaln(a: float, b: float) -> float:
+    """log B(a, b) within a few ulps of its magnitude.  `special.betaln`
+    differences log-gammas once a + b passes about 171 and then misses by up
+    to 1e-9 relative (8e-13 absolute already at a = b = 512)."""
+    n = a + b
+    tails = (a - 0.5) * math.log1p(b / a) + (b - 0.5) * math.log1p(a / b)
+    corrections = _stirling_error(a) + _stirling_error(b) - _stirling_error(n)
+    return _HALF_LOG_2PI - 0.5 * math.log(n) - tails + corrections
 
 
 def _check_noncentrality(name: str, v: float) -> None:
@@ -292,15 +313,20 @@ class NoncentralChi2C:
         return _eval_1d(self._pdf, t)
 
     def sample(self, rng_state, count: int) -> np.ndarray:
-        rng = _as_generator(rng_state)
-        n = int(count)
-        if self.noncentrality_energy == 0:
-            return rng.gamma(self.shape, self.power / self.shape, n)
         c = self.power / (2.0 * self.shape)
-        return c * rng.noncentral_chisquare(2.0 * self.shape, self.noncentrality, n)
+        rng = _as_generator(rng_state)
+        return c * rng.noncentral_chisquare(2.0 * self.shape, self.noncentrality, int(count))
 
 
 LawSide = Union[ScaledGamma, NoncentralChi2C]
+
+
+def _estimate(shape: float, power: float, energy: float) -> LawSide:
+    """Law of the mean-power estimate of `shape` complex samples of Gaussian
+    power `power` plus a deterministic part of energy `energy`."""
+    if energy == 0:
+        return ScaledGamma(shape, power / shape)
+    return NoncentralChi2C(shape, power, energy)
 
 
 @cache
@@ -437,13 +463,6 @@ class _Conditioned:
         return out
 
 
-def _mean_power(dof: float, scale: float, lam: float) -> LawSide:
-    """Law of scale·X/dof for X ~ χ²_dof(λ)."""
-    if lam == 0:
-        return ScaledGamma(dof / 2.0, 2.0 * scale / dof)
-    return NoncentralChi2C(dof / 2.0, scale, lam * scale / 2.0)
-
-
 @dataclass(frozen=True)
 class FLaw:
     """Scaled, possibly doubly non-central F law.
@@ -452,6 +471,12 @@ class FLaw:
     Degrees of freedom here are the real ones: a ratio of two mean-power
     estimates over N complex samples each has dof_num = dof_den = 2N.
     The cdf satisfies cdf(scale·t) = unit-scale cdf(t).
+
+    Its two sides, the estimates of ν₁/2 and ν₂/2 samples of Gaussian powers
+    scale and 1, are built once by `_estimate`: a draw is a numerator draw
+    over a denominator draw, and the non-central cdf and pdf condition on
+    one side.  The central law has closed forms: the incomplete-beta cdf and
+    the beta-prime(ν₁/2, ν₂/2) density of y = (ν₁/ν₂)·x/scale.
     """
 
     dof_num: float
@@ -475,9 +500,16 @@ class FLaw:
         return self.lambda_num == 0 and self.lambda_den == 0
 
     @cached_property
+    def _sides(self) -> tuple[LawSide, LawSide]:
+        """(numerator, denominator) mean-power estimates."""
+        return (
+            _estimate(self.dof_num / 2.0, self.scale, self.lambda_num * self.scale / 2.0),
+            _estimate(self.dof_den / 2.0, 1.0, self.lambda_den / 2.0),
+        )
+
+    @cached_property
     def _conditioned(self) -> _Conditioned:
-        num = _mean_power(self.dof_num, self.scale, self.lambda_num)
-        den = _mean_power(self.dof_den, 1.0, self.lambda_den)
+        num, den = self._sides
         if num.variance / _square(num.mean) < den.variance / _square(den.mean):
             return _Conditioned(den, num, ratio=True, mirror=True)
         return _Conditioned(num, den, ratio=True, mirror=False)
@@ -497,40 +529,21 @@ class FLaw:
         if not self._central:
             return _eval_1d(self._conditioned.pdf, t)
         a, b = self.dof_num / 2.0, self.dof_den / 2.0
-        r = self.dof_num / self.dof_den
+        dy_dx = self.dof_num / self.dof_den / self.scale
 
         def eval_(x):
-            out = np.zeros_like(x)
-            pos = x > 0
-            xs = x[pos] / self.scale
-            u = r * xs / (r * xs + 1.0)
-            # log(1 − u) = −log(1 + r·xs), taken so where u has rounded to 1
-            log1m_u = np.log1p(-u, where=u < 1.0, out=-np.log1p(r * xs))
-            dens = np.exp(
-                (a - 1.0) * np.log(u)
-                + (b - 1.0) * log1m_u
-                + special.gammaln(a + b)
-                - special.gammaln(a)
-                - special.gammaln(b)
-            )
-            # du/dx = r / (r x + 1)², then the outer 1/scale
-            out[pos] = dens * r / (r * xs + 1.0) ** 2 / self.scale
-            return out
+            # y = (ν₁/ν₂)·x/scale is beta-prime(a, b), of density
+            # y^(a−1)·(1 + y)^(−a−b) / B(a, b); xlogy keeps y⁰ = 1 at y = 0
+            y = np.maximum(x, 0.0) * dy_dx
+            log_dens = special.xlogy(a - 1.0, y) - (a + b) * np.log1p(y) - _betaln(a, b)
+            return np.where(x > 0, np.exp(log_dens) * dy_dx, 0.0)
 
         return _eval_1d(eval_, t)
 
     def sample(self, rng_state, count: int) -> np.ndarray:
         rng = _as_generator(rng_state)
-        n = int(count)
-        if self.lambda_num > 0:
-            x1 = rng.noncentral_chisquare(self.dof_num, self.lambda_num, n)
-        else:
-            x1 = rng.chisquare(self.dof_num, n)
-        if self.lambda_den > 0:
-            x2 = rng.noncentral_chisquare(self.dof_den, self.lambda_den, n)
-        else:
-            x2 = rng.chisquare(self.dof_den, n)
-        return self.scale * (x1 / self.dof_num) / (x2 / self.dof_den)
+        num, den = self._sides
+        return num.sample(rng, count) / den.sample(rng, count)
 
     def _bracket_seeds(self):
         # ratio-of-means centre with a log-symmetric spread; seeds only,

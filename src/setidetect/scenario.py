@@ -30,13 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .distributions import (
-    FLaw,
-    GammaDifference,
-    Law,
-    NoncentralChi2C,
-    ScaledGamma,
-)
+from .distributions import FLaw, GammaDifference, Law, _estimate
 
 __all__ = [
     "DetectorKind",
@@ -195,22 +189,16 @@ def _pointing_components(
     return (p_on, e_on), (p_off, e_off)
 
 
-def _estimate_law(n: int, power: float, energy: float) -> Law:
-    if energy == 0.0:
-        return ScaledGamma(n, power / n)
-    return NoncentralChi2C(n, power, energy)
-
-
 def on_distribution(spec: ScenarioSpec, hyp) -> Law:
     """Law of the ON-stream mean-power estimate under the given hypothesis."""
     (power, energy), _ = _pointing_components(spec, Hypothesis(hyp))
-    return _estimate_law(spec.n_samples, power, energy)
+    return _estimate(spec.n_samples, power, energy)
 
 
 def off_distribution(spec: ScenarioSpec) -> Law:
     """Law of the OFF-stream mean-power estimate (no signal, unit gain)."""
     _, (power, energy) = _pointing_components(spec, Hypothesis.H0)
-    return _estimate_law(spec.n_samples, power, energy)
+    return _estimate(spec.n_samples, power, energy)
 
 
 def f_ratio_law(spec: ScenarioSpec, hyp) -> FLaw:
@@ -259,7 +247,7 @@ def energy_law(spec: ScenarioSpec, hyp, assumed_noise: float | None = None) -> L
     if not (np.isfinite(assumed_noise) and assumed_noise > 0):
         raise ValueError("assumed_noise must be a positive real")
     (power, energy), _ = _pointing_components(spec, Hypothesis(hyp))
-    return _estimate_law(spec.n_samples, power / assumed_noise, energy / assumed_noise)
+    return _estimate(spec.n_samples, power / assumed_noise, energy / assumed_noise)
 
 
 def detector_laws(

@@ -35,6 +35,7 @@ from setidetect.cli import (
     _csv_bytes,
     _csv_file,
     _empirical_curve,
+    _empirical_points,
     _ks_bound,
     _sorted_histogram,
     _sorted_quantile,
@@ -62,6 +63,19 @@ def base_config(**kw):
     }
     cfg.update(kw)
     return cfg
+
+
+def spectrogram_block(**kw):
+    return {"amplitude": 1.0, "start_freq": 0.1, "fft_len": 16, "hop": 8, **kw}
+
+
+def refuses_huge_allocations() -> bool:
+    """Whether the kernel refuses an allocation beyond its memory when it is
+    asked for (Linux heuristic or strict overcommit), not when it is touched."""
+    try:
+        return Path("/proc/sys/vm/overcommit_memory").read_text().strip() in ("0", "2")
+    except OSError:
+        return False
 
 
 def read_csv(path):
@@ -165,6 +179,24 @@ class TestLoadConfig:
                 base_config(sweeps={"parameter": "n_samples", "values": [64, 96.5]})
             )
         assert err.value.path == "sweeps.values[1]"
+
+    def test_sweep_points_resolve_at_load(self):
+        cfg = load_config(base_config(sweeps={"parameter": "gain", "values": [0.8, 2]}))
+        assert [tag for tag, _ in cfg.points] == ["gain_0p8", "gain_2"]
+        assert [spec.gain for _, spec in cfg.points] == [0.8, 2.0]
+        base = load_config(base_config())
+        assert base.points == [("base", base.scenario)]
+
+    def test_integers_beyond_the_float_range_are_rejected(self):
+        doc = base_config(sweeps={"parameter": "gain", "values": [1, 10**400]})
+        with pytest.raises(ConfigError) as err:
+            load_config(doc)
+        assert err.value.path == "sweeps.values[1]"
+        doc = base_config()
+        doc["scenario"]["noise_power"] = 10**400
+        with pytest.raises(ConfigError) as err:
+            load_config(doc)
+        assert err.value.path == "scenario.noise_power"
 
     def test_snr_sweep_conflicts_with_linear_signal(self):
         doc = base_config(sweeps={"parameter": "snr_db", "values": [0.0, 3.0]})
@@ -426,6 +458,64 @@ class TestMainEntry:
         code, _, stderr = self.run(capsys, "roc", "--config", str(cfg))
         assert code == 2
         assert f"{cfg}:{lineno}: scenario.rfi_power:" in stderr
+
+    @staticmethod
+    def line_of(path: Path, key: str, after: str = "") -> int:
+        """Line of the first `key` at or after the first `after` key."""
+        lines = path.read_text().splitlines()
+        start = next(i for i, line in enumerate(lines) if f'"{after}"' in line) if after else 0
+        return next(i for i in range(start, len(lines)) if f'"{key}"' in lines[i]) + 1
+
+    def assert_clean_exit_2(self, code, stderr, out):
+        assert code == 2
+        assert len(stderr.splitlines()) == 1 and "Traceback" not in stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["roc", "compare", "spectrogram"])
+    def test_rejected_sweep_value_exits_2_at_its_line(self, tmp_path, capsys, verb):
+        doc = base_config(sweeps={"parameter": "gain", "values": [0.5, -1]})
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        out = tmp_path / "out"
+        code, _, stderr = self.run(capsys, verb, "--config", str(cfg), "--out", str(out))
+        self.assert_clean_exit_2(code, stderr, out)
+        lineno = self.line_of(cfg, "values")
+        assert f"{cfg}:{lineno}: sweeps.values[1]: gain must be non-negative" in stderr
+
+    @pytest.mark.parametrize(
+        "verb, doc, flags, key",
+        [
+            ("roc", base_config(mode="monte_carlo", trials=1000, seed=-1), [], "seed"),
+            ("mc-validate", base_config(trials=1000), ["--seed", "-5"], None),
+            (
+                "spectrogram",
+                base_config(spectrogram=spectrogram_block(seed=-1)),
+                [],
+                "spectrogram.seed",
+            ),
+        ],
+    )
+    def test_negative_seed_exits_2(self, tmp_path, capsys, verb, doc, flags, key):
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        out = tmp_path / "out"
+        code, _, stderr = self.run(capsys, verb, "--config", str(cfg), "--out", str(out), *flags)
+        self.assert_clean_exit_2(code, stderr, out)
+        assert "seed: must be non-negative" in stderr
+        if key is not None:
+            outer, _, inner = key.rpartition(".")
+            assert stderr.startswith(f"{cfg}:{self.line_of(cfg, inner, outer)}: {key}:")
+
+    @pytest.mark.skipif(
+        not refuses_huge_allocations(),
+        reason="the kernel may grant a 10¹²-element array that it cannot back",
+    )
+    @pytest.mark.parametrize("verb, key", [("roc", "pfa_grid"), ("mc-validate", "trials")])
+    def test_unallocatable_size_exits_2(self, tmp_path, capsys, verb, key):
+        # 8 TB arrays: refused at once, so nothing is computed or touched
+        cfg = write_json(tmp_path / "cfg.json", base_config(**{key: 10**12}))
+        out = tmp_path / "out"
+        code, _, stderr = self.run(capsys, verb, "--config", str(cfg), "--out", str(out))
+        self.assert_clean_exit_2(code, stderr, out)
+        assert "out of memory: lower trials, pfa_grid or spectrogram.n_samples" in stderr
 
     def test_low_trial_override_fails_validation(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", base_config(mode="both", trials=5000))
@@ -1246,6 +1336,12 @@ class TestEmpiricalCurve:
         pd_ref = np.mean(h1[None, :] > ts[:, None], axis=1)
         assert np.array_equal(pfa[1:-1], pfa_ref)
         assert np.array_equal(pd[1:-1], pd_ref)
+        # the summary's pd at its reference rates comes from the same counts
+        targets = np.array([0.01, 0.1, 0.5])
+        ts, pfa, pd = _empirical_points(h0, h1, targets)
+        assert np.array_equal(ts, np.quantile(h0, 1.0 - targets))
+        assert np.array_equal(pfa, np.mean(h0[None, :] > ts[:, None], axis=1))
+        assert np.array_equal(pd, np.mean(h1[None, :] > ts[:, None], axis=1))
 
 
 class TestSortedQuantile:

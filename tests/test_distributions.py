@@ -326,6 +326,56 @@ class TestFLawCdf:
         assert np.allclose(law.pdf(ts), expected, rtol=1e-12, atol=0.0)
 
 
+def beta_prime_pdf(x, dof_num, dof_den, scale):
+    """Density of the central FLaw at x with 50 mpmath digits: y = (ν₁/ν₂)·x/scale
+    is beta-prime(ν₁/2, ν₂/2), of density y^(a−1)·(1 + y)^(−a−b) / B(a, b)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        x, n1, n2, s = (mpmath.mpf(v) for v in (x, dof_num, dof_den, scale))
+        a, b = n1 / 2, n2 / 2
+        dy_dx = n1 / (n2 * s)
+        y = dy_dx * x
+        return float(dy_dx * y ** (a - 1) * (1 + y) ** (-a - b) / mpmath.beta(a, b))
+
+
+class TestFLawCentralPdf:
+    @pytest.mark.parametrize(
+        "dof_num, dof_den", [(2, 2), (8, 8), (128, 128), (2048, 2048), (5, 8)]
+    )
+    def test_matches_beta_prime_density(self, dof_num, dof_den):
+        # the incomplete-beta substitution it replaced missed by 1.5e-10 at
+        # ν = 8 and 5.5e-10 at ν = 128; below the smallest normal float a
+        # density keeps too few digits to compare
+        scale = 0.7
+        xs = np.geomspace(1e-6, 1e6, 1201) * scale
+        expected = np.array([beta_prime_pdf(x, dof_num, dof_den, scale) for x in xs])
+        got = FLaw(dof_num, dof_den, scale).pdf(xs)
+        normal = expected >= np.finfo(float).tiny
+        assert np.allclose(got[normal], expected[normal], rtol=1e-12, atol=0.0)
+        assert np.all(got[~normal] < np.finfo(float).tiny)
+
+    def test_extreme_arguments_stay_finite(self):
+        # F(2, 2) has density 1/(1 + x)²: 1 at a subnormal x, and 0 where
+        # (1 + x)² overflows
+        law = FLaw(2, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dens = law.pdf(np.array([1e-320, 1.7e308]))
+        assert dens[0] == pytest.approx(1.0, rel=1e-15)
+        assert dens[1] == 0.0
+
+    @pytest.mark.parametrize(
+        "a, b", [(1.0, 1.0), (2.5, 4.0), (64.0, 64.0), (512.0, 512.0), (0.5, 3000.0), (1e5, 1e5)]
+    )
+    def test_log_beta_within_a_few_ulps(self, a, b):
+        # special.betaln differences log-gammas past a + b ≈ 171: 7.7e-13 off
+        # at (512, 512) and 4.8e-12 at (0.5, 3000)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            expected = float(mpmath.log(mpmath.beta(a, b)))
+        assert abs(distributions._betaln(a, b) - expected) <= 4e-16 * max(1.0, abs(expected))
+
+
 class TestGammaDiffPdfCdf:
     def test_symmetric_case(self):
         part = ScaledGamma(shape=64, scale=1.0 / 64.0)
