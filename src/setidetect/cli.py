@@ -33,7 +33,8 @@ makes no output directory.
 
 Exit codes: 0 success, 2 configuration error (message anchored to the
 offending config line where possible; every sweep point is resolved at
-load) or a size too large to allocate, 3 numerical non-convergence (the
+load, and `trials` or `pfa_grid` above 2⁵³ is one) or a size too large to
+allocate, 3 numerical non-convergence (the
 message names the law involved), 4 output I/O failure.
 """
 
@@ -92,6 +93,9 @@ _HIST_BINS = 80
 _KS_NODES = 2048
 
 _MODES = ("analytic", "monte_carlo", "both")
+# Largest trials and pfa_grid: the largest count that float arithmetic holds
+# exactly, 64 PiB of float64; NumPy cannot describe some larger sizes at all.
+_MAX_COUNT = 2**53
 _SWEEP_PARAMETERS = ("snr_db", "gain", "n_samples")
 _SCENARIO_KEYS = {f.name for f in dataclasses.fields(ScenarioSpec)} | {"snr_db", "inr_db"}
 _TOP_KEYS = {
@@ -177,8 +181,9 @@ class ExperimentConfig:
     it per point with exactly one parameter replaced, everything else held
     as configured.  `points` holds the (file tag, scenario) of each sweep
     point, resolved and checked at load; without a sweep it is the single
-    point ("base", `scenario`).  `seed` is non-negative, and `trials` must
-    be at least 10³ whenever Monte Carlo runs (mode monte_carlo or both).
+    point ("base", `scenario`).  `seed` is non-negative, `trials` and
+    `pfa_grid` are at most 2⁵³, and `trials` must be at least 10³ whenever
+    Monte Carlo runs (mode monte_carlo or both).
     """
 
     scenario: ScenarioSpec
@@ -415,6 +420,9 @@ def load_config(
         )
     if cfg.pfa_grid < 2:
         raise ConfigError("pfa_grid", "must be at least 2")
+    for key in ("trials", "pfa_grid"):
+        if getattr(cfg, key) > _MAX_COUNT:
+            raise ConfigError(key, f"must be at most 2**53, got {getattr(cfg, key)}")
     return cfg
 
 

@@ -7,29 +7,32 @@ arise for the ON/OFF detectors:
 * :class:`ScaledGamma` — the estimate under pure Gaussian input.
 * :class:`NoncentralChi2C` — Gaussian input plus a deterministic component
   of energy E (sinusoid/chirp), a scaled non-central χ².
-* :class:`FLaw` — a scaled, possibly doubly non-central F: the ratio of two
-  independent power estimates.
+* :class:`FLaw` — the ratio of two independent power estimates, a scaled,
+  possibly doubly non-central F.
 * :class:`GammaDifference` — the difference of two independent power
   estimates.
 
 The two component laws are evaluated by `scipy.special` directly: the
-regularized incomplete gamma function and its inverse, and Boost's
-non-central χ² (`chndtr`/`chndtrix`, and its density `_ncx2_pdf`, the private
-ufunc behind `scipy.stats.ncx2`).  Both paired laws (FLaw, except in the
-central case, which has closed forms, and GammaDifference) are evaluated by
-one mechanism, conditioning on one component: with B the component of
-smaller (relative, for the ratio) spread and A the other,
+regularized incomplete gamma functions and their inverse, and Boost's
+non-central χ² (`chndtr`/`chndtrix`, its density `_ncx2_pdf` and survival
+function `_ncx2_sf`, the private ufuncs behind `scipy.stats.ncx2`).  Both
+paired laws (FLaw, except in the central case, which has closed forms, and
+GammaDifference) are evaluated by one mechanism, conditioning on one
+component: with B the component of smaller (relative, for the ratio) spread
+and A the other,
 
     cdf(t) = E_B[F_A(h(t, B))] ≈ Σᵢ wᵢ·F_A(h(t, yᵢ)),
     pdf(t) = Σᵢ wᵢ·f_A(h(t, yᵢ))·∂h/∂t,
 
-with h = t + y for the difference and h = t·y for the ratio.  The nodes yᵢ
-and weights wᵢ are a Gauss–Hermite rule in B's normal score when both
-components have shape ≥ 16, and otherwise Gauss–Legendre panels over B's
-range split where F_A has its support edge or its mean: at small shapes the
-edge is a kink of the integrand, on which Gauss–Hermite converges slowly.
-Each law picks the smallest rule that agrees with the next larger one to a
-tenth of QUADRATURE_TOL at probe points spanning the law, and raises
+with h = t + y for the difference and h = t·y for the ratio; where B is the
+first component, the cdf sums A's survival function in place of F_A, so that
+the lower tail is a sum of small terms.  The nodes yᵢ and weights wᵢ are
+a Gauss–Hermite rule in B's normal score when both components have shape
+≥ 16, and otherwise Gauss–Legendre panels over B's range split where F_A has
+its support edge or its mean: at small shapes the edge is a kink of the
+integrand, on which Gauss–Hermite converges slowly.  Each law picks the
+smallest rule that agrees with the next larger one to a tenth of
+QUADRATURE_TOL at probe points spanning the law, and raises
 ComputationError with the disagreement it reached when the largest rule
 still misses.
 
@@ -37,8 +40,7 @@ Conventions:  a complex sample CN(0, σ²) contributes two real Gaussian
 degrees of freedom of variance σ²/2 each, so N complex samples give a real
 χ² with 2N degrees of freedom, and a deterministic component of total energy
 E = Σ|μ[k]|² gives non-centrality λ = 2E/σ².  Classes expose the complex
-sample count N; :class:`FLaw` alone speaks real degrees of freedom (2N),
-matching how F tables are usually written.
+sample count N.
 
 All evaluation functions are pure; sampling takes an explicit
 `numpy.random.Generator` (or a seed), never global state.
@@ -55,7 +57,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 from scipy import special
-from scipy.special._ufuncs import _ncx2_pdf
+from scipy.special._ufuncs import _ncx2_pdf, _ncx2_sf
 
 __all__ = [
     "ComputationError",
@@ -168,14 +170,6 @@ def _betaln(a: float, b: float) -> float:
     return _HALF_LOG_2PI - 0.5 * math.log(n) - tails + corrections
 
 
-def _check_noncentrality(name: str, v: float) -> None:
-    """Reject a non-centrality that is not a finite, non-negative real."""
-    if not np.isfinite(v):
-        raise ValueError(f"{name} must be finite (got {v})")
-    if v < 0:
-        raise ValueError(f"{name} must be non-negative")
-
-
 @dataclass(frozen=True)
 class ScaledGamma:
     """Law of the mean-power estimate of N complex Gaussian samples.
@@ -204,6 +198,11 @@ class ScaledGamma:
     def variance(self) -> float:
         return self.shape * _square(self.scale)
 
+    @property
+    def rel_variance(self) -> float:
+        """variance/mean², free of the scale."""
+        return 1.0 / self.shape
+
     _bracket_seeds = _spread_seeds
 
     def _pdf(self, x):
@@ -217,6 +216,9 @@ class ScaledGamma:
 
     def _cdf(self, x):
         return special.gammainc(self.shape, np.maximum(x, 0.0) / self.scale)
+
+    def _sf(self, x):
+        return special.gammaincc(self.shape, np.maximum(x, 0.0) / self.scale)
 
     def _ppf(self, p):
         return special.gammaincinv(self.shape, p) * self.scale
@@ -250,7 +252,11 @@ class NoncentralChi2C:
             raise ValueError("shape must be a positive real")
         if not (np.isfinite(self.power) and self.power > 0):
             raise ValueError("power must be a positive real")
-        _check_noncentrality("noncentrality_energy", self.noncentrality_energy)
+        energy = self.noncentrality_energy
+        if not np.isfinite(energy):
+            raise ValueError(f"noncentrality_energy must be finite (got {energy})")
+        if energy < 0:
+            raise ValueError("noncentrality_energy must be non-negative")
 
     support_lo = 0.0
 
@@ -269,6 +275,12 @@ class NoncentralChi2C:
             _square(self.power) / self.shape
             + 2.0 * self.noncentrality_energy * self.power / _square(self.shape)
         )
+
+    @property
+    def rel_variance(self) -> float:
+        """variance/mean², free of the power: 2(k + 2λ)/(k + λ)² of χ²_k(λ)."""
+        k, lam = 2.0 * self.shape, self.noncentrality
+        return 2.0 * (k + 2.0 * lam) / _square(k + lam)
 
     _bracket_seeds = _spread_seeds
 
@@ -290,6 +302,14 @@ class NoncentralChi2C:
         return self._checked(
             special.chndtr(self._chi2(x), 2.0 * self.shape, self.noncentrality)
         )
+
+    def _sf(self, x):
+        u = self._chi2(x)
+        # Boost gives −0 at u = 0 and NaN at u = inf, where the sf is 1 and 0
+        sf = np.where(u == 0.0, 1.0, 0.0)
+        inside = (u > 0.0) & np.isfinite(u)
+        sf[inside] = self._checked(_ncx2_sf(u[inside], 2.0 * self.shape, self.noncentrality))
+        return sf
 
     def _pdf(self, x):
         out = np.zeros_like(x)
@@ -324,6 +344,8 @@ LawSide = Union[ScaledGamma, NoncentralChi2C]
 def _estimate(shape: float, power: float, energy: float) -> LawSide:
     """Law of the mean-power estimate of `shape` complex samples of Gaussian
     power `power` plus a deterministic part of energy `energy`."""
+    if power == 0:
+        raise ValueError("a pointing without Gaussian power has no mean-power law")
     if energy == 0:
         return ScaledGamma(shape, power / shape)
     return NoncentralChi2C(shape, power, energy)
@@ -350,8 +372,9 @@ class _Conditioned:
     """cdf and pdf of A − B (or A/B when `ratio`) by conditioning on B.
 
     cdf(u) = E_B[F_A(h(u, B))] with h = u + y (difference) or u·y (ratio).
-    With `mirror` set the law is that of −(A − B) (or B/A), evaluated as
-    1 − cdf(−t) (or 1 − cdf(1/t)).  B should be the narrower component.
+    With `mirror` set the law is that of B − A (or B/A), whose cdf at t is
+    E_B[1 − F_A(h(u, B))] at u = −t (or 1/t).  B should be the narrower
+    component.
     """
 
     a: LawSide
@@ -398,11 +421,16 @@ class _Conditioned:
     def _h(self, u, y):
         return u[:, None] * y if self.ratio else u[:, None] + y
 
+    @property
+    def _mass(self):
+        """A's function whose expectation over B is the cdf."""
+        return self.a._sf if self.mirror else self.a._cdf
+
     def _sum(self, u, n: int, density: bool):
         y, w = self._nodes(u, n)
         h = self._h(u, y)
         if not density:
-            return np.sum(self.a._cdf(h) * w, axis=1)
+            return np.sum(self._mass(h) * w, axis=1)
         # ∂h/∂u is y for the ratio and 1 for the difference
         return np.sum(self.a._pdf(h) * (y * w if self.ratio else w), axis=1)
 
@@ -410,18 +438,17 @@ class _Conditioned:
         """Points k spreads from the centre of the conditioned law."""
         a, b = self.a, self.b
         if self.ratio:
-            rel = np.sqrt(a.variance / _square(a.mean) + b.variance / _square(b.mean))
-            return a.mean / b.mean * np.exp(rel * k)
+            return a.mean / b.mean * np.exp(np.sqrt(a.rel_variance + b.rel_variance) * k)
         return a.mean - b.mean + np.sqrt(a.variance + b.variance) * k
 
     @cached_property
     def size(self) -> int:
         """Smallest rule size that agrees with the next one at the probes."""
         u = self._centred(_PROBES)
-        # the first two rules always run, so one component-cdf call serves both
+        # the first two rules always run, so one component call serves both
         (y0, w0), (y1, w1) = (self._nodes(u, n) for n in _RULE_SIZES[:2])
         h0, h1 = self._h(u, y0), self._h(u, y1)
-        f = self.a._cdf(np.concatenate([h0.ravel(), h1.ravel()]))
+        f = self._mass(np.concatenate([h0.ravel(), h1.ravel()]))
         prev = np.sum(f[: h0.size].reshape(h0.shape) * w0, axis=1)
         second = np.sum(f[h0.size :].reshape(h1.shape) * w1, axis=1)
         for n, larger in zip(_RULE_SIZES, _RULE_SIZES[1:]):
@@ -451,8 +478,7 @@ class _Conditioned:
         n = self.size
         inside, u, _ = self._args(t)
         out = np.zeros_like(t)
-        value = self._sum(u, n, False)
-        out[inside] = 1.0 - value if self.mirror else value
+        out[inside] = self._sum(u, n, False)
         return np.clip(out, 0.0, 1.0)
 
     def pdf(self, t):
@@ -463,77 +489,65 @@ class _Conditioned:
         return out
 
 
+def _check_sides(law, *sides) -> None:
+    """Reject a paired law's side that is not a mean-power estimate law."""
+    if not all(isinstance(side, LawSide) for side in sides):
+        raise ValueError(f"{type(law).__name__} sides must be ScaledGamma or NoncentralChi2C")
+
+
 @dataclass(frozen=True)
 class FLaw:
-    """Scaled, possibly doubly non-central F law.
+    """Law of num/den for independent mean-power estimates.
 
-    The variate is scale·(X₁/ν₁)/(X₂/ν₂) with independent Xᵢ ~ χ²_{νᵢ}(λᵢ).
-    Degrees of freedom here are the real ones: a ratio of two mean-power
-    estimates over N complex samples each has dof_num = dof_den = 2N.
-    The cdf satisfies cdf(scale·t) = unit-scale cdf(t).
-
-    Its two sides, the estimates of ν₁/2 and ν₂/2 samples of Gaussian powers
-    scale and 1, are built once by `_estimate`: a draw is a numerator draw
-    over a denominator draw, and the non-central cdf and pdf condition on
-    one side.  The central law has closed forms: the incomplete-beta cdf and
-    the beta-prime(ν₁/2, ν₂/2) density of y = (ν₁/ν₂)·x/scale.
+    With both sides central, ScaledGamma(a, θ₁) over ScaledGamma(b, θ₂), the
+    ratio is a scaled F(2a, 2b) with closed forms: y = (θ₂/θ₁)·x is
+    beta-prime(a, b), of density y^(a−1)·(1 + y)^(−a−b) / B(a, b) and cdf
+    I_{y/(1+y)}(a, b).  Otherwise cdf and pdf come from conditioning on the
+    side of smaller relative spread (see the module docstring).
     """
 
-    dof_num: float
-    dof_den: float
-    scale: float = 1.0
-    lambda_num: float = 0.0
-    lambda_den: float = 0.0
+    num: LawSide
+    den: LawSide
 
     def __post_init__(self):
-        for name in ("dof_num", "dof_den", "scale"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be a positive real")
-        for name in ("lambda_num", "lambda_den"):
-            _check_noncentrality(name, getattr(self, name))
+        _check_sides(self, self.num, self.den)
 
     support_lo = 0.0
 
     @property
     def _central(self) -> bool:
-        return self.lambda_num == 0 and self.lambda_den == 0
-
-    @cached_property
-    def _sides(self) -> tuple[LawSide, LawSide]:
-        """(numerator, denominator) mean-power estimates."""
-        return (
-            _estimate(self.dof_num / 2.0, self.scale, self.lambda_num * self.scale / 2.0),
-            _estimate(self.dof_den / 2.0, 1.0, self.lambda_den / 2.0),
-        )
+        return isinstance(self.num, ScaledGamma) and isinstance(self.den, ScaledGamma)
 
     @cached_property
     def _conditioned(self) -> _Conditioned:
-        num, den = self._sides
-        if num.variance / _square(num.mean) < den.variance / _square(den.mean):
-            return _Conditioned(den, num, ratio=True, mirror=True)
-        return _Conditioned(num, den, ratio=True, mirror=False)
+        if self.num.rel_variance < self.den.rel_variance:
+            return _Conditioned(self.den, self.num, ratio=True, mirror=True)
+        return _Conditioned(self.num, self.den, ratio=True, mirror=False)
 
     def cdf(self, t):
         if not self._central:
             return _eval_1d(self._conditioned.cdf, t)
-        a, b = self.dof_num / 2.0, self.dof_den / 2.0
+        a, b, c = self.num.shape, self.den.shape, self.num.scale / self.den.scale
 
         def eval_(x):
-            xs = np.maximum(x, 0.0) / self.scale
-            return special.betainc(a, b, self.dof_num * xs / (self.dof_num * xs + self.dof_den))
+            # I_u(a, b) at u = y/(1 + y), or 1 − I_{1−u}(b, a) above y = 1,
+            # where 1 − u = 1/(1 + y) keeps the digits that u rounds away
+            y = np.maximum(x, 0.0) / c
+            upper = y > 1.0
+            w = np.where(upper, 1.0, y) / (1.0 + y)
+            tail = special.betainc(np.where(upper, b, a), np.where(upper, a, b), w)
+            return np.where(upper, 1.0 - tail, tail)
 
         return _eval_1d(eval_, t)
 
     def pdf(self, t):
         if not self._central:
             return _eval_1d(self._conditioned.pdf, t)
-        a, b = self.dof_num / 2.0, self.dof_den / 2.0
-        dy_dx = self.dof_num / self.dof_den / self.scale
+        a, b, c = self.num.shape, self.den.shape, self.num.scale / self.den.scale
+        dy_dx = 1.0 / c
 
         def eval_(x):
-            # y = (ν₁/ν₂)·x/scale is beta-prime(a, b), of density
-            # y^(a−1)·(1 + y)^(−a−b) / B(a, b); xlogy keeps y⁰ = 1 at y = 0
+            # xlogy keeps y⁰ = 1 at y = 0
             y = np.maximum(x, 0.0) * dy_dx
             log_dens = special.xlogy(a - 1.0, y) - (a + b) * np.log1p(y) - _betaln(a, b)
             return np.where(x > 0, np.exp(log_dens) * dy_dx, 0.0)
@@ -542,22 +556,13 @@ class FLaw:
 
     def sample(self, rng_state, count: int) -> np.ndarray:
         rng = _as_generator(rng_state)
-        num, den = self._sides
-        return num.sample(rng, count) / den.sample(rng, count)
+        return self.num.sample(rng, count) / self.den.sample(rng, count)
 
     def _bracket_seeds(self):
-        # ratio-of-means centre with a log-symmetric spread; seeds only,
+        # ratio of the means with a log-symmetric spread; seeds only,
         # refined by expansion in law_quantile
-        centre = (
-            self.scale
-            * (1.0 + self.lambda_num / self.dof_num)
-            / (1.0 + self.lambda_den / self.dof_den)
-        )
-        num, den = self.dof_num + self.lambda_num, self.dof_den + self.lambda_den
-        rel = np.sqrt(
-            2.0 * (self.dof_num + 2.0 * self.lambda_num) / _square(num)
-            + 2.0 * (self.dof_den + 2.0 * self.lambda_den) / _square(den)
-        )
+        centre = self.num.mean / self.den.mean
+        rel = math.sqrt(self.num.rel_variance + self.den.rel_variance)
         # a huge centre overflows to inf, which law_quantile reports
         with np.errstate(over="ignore"):
             return centre * np.exp(-4.0 * rel), centre * np.exp(4.0 * rel)
@@ -576,11 +581,7 @@ class GammaDifference:
     neg: LawSide
 
     def __post_init__(self):
-        for side in (self.pos, self.neg):
-            if not isinstance(side, (ScaledGamma, NoncentralChi2C)):
-                raise ValueError(
-                    "GammaDifference sides must be ScaledGamma or NoncentralChi2C"
-                )
+        _check_sides(self, self.pos, self.neg)
 
     support_lo = -np.inf
 

@@ -15,9 +15,7 @@ includes the interference–signal cross term 2√g·Re C, where C is the sum
 of the interference chirp times the conjugate signal chirp.  From those two
 quantities every detector law follows:
 
-* F-ratio — a scaled F with the ON/OFF Gaussian power ratio as scale and
-  each side's deterministic energy (relative to its own Gaussian power) as
-  non-centrality.
+* F-ratio — the ratio law of the two power estimates.
 * ON−OFF — the difference law of the two power estimates.
 * Energy — the ON estimate divided by an assumed noise level.
 """
@@ -202,23 +200,8 @@ def off_distribution(spec: ScenarioSpec) -> Law:
 
 
 def f_ratio_law(spec: ScenarioSpec, hyp) -> FLaw:
-    """Law of the ON/OFF power-estimate ratio.
-
-    The Gaussian power ratio becomes the scale of an F law with 2N real
-    degrees of freedom per side; each side's deterministic energy enters as
-    the non-centrality of its own χ², λ = 2·energy/power.
-    """
-    n = spec.n_samples
-    (p_on, e_on), (p_off, e_off) = _pointing_components(spec, Hypothesis(hyp))
-    if p_on == 0 or p_off == 0:
-        raise ValueError("the F-ratio law needs Gaussian power on both pointings")
-    return FLaw(
-        dof_num=2.0 * n,
-        dof_den=2.0 * n,
-        scale=p_on / p_off,
-        lambda_num=2.0 * e_on / p_on,
-        lambda_den=2.0 * e_off / p_off,
-    )
+    """Law of the ON/OFF power-estimate ratio."""
+    return FLaw(num=on_distribution(spec, hyp), den=off_distribution(spec))
 
 
 def onoff_law(spec: ScenarioSpec, hyp) -> GammaDifference:

@@ -14,7 +14,6 @@ import pytest
 
 from setidetect import (
     DetectorKind,
-    FLaw,
     GammaDifference,
     Hypothesis,
     NoncentralChi2C,
@@ -34,6 +33,7 @@ from setidetect import (
     run_paired_estimates,
     threshold_for_pfa,
 )
+from f_table import f_table
 from setidetect.cli import _ks_bound, main
 
 
@@ -116,7 +116,7 @@ def test_criterion_02_doubly_noncentral_ratio_vs_brute_force():
     for config_index, (n, lam_num, lam_den) in enumerate(
         [(64, 8.0, 4.0), (1024, 20.0, 10.0)]
     ):
-        law = FLaw(2 * n, 2 * n, 1.0, lam_num, lam_den)
+        law = f_table(2 * n, 2 * n, 1.0, lam_num, lam_den)
         rng = np.random.default_rng(BASE_SEED + 100 + config_index)
         num = rng.noncentral_chisquare(2 * n, lam_num, draws) / (2 * n)
         den = rng.noncentral_chisquare(2 * n, lam_den, draws) / (2 * n)

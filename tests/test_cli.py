@@ -517,6 +517,28 @@ class TestMainEntry:
         self.assert_clean_exit_2(code, stderr, out)
         assert "out of memory: lower trials, pfa_grid or spectrogram.n_samples" in stderr
 
+    @pytest.mark.parametrize("size", [2**60, 10**19, 2**63 - 1], ids=["2^60", "1e19", "2^63-1"])
+    @pytest.mark.parametrize("verb, key", [("roc", "pfa_grid"), ("mc-validate", "trials")])
+    def test_size_numpy_cannot_describe_exits_2_at_its_key(
+        self, tmp_path, capsys, verb, key, size
+    ):
+        # NumPy raised "array is too big", "Maximum allowed size exceeded" or
+        # an IndexError for these before any allocation
+        cfg = write_json(tmp_path / "cfg.json", base_config(**{key: size}))
+        out = tmp_path / "out"
+        code, _, stderr = self.run(capsys, verb, "--config", str(cfg), "--out", str(out))
+        self.assert_clean_exit_2(code, stderr, out)
+        anchor = f"{cfg}:{self.line_of(cfg, key)}"
+        assert stderr == f"{anchor}: {key}: must be at most 2**53, got {size}\n"
+
+    def test_trials_override_beyond_2_53_exits_2(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", base_config(trials=1000))
+        out = tmp_path / "out"
+        argv = ["--config", str(cfg), "--out", str(out), "--trials", str(2**60)]
+        code, _, stderr = self.run(capsys, "mc-validate", *argv)
+        self.assert_clean_exit_2(code, stderr, out)
+        assert f"trials: must be at most 2**53, got {2**60}" in stderr
+
     def test_low_trial_override_fails_validation(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", base_config(mode="both", trials=5000))
         code, _, stderr = self.run(
@@ -768,10 +790,11 @@ class TestCompareVerb:
         assert len(rows) == 8
         assert all(0.5 <= float(r["auc"]) <= 1.0 for r in rows)
 
-    def test_scenario_without_gaussian_power_has_no_law(self, tmp_path, capsys):
+    @pytest.mark.parametrize("detector", ["f_ratio", "on_off", "energy"])
+    def test_scenario_without_gaussian_power_has_no_law(self, tmp_path, capsys, detector):
         # no noise and no interference: OFF has no Gaussian power, nor ON
-        # under H0, so the ratio's scale and non-centralities are undefined
-        doc = base_config(pfa_grid=16)
+        # under H0, so no pointing's estimate has a law
+        doc = base_config(pfa_grid=16, detectors=[detector])
         doc["scenario"] = {
             "rfi_kind": "none",
             "et_kind": "wideband",
@@ -783,7 +806,8 @@ class TestCompareVerb:
         code = main(["compare", "--config", str(cfg), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 2
-        assert "scenario: no sampling law for this scenario: the F-ratio law" in err
+        reason = "a pointing without Gaussian power has no mean-power law"
+        assert f"scenario: no sampling law for this scenario: {reason}" in err
         assert not (tmp_path / "out").exists()
 
     def test_failing_law_is_named(self, tmp_path, capsys, monkeypatch):
@@ -933,22 +957,15 @@ class TestHugeGains:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "verb, where, field, kw",
+        "verb, where, kw",
         [
-            ("roc", "scenario", "noncentrality_energy", {}),
-            (
-                "roc",
-                "sweeps.values[1]",
-                "noncentrality_energy",
-                {"sweeps": {"parameter": "gain", "values": [1.0, 1e307]}},
-            ),
-            ("compare", "gains[1]", "lambda_num", {"gains": [0.5, 1e307]}),
+            ("roc", "scenario", {}),
+            ("roc", "sweeps.values[1]", {"sweeps": {"parameter": "gain", "values": [1.0, 1e307]}}),
+            ("compare", "gains[1]", {"gains": [0.5, 1e307]}),
         ],
         ids=["roc-scenario", "roc-sweep", "compare-gains"],
     )
-    def test_overflowed_noncentrality_is_named_as_such(
-        self, tmp_path, capsys, verb, where, field, kw
-    ):
+    def test_overflowed_noncentrality_is_named_as_such(self, tmp_path, capsys, verb, where, kw):
         # 64 samples of narrowband interference at a gain of 1e307 hold an
         # energy beyond the float range
         doc = base_config(**kw)
@@ -963,7 +980,7 @@ class TestHugeGains:
         }
         code, err = self.run(tmp_path, capsys, verb, doc)
         assert code == 2
-        reason = f"{field} must be finite (got inf)"
+        reason = "noncentrality_energy must be finite (got inf)"
         assert f"{where}: no sampling law for this scenario: {reason}" in err
 
 
@@ -1438,14 +1455,18 @@ from setidetect.distributions import GammaDifference, ScaledGamma, law_quantile
 root = Path(sys.argv[1])
 scenario = {"rfi_kind": "wideband", "et_kind": "wideband", "noise_power": 1.0,
             "rfi_power": 1.0, "et_power": 1.0, "n_samples": 4}
+# the narrowband laws run Boost's non-central χ² cdf, density and sf
+narrow = {"rfi_kind": "narrowband", "et_kind": "narrowband", "noise_power": 1.0,
+          "rfi_energy": 4.0, "et_energy": 4.0, "gain": 0.5, "n_samples": 4}
 base = {"scenario": scenario, "detectors": ["f_ratio", "on_off", "energy"], "pfa_grid": 16}
 runs = [("roc", dict(base, mode="both", trials=1000)),
         ("mc-validate", dict(base, trials=1000)),
-        ("compare", dict(base, gains=[0.9, 1.0]))]
-for verb, doc in runs:
-    path = root / f"{verb}.json"
+        ("compare", dict(base, gains=[0.9, 1.0])),
+        ("roc", dict(base, scenario=narrow, mode="both", trials=1000))]
+for i, (verb, doc) in enumerate(runs):
+    path = root / f"{i}.json"
     path.write_text(json.dumps(doc))
-    assert cli.main([verb, "--config", str(path), "--out", str(root / verb)]) == 0, verb
+    assert cli.main([verb, "--config", str(path), "--out", str(root / str(i))]) == 0, verb
 # the verbs reach the quantile solver only where an H0 map misses its
 # tolerance, so it is called directly too
 side = ScaledGamma(4.0, 0.25)

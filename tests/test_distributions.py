@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from f_table import f_table
 from setidetect import distributions
 from setidetect.cli import _ks_bound
 from setidetect.distributions import (
@@ -45,7 +46,7 @@ def law_matrix():
     return [
         ScaledGamma(shape=64, scale=1.0 / 64.0),
         NoncentralChi2C(shape=64, power=1.0, noncentrality_energy=16.0),
-        FLaw(dof_num=128, dof_den=128, scale=1.3, lambda_num=8.0, lambda_den=4.0),
+        f_table(dof_num=128, dof_den=128, scale=1.3, lambda_num=8.0, lambda_den=4.0),
         GammaDifference(
             pos=NoncentralChi2C(shape=64, power=1.2, noncentrality_energy=6.0),
             neg=ScaledGamma(shape=64, scale=1.0 / 64.0),
@@ -56,7 +57,7 @@ def law_matrix():
 # --- special functions, through the law methods that use them ----------------
 #
 # ScaledGamma(a, 1).pdf(1) = exp(−1 − ln Γ(a)) carries the log-gamma oracles;
-# the central FLaw(2a, 2b).cdf at x = b·u / (a·(1 − u)) is I_u(a, b); and
+# the central f_table(2a, 2b).cdf at x = b·u / (a·(1 − u)) is I_u(a, b); and
 # ScaledGamma(s, 1).cdf(x) is the regularized lower incomplete gamma P(s, x).
 
 
@@ -95,7 +96,7 @@ class TestLogGamma:
 
 def inc_beta(u, a, b):
     u = np.asarray(u, dtype=float)
-    return FLaw(2.0 * a, 2.0 * b).cdf(b * u / (a * (1.0 - u)))
+    return f_table(2.0 * a, 2.0 * b).cdf(b * u / (a * (1.0 - u)))
 
 
 class TestRegIncBeta:
@@ -108,10 +109,10 @@ class TestRegIncBeta:
         assert np.allclose(inc_beta(us, 1.0, 1.0), us, atol=1e-12)
 
     def test_frozen_oracle(self):
-        assert abs(FLaw(5, 8).cdf(2.4 / 3.5) - INC_BETA_03_25_40) <= 1e-12
+        assert abs(f_table(5, 8).cdf(2.4 / 3.5) - INC_BETA_03_25_40) <= 1e-12
 
     def test_endpoints(self):
-        law = FLaw(4.0, 6.0)
+        law = f_table(4.0, 6.0)
         assert law.cdf(0.0) == 0.0
         assert law.cdf(1e300) == 1.0
 
@@ -152,18 +153,16 @@ class TestLawValidation:
         with pytest.raises(ValueError, match="noncentrality_energy must be non-negative"):
             NoncentralChi2C(shape=2.0, power=1.0, noncentrality_energy=-1.0)
 
-    @pytest.mark.parametrize("name", ["lambda_num", "lambda_den"])
-    def test_flaw_names_a_non_finite_noncentrality(self, name):
-        with pytest.raises(ValueError, match=rf"{name} must be finite \(got inf\)"):
-            FLaw(dof_num=2.0, dof_den=2.0, scale=1.0, **{name: np.inf})
-        with pytest.raises(ValueError, match=f"{name} must be non-negative"):
-            FLaw(dof_num=2.0, dof_den=2.0, scale=1.0, **{name: -1.0})
-
-    def test_flaw_requires_positive_dofs(self):
-        with pytest.raises(ValueError):
-            FLaw(dof_num=0.0, dof_den=2.0, scale=1.0, lambda_num=0.0, lambda_den=0.0)
-        with pytest.raises(ValueError):
-            FLaw(dof_num=2.0, dof_den=2.0, scale=-1.0, lambda_num=0.0, lambda_den=0.0)
+    @pytest.mark.parametrize("law", [FLaw, GammaDifference])
+    def test_paired_law_requires_estimate_sides(self, law):
+        side = ScaledGamma(shape=2.0, scale=1.0)
+        for other in (1.0, f_table(2.0, 2.0), GammaDifference(side, side)):
+            for sides in ((side, other), (other, side)):
+                with pytest.raises(
+                    ValueError,
+                    match=f"{law.__name__} sides must be ScaledGamma or NoncentralChi2C",
+                ):
+                    law(*sides)
 
     def test_gamma_difference_moments(self):
         pos = NoncentralChi2C(shape=64, power=1.5, noncentrality_energy=4.0)
@@ -278,41 +277,62 @@ class TestNcChi2Pdf:
 
 class TestFLawCdf:
     def test_equal_dof_median(self):
-        law = FLaw(dof_num=128, dof_den=128, scale=1.0, lambda_num=0.0, lambda_den=0.0)
+        law = f_table(dof_num=128, dof_den=128, scale=1.0, lambda_num=0.0, lambda_den=0.0)
         assert abs(law.cdf(1.0) - 0.5) <= 1e-12
 
     def test_scale_identity(self):
-        unit = FLaw(dof_num=64, dof_den=80, scale=1.0, lambda_num=3.0, lambda_den=1.0)
-        scaled = FLaw(dof_num=64, dof_den=80, scale=2.7, lambda_num=3.0, lambda_den=1.0)
+        unit = f_table(dof_num=64, dof_den=80, scale=1.0, lambda_num=3.0, lambda_den=1.0)
+        scaled = f_table(dof_num=64, dof_den=80, scale=2.7, lambda_num=3.0, lambda_den=1.0)
         for t in (0.2, 0.8, 1.0, 1.7, 4.0):
             assert scaled.cdf(2.7 * t) == pytest.approx(
                 unit.cdf(t), abs=1e-13
             )
 
+    @pytest.mark.parametrize("signal_first", [True, False])
+    @pytest.mark.parametrize("n", [2, 16, 64])
+    def test_common_scale_of_both_sides_cancels(self, n, signal_first):
+        # the conditioned law reads only scale-free spreads of its sides;
+        # variance/mean² overflows to NaN at powers of 1e250, and the cdf
+        # raised there
+        def law(c):
+            signal, noise = NoncentralChi2C(n, 1.2 * c, 4.0 * n * c), ScaledGamma(n, c / n)
+            return FLaw(signal, noise) if signal_first else FLaw(noise, signal)
+
+        unit = law(1.0)
+        # the narrower signal side is conditioned on; first, it mirrors
+        assert unit._conditioned.mirror is signal_first
+        q = law_quantile(unit, 1e-6)
+        ts = q * np.geomspace(1.0, 1e3, 30)
+        for c in (1e-150, 1e150, 1e250, 1e300):
+            scaled = law(c)
+            k = (scaled.num.mean / scaled.den.mean) / (unit.num.mean / unit.den.mean)
+            assert np.max(np.abs(scaled.cdf(k * ts) - unit.cdf(ts))) <= 1e-13
+            assert law_quantile(scaled, 1e-6) / k == pytest.approx(q, rel=2e-14, abs=0.0)
+
     def test_monte_carlo_oracle(self):
-        law = FLaw(dof_num=128, dof_den=128, scale=1.0, lambda_num=8.0, lambda_den=4.0)
+        law = f_table(dof_num=128, dof_den=128, scale=1.0, lambda_num=8.0, lambda_den=4.0)
         est, band = DNCF_128_8_4_CDF_AT_1_1
         assert abs(law.cdf(1.1) - est) <= band
 
     def test_central_reduction_to_simple_f(self):
         # lambda_num = lambda_den = 0 must agree with the incomplete-beta
         # closed form of the central F law
-        law = FLaw(dof_num=128, dof_den=128, scale=1.0, lambda_num=0.0, lambda_den=0.0)
+        law = f_table(dof_num=128, dof_den=128, scale=1.0, lambda_num=0.0, lambda_den=0.0)
         ts = np.linspace(0.3, 2.5, 100)
         u = 128 * ts / (128 * ts + 128)
         expected = special.betainc(64.0, 64.0, u)
         assert np.max(np.abs(law.cdf(ts) - expected)) <= 1e-12
 
     def test_singly_noncentral_reduction(self):
-        lam0 = FLaw(dof_num=128, dof_den=128, scale=1.0, lambda_num=9.0, lambda_den=0.0)
+        lam0 = f_table(dof_num=128, dof_den=128, scale=1.0, lambda_num=9.0, lambda_den=0.0)
         ts = np.linspace(0.3, 2.5, 50)
         # denominator non-centrality of zero must match the one-sided mixture
         # built by shrinking lambda_den continuously to zero
-        eps = FLaw(dof_num=128, dof_den=128, scale=1.0, lambda_num=9.0, lambda_den=1e-14)
+        eps = f_table(dof_num=128, dof_den=128, scale=1.0, lambda_num=9.0, lambda_den=1e-14)
         assert np.max(np.abs(lam0.cdf(ts) - eps.cdf(ts))) <= 1e-10
 
     def test_negative_argument_is_zero(self):
-        law = FLaw(dof_num=4, dof_den=4, scale=1.0, lambda_num=0.0, lambda_den=0.0)
+        law = f_table(dof_num=4, dof_den=4, scale=1.0, lambda_num=0.0, lambda_den=0.0)
         assert law.cdf(-1.0) == 0.0
         assert law.cdf(0.0) == 0.0
 
@@ -320,7 +340,7 @@ class TestFLawCdf:
     def test_two_dof_density_stays_finite_far_out(self):
         # F(2, 2) has density (1/s)/(1 + t/s)²; beyond t/s ≈ 1e16 the beta
         # argument t/(t + s) rounds to 1 and its log1p form gave NaN
-        law = FLaw(dof_num=2, dof_den=2, scale=1.1e-3)
+        law = f_table(dof_num=2, dof_den=2, scale=1.1e-3)
         ts = 1.1e-3 * np.array([1e2, 1e15, 1e17, 1e20])
         expected = (1.0 / 1.1e-3) / (1.0 + ts / 1.1e-3) ** 2
         assert np.allclose(law.pdf(ts), expected, rtol=1e-12, atol=0.0)
@@ -349,7 +369,7 @@ class TestFLawCentralPdf:
         scale = 0.7
         xs = np.geomspace(1e-6, 1e6, 1201) * scale
         expected = np.array([beta_prime_pdf(x, dof_num, dof_den, scale) for x in xs])
-        got = FLaw(dof_num, dof_den, scale).pdf(xs)
+        got = f_table(dof_num, dof_den, scale).pdf(xs)
         normal = expected >= np.finfo(float).tiny
         assert np.allclose(got[normal], expected[normal], rtol=1e-12, atol=0.0)
         assert np.all(got[~normal] < np.finfo(float).tiny)
@@ -357,7 +377,7 @@ class TestFLawCentralPdf:
     def test_extreme_arguments_stay_finite(self):
         # F(2, 2) has density 1/(1 + x)²: 1 at a subnormal x, and 0 where
         # (1 + x)² overflows
-        law = FLaw(2, 2)
+        law = f_table(2, 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             dens = law.pdf(np.array([1e-320, 1.7e308]))
@@ -478,7 +498,7 @@ class TestGammaDiffPdfCdf:
 
 class TestLawQuantile:
     def test_central_f_median_is_scale(self):
-        law = FLaw(dof_num=128, dof_den=128, scale=2.5, lambda_num=0.0, lambda_den=0.0)
+        law = f_table(dof_num=128, dof_den=128, scale=2.5, lambda_num=0.0, lambda_den=0.0)
         assert law_quantile(law, 0.5) == pytest.approx(2.5, abs=1e-9)
 
     def test_round_trip_all_families(self):
@@ -503,7 +523,7 @@ class TestLawQuantile:
         # F(2, 2) at scale s has cdf t/(t + s), so its quantile is p·s/(1 − p);
         # far below any absolute tolerance on t
         s = 1.1e-3
-        assert law_quantile(FLaw(2, 2, s), p) == pytest.approx(
+        assert law_quantile(f_table(2, 2, s), p) == pytest.approx(
             p * s / (1.0 - p), rel=QUANTILE_RTOL
         )
 
@@ -512,15 +532,16 @@ class TestLawQuantile:
         # F(2, 2)'s upper quantile of order 1 − 1/16385 is 16384·scale; the
         # bracket seeds overflow at 1e306, their expansion at 5e305
         with pytest.raises(ComputationError, match="no finite quantile bracket"):
-            law_quantile(FLaw(2.0, 2.0, scale), 1.0 - 1.0 / 16385)
+            law_quantile(f_table(2.0, 2.0, scale), 1.0 - 1.0 / 16385)
 
-    def test_unresolvable_lower_tail_raises(self):
-        # the narrower numerator is conditioned on and its cdf taken as
-        # 1 − (upper tail), which cannot resolve a mass of 1e-13 to 1e-6
-        law = FLaw(32, 32, 1.0, lambda_num=10.0)
-        with pytest.raises(ComputationError) as info:
-            law_quantile(law, 1e-13)
-        assert info.value.achieved > QUANTILE_RTOL
+    @pytest.mark.parametrize("p", [1e-100, 1e-30, 1e-13])
+    def test_mirrored_lower_tail_resolves(self, p):
+        # the narrower numerator is conditioned on, so the cdf sums the
+        # denominator's survival function; taken as 1 − (upper-tail sum) it
+        # floored near 1e-16 and could not resolve these orders
+        law = f_table(32, 32, 1.0, lambda_num=10.0)
+        assert law._conditioned.mirror
+        assert abs(float(law.cdf(law_quantile(law, p))) - p) <= QUANTILE_RTOL * p
 
 
 # law_quantile's problems: every family, two non-central laws whose 1e-100
@@ -531,20 +552,16 @@ QUANTILE_LAWS = {
     "gamma-1": ScaledGamma(1.0, 11.0),
     "ncx2-16": NoncentralChi2C(16.0, 1.0, 8.0),
     "ncx2-1": NoncentralChi2C(1.0, 1.0, 30.0),
-    "f-128": FLaw(128.0, 128.0, 1.0),
-    "f-2": FLaw(2.0, 2.0, 1.1e-3),
-    "ncf-32": FLaw(32.0, 32.0, 1.2, lambda_num=4.0, lambda_den=2.0),
+    "f-128": f_table(128.0, 128.0, 1.0),
+    "f-2": f_table(2.0, 2.0, 1.1e-3),
+    "ncf-32": f_table(32.0, 32.0, 1.2, lambda_num=4.0, lambda_den=2.0),
     "diff-64": GammaDifference(ScaledGamma(64.0, 1.5 / 64.0), ScaledGamma(64.0, 1.0 / 64.0)),
     "diff-1": GammaDifference(ScaledGamma(1.0, 1.0), ScaledGamma(1.0, 11.0)),
     "ncdiff-16": GammaDifference(NoncentralChi2C(16.0, 1.0, 16.0), ScaledGamma(16.0, 1.0 / 16.0)),
     "ncx2-2": NoncentralChi2C(2.0, 1.0, 1.0),
-    "ncf-4": FLaw(4, 4, 1, lambda_num=3.6, lambda_den=4),
+    "ncf-4": f_table(4, 4, 1, lambda_num=3.6, lambda_den=4),
 }
 QUANTILE_ORDERS = [1e-100, 1e-30, 1e-13, 1.0 / 16385, 0.5, 1.0 - 1e-12]
-# Mirrored laws take their lower tail as 1 − (upper-tail sum), which cannot
-# resolve these orders (ROADMAP item 11), so they must raise.
-UNRESOLVABLE = {("ncf-32", 1e-100), ("ncf-32", 1e-30), ("ncf-32", 1e-13),
-                ("diff-1", 1e-100), ("diff-1", 1e-30)}
 # law.cdf calls that Brent's method (xtol 1e-14, then a relative-only retry)
 # made on that set
 BRENT_CDF_CALLS = 2611
@@ -570,10 +587,6 @@ class TestQuantileSolver:
     @pytest.mark.parametrize("name", list(QUANTILE_LAWS))
     def test_meets_its_tolerance(self, name, p):
         law = QUANTILE_LAWS[name]
-        if (name, p) in UNRESOLVABLE:
-            with pytest.raises(ComputationError):
-                law_quantile(law, p)
-            return
         err = abs(float(law.cdf(law_quantile(law, p))) - p)
         assert err <= QUANTILE_TOL
         if law.support_lo >= 0.0:
@@ -584,17 +597,14 @@ class TestQuantileSolver:
         for law in QUANTILE_LAWS.values():
             for p in QUANTILE_ORDERS:
                 counted = _CountedCdf(law)
-                try:
-                    law_quantile(counted, p)
-                except ComputationError:
-                    pass  # the unresolvable cases still count
+                law_quantile(counted, p)
                 total += counted.calls
         assert total <= BRENT_CDF_CALLS
 
 
 class TestLawSample:
     def test_deterministic_given_seed(self):
-        law = FLaw(dof_num=128, dof_den=128, scale=1.3, lambda_num=8.0, lambda_den=4.0)
+        law = f_table(dof_num=128, dof_den=128, scale=1.3, lambda_num=8.0, lambda_den=4.0)
         a = law_sample(law, 123, 1000)
         b = law_sample(law, 123, 1000)
         assert np.array_equal(a, b)
@@ -652,7 +662,7 @@ class TestLawInvariants:
         nc = NoncentralChi2C(shape=64, power=1.0, noncentrality_energy=0.0)
         sg = ScaledGamma(shape=64, scale=1.0 / 64.0)
         assert np.max(np.abs(nc.cdf(ts) - sg.cdf(ts))) <= 1e-10
-        dncf0 = FLaw(dof_num=128, dof_den=128, scale=1.0, lambda_num=0.0, lambda_den=0.0)
+        dncf0 = f_table(dof_num=128, dof_den=128, scale=1.0, lambda_num=0.0, lambda_den=0.0)
         u = 128 * ts / (128 * ts + 128)
         assert np.max(np.abs(dncf0.cdf(ts) - special.betainc(64.0, 64.0, u))) <= 1e-10
 

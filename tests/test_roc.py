@@ -27,6 +27,7 @@ from setidetect import (
     roc_curve,
     threshold_for_pfa,
 )
+from f_table import f_table
 from setidetect import roc as roc_module
 from setidetect.roc import AUC_TOL
 
@@ -89,13 +90,9 @@ def additive_narrow_n2_laws(kind):
     """(H0, H1) laws of narrow_narrow(2) with ON's energies g·E_rfi and
     g·E_rfi + E_et, as if the chirps' cross term were 0."""
     e_off, e_on = 2.0, (0.9 * 2.0, 0.9 * 2.0 + 2.0)
-    if kind == "f_ratio":
-        return tuple(
-            FLaw(dof_num=4.0, dof_den=4.0, scale=1.0, lambda_num=2.0 * e, lambda_den=2.0 * e_off)
-            for e in e_on
-        )
     off = NoncentralChi2C(2, 1.0, e_off)
-    return tuple(GammaDifference(pos=NoncentralChi2C(2, 1.0, e), neg=off) for e in e_on)
+    law = FLaw if kind == "f_ratio" else GammaDifference
+    return tuple(law(NoncentralChi2C(2, 1.0, e), off) for e in e_on)
 
 
 def central_ratio_auc(n, s0, s1):
@@ -164,8 +161,8 @@ class _CountedLaw:
 
 class TestPdPfa:
     def test_h0_median_gives_half_pfa(self):
-        h0 = FLaw(128, 128, 1.0, 0.0, 0.0)
-        h1 = FLaw(128, 128, 1.5, 0.0, 0.0)
+        h0 = f_table(128, 128, 1.0, 0.0, 0.0)
+        h1 = f_table(128, 128, 1.5, 0.0, 0.0)
         t = law_quantile(h0, 0.5)
         pd, pfa = pd_pfa(h0, h1, t)
         assert pfa == pytest.approx(0.5, abs=1e-10)
@@ -195,10 +192,10 @@ class TestThresholdForPfa:
         assert threshold_for_pfa(law, 0.5) == pytest.approx(0.0, abs=1e-9)
 
     def test_central_equal_dof_ratio_crosses_scale(self):
-        assert threshold_for_pfa(FLaw(128, 128, 1.0, 0, 0), 0.5) == pytest.approx(
+        assert threshold_for_pfa(f_table(128, 128, 1.0, 0, 0), 0.5) == pytest.approx(
             1.0, abs=1e-10
         )
-        assert threshold_for_pfa(FLaw(128, 128, 1.7, 0, 0), 0.5) == pytest.approx(
+        assert threshold_for_pfa(f_table(128, 128, 1.7, 0, 0), 0.5) == pytest.approx(
             1.7, abs=1e-9
         )
 
@@ -210,7 +207,7 @@ class TestThresholdForPfa:
         laws = [
             ScaledGamma(64, 1 / 64),
             NoncentralChi2C(64, 1.0, 16.0),
-            FLaw(128, 128, 1.3, 8.0, 4.0),
+            f_table(128, 128, 1.3, 8.0, 4.0),
             GammaDifference(NoncentralChi2C(64, 1.2, 6.0), ScaledGamma(64, 1 / 64)),
         ]
         for law in laws:
@@ -226,7 +223,7 @@ class TestThresholdForPfa:
 
 class TestRocCurve:
     def test_identical_laws_give_chance_auc(self):
-        law = FLaw(128, 128, 1.0, 0, 0)
+        law = f_table(128, 128, 1.0, 0, 0)
         curve = roc_curve(law, law, grid=256)
         assert curve.auc == pytest.approx(0.5, abs=1e-9)
         assert np.allclose(curve.pd, curve.pfa, atol=1e-9)
@@ -633,9 +630,9 @@ class TestEnds:
         [
             # the lower quantile of order 1/16385, about 4e-43, lies far below the sweep
             (ScaledGamma(0.1, 1.0), ["lo"]),
-            # the sweep's 1 − cdf rounds to 0 before it drops below the edge above, and
-            # the exponential tail of −Exp(10001) reaches beyond 8 spreads below
-            (detector_laws(single_sample(0.001), "on_off")[0], ["lo", "hi"]),
+            # the exponential tail of −Exp(10001) reaches beyond 8 spreads below; above,
+            # the mirrored law's 1 − cdf is a rounding residue (1.1e-16) past the edge
+            (detector_laws(single_sample(0.001), "on_off")[0], ["lo"]),
         ],
         ids=["gamma-0.1", "on_off-N1"],
     )
@@ -656,11 +653,11 @@ class TestEnds:
         # at scale 5e305 the sweep's upper points leave the float range and
         # are dropped; the fallback finds no finite bracket either
         with pytest.raises(ComputationError, match="no finite quantile bracket"):
-            roc_module._ends(FLaw(2.0, 2.0, 5e305))
+            roc_module._ends(f_table(2.0, 2.0, 5e305))
 
     def test_overflowing_sweep_points_are_dropped(self):
         # at scale 5e300 the sweep's top points overflow, its crossings do not
-        law = FLaw(2.0, 2.0, 5e300)
+        law = f_table(2.0, 2.0, 5e300)
         t_lo, t_hi, m_lo, m_hi = roc_module._ends(law)
         assert np.isfinite(t_hi) and 0.0 < m_lo <= self.edge and 0.0 < m_hi <= self.edge
 

@@ -245,25 +245,33 @@ class TestOffDistribution:
 class TestFRatioLaw:
     def test_h0_unit_gain_is_central_scale_one(self):
         for rfi_power in (0.5, 3.0, 10.0):
-            law = f_ratio_law(wide_wide(rfi_power=rfi_power, gain=1.0), "H0")
+            spec = wide_wide(rfi_power=rfi_power, gain=1.0)
+            law = f_ratio_law(spec, "H0")
             assert isinstance(law, FLaw)
-            assert law.scale == pytest.approx(1.0, rel=1e-15)
-            assert law.lambda_num == 0.0 and law.lambda_den == 0.0
-            assert law.dof_num == law.dof_den == 128.0
+            assert law.num == on_distribution(spec, "H0")
+            assert law.den == off_distribution(spec)
+            # equal central sides of N = 64 samples: F(128, 128) at scale 1
+            assert law.num == law.den == ScaledGamma(64, (1.0 + rfi_power) / 64)
 
     def test_wide_wide_h1_scale(self):
         for g in (0.6, 1.0, 1.4):
             spec = wide_wide(noise_power=1.0, rfi_power=2.0, et_power=1.5, gain=g)
             law = f_ratio_law(spec, "H1")
-            assert law.scale == pytest.approx((1.5 + g * 2.0 + 1.0) / (2.0 + 1.0), rel=1e-15)
-            assert law.lambda_num == 0.0 and law.lambda_den == 0.0
+            assert law.num == on_distribution(spec, "H1")
+            assert law.den == off_distribution(spec)
+            assert isinstance(law.num, ScaledGamma) and isinstance(law.den, ScaledGamma)
+            scale = law.num.mean / law.den.mean
+            assert scale == pytest.approx((1.5 + g * 2.0 + 1.0) / (2.0 + 1.0), rel=1e-15)
 
     def test_narrow_narrow_h1_noncentralities(self):
-        law = f_ratio_law(narrow_narrow(rfi_energy=4.0, et_energy=9.0, gain=1.0), "H1")
-        assert law.scale == pytest.approx(1.0, rel=1e-15)
+        spec = narrow_narrow(rfi_energy=4.0, et_energy=9.0, gain=1.0)
+        law = f_ratio_law(spec, "H1")
+        assert law.num == on_distribution(spec, "H1")
+        assert law.den == off_distribution(spec)
+        assert law.num.power == law.den.power == 1.0
         # numerator energy 9 + 4 = 13, denominator energy 4, unit powers
-        assert law.lambda_num == pytest.approx(26.0, rel=1e-15)
-        assert law.lambda_den == pytest.approx(8.0, rel=1e-15)
+        assert law.num.noncentrality == pytest.approx(26.0, rel=1e-15)
+        assert law.den.noncentrality == pytest.approx(8.0, rel=1e-15)
 
     def test_narrow_narrow_h1_matches_pipeline_monte_carlo(self):
         spec = narrow_narrow(rfi_energy=4.0, et_energy=9.0, gain=1.0)
@@ -402,8 +410,8 @@ class TestPointingComponents:
         assert (on.power, on.noncentrality_energy) == (p_on, e_on)
         assert (off.power, off.noncentrality_energy) == (p_off, e_off)
         law = f_ratio_law(spec, hyp)
-        assert law.lambda_num == 2.0 * e_on / p_on
-        assert law.lambda_den == 2.0 * e_off / p_off
+        assert law.num == on
+        assert law.den == off
 
 
 def narrowband_pair_6db(n):
