@@ -110,16 +110,18 @@ _TOP_KEYS = {
     "gains",
     "spectrogram",
 }
+_REQUIRED = object()
+# each spectrogram key's types and default (_REQUIRED: none), in check order
 _SPECTROGRAM_KEYS = {
-    "amplitude",
-    "start_freq",
-    "drift_rate",
-    "phase0",
-    "noise_power",
-    "fft_len",
-    "hop",
-    "n_samples",
-    "seed",
+    "amplitude": ((int, float), _REQUIRED),
+    "start_freq": ((int, float), _REQUIRED),
+    "drift_rate": ((int, float), 0.0),
+    "phase0": ((int, float), 0.0),
+    "noise_power": ((int, float), 0.0),
+    "fft_len": (int, _REQUIRED),
+    "hop": (int, _REQUIRED),
+    "n_samples": (int, None),
+    "seed": (int, None),
 }
 
 ROC_COLUMNS = (
@@ -165,12 +167,13 @@ COMPARE_COLUMNS = (
 
 
 class ConfigError(ValueError):
-    """A config document failed validation; `path` is the dotted key."""
+    """A config document failed validation; `path` is the dotted key, empty
+    for the document itself."""
 
     def __init__(self, path: str, message: str):
         self.path = path
         self.message = message
-        super().__init__(f"{path}: {message}")
+        super().__init__(f"{path}: {message}" if path else message)
 
 
 @dataclass
@@ -215,10 +218,31 @@ def _in_float_range(value, where: str):
     return value
 
 
+def _key(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _mapping(raw, path: str, keys) -> None:
+    """Check that the block at `path` is a mapping with no key outside `keys`."""
+    if not isinstance(raw, dict):
+        raise ConfigError(path, f"expected a mapping, got {raw!r}")
+    unknown = sorted(set(raw).difference(keys))
+    if unknown:
+        raise ConfigError(_key(path, unknown[0]), "unknown key")
+
+
+def _anchored(exc: ValueError, path: str, keys) -> ConfigError:
+    """`exc` as a ConfigError at `path`, or at its key when the message
+    leads with one of `keys` (ScenarioSpec's, the chirp's and the frames'
+    messages lead with the offending field name)."""
+    first_word = str(exc).split(" ", 1)[0]
+    return ConfigError(_key(path, first_word) if first_word in keys else path, str(exc))
+
+
 def _expect(raw: dict, key: str, types, path: str, default=None, required=False):
     """raw[key], of `types` (a bool is no int); a value that may be a float
     is returned as one."""
-    where = f"{path}.{key}" if path else key
+    where = _key(path, key)
     if key not in raw:
         if required:
             raise ConfigError(where, "missing required key")
@@ -242,11 +266,7 @@ def _db_to_linear(db: float) -> float:
 
 def _resolve_scenario(raw: dict, path: str = "scenario") -> ScenarioSpec:
     """Scenario mapping → ScenarioSpec, converting dB conveniences."""
-    if not isinstance(raw, dict):
-        raise ConfigError(path, f"expected a mapping, got {raw!r}")
-    unknown = sorted(set(raw) - _SCENARIO_KEYS)
-    if unknown:
-        raise ConfigError(f"{path}.{unknown[0]}", "unknown key")
+    _mapping(raw, path, _SCENARIO_KEYS)
     rfi_kind = _expect(raw, "rfi_kind", str, path, required=True)
     et_kind = _expect(raw, "et_kind", str, path, required=True)
     n_samples = _expect(raw, "n_samples", int, path, required=True)
@@ -291,11 +311,7 @@ def _resolve_scenario(raw: dict, path: str = "scenario") -> ScenarioSpec:
             **fields,
         )
     except ValueError as exc:
-        # ScenarioSpec's messages lead with the offending field name; use it
-        # to anchor the error at that key's line when possible
-        first_word = str(exc).split(" ", 1)[0]
-        where = f"{path}.{first_word}" if first_word in _SCENARIO_KEYS else path
-        raise ConfigError(where, str(exc)) from exc
+        raise _anchored(exc, path, _SCENARIO_KEYS) from exc
 
 
 def _resolve_sweeps(raw, base_scenario_raw: dict):
@@ -303,11 +319,7 @@ def _resolve_sweeps(raw, base_scenario_raw: dict):
     (None, []) when no sweep is configured."""
     if raw is None:
         return None, []
-    if not isinstance(raw, dict):
-        raise ConfigError("sweeps", f"expected a mapping, got {raw!r}")
-    unknown = sorted(set(raw) - {"parameter", "values"})
-    if unknown:
-        raise ConfigError(f"sweeps.{unknown[0]}", "unknown key")
+    _mapping(raw, "sweeps", ("parameter", "values"))
     parameter = _expect(raw, "parameter", str, "sweeps", required=True)
     if parameter not in _SWEEP_PARAMETERS:
         raise ConfigError(
@@ -347,12 +359,7 @@ def load_config(
     trials: Optional[int] = None,
 ) -> ExperimentConfig:
     """Parse and validate a JSON config mapping (CLI overrides applied last)."""
-    if not isinstance(source, dict):
-        raise ConfigError("", f"top level must be a mapping, got {source!r}")
-    unknown = sorted(set(source) - _TOP_KEYS)
-    if unknown:
-        raise ConfigError(unknown[0], "unknown key")
-
+    _mapping(source, "", _TOP_KEYS)
     raw_scenario = source.get("scenario")
     if raw_scenario is None:
         raise ConfigError("scenario", "missing required key")
@@ -428,21 +435,10 @@ def load_config(
 
 def _resolve_spectrogram_block(raw) -> dict:
     path = "spectrogram"
-    if not isinstance(raw, dict):
-        raise ConfigError(path, f"expected a mapping, got {raw!r}")
-    unknown = sorted(set(raw) - _SPECTROGRAM_KEYS)
-    if unknown:
-        raise ConfigError(f"{path}.{unknown[0]}", "unknown key")
+    _mapping(raw, path, _SPECTROGRAM_KEYS)
     params = {
-        "amplitude": _expect(raw, "amplitude", (int, float), path, required=True),
-        "start_freq": _expect(raw, "start_freq", (int, float), path, required=True),
-        "drift_rate": _expect(raw, "drift_rate", (int, float), path, default=0.0),
-        "phase0": _expect(raw, "phase0", (int, float), path, default=0.0),
-        "noise_power": _expect(raw, "noise_power", (int, float), path, default=0.0),
-        "fft_len": int(_expect(raw, "fft_len", int, path, required=True)),
-        "hop": int(_expect(raw, "hop", int, path, required=True)),
-        "n_samples": _expect(raw, "n_samples", int, path, default=None),
-        "seed": _expect(raw, "seed", int, path, default=None),
+        key: _expect(raw, key, types, path, default, required=default is _REQUIRED)
+        for key, (types, default) in _SPECTROGRAM_KEYS.items()
     }
     if params["noise_power"] < 0:
         raise ConfigError(f"{path}.noise_power", "must be non-negative")
@@ -758,20 +754,15 @@ def _run_spectrogram_verb(config: ExperimentConfig) -> list[Path]:
     params = config.spectrogram_params
     if params is None:
         raise ConfigError("spectrogram", "missing required key for this command")
-    seed = params["seed"] if params["seed"] is not None else config.seed
+    chirp_keys = {f.name for f in dataclasses.fields(ChirpParams)}
+    frames = {k: v for k, v in params.items() if k not in chirp_keys}
+    if frames["seed"] is None:
+        frames["seed"] = config.seed
     try:
-        chirp = ChirpParams(
-            **{k: params[k] for k in ("amplitude", "start_freq", "drift_rate", "phase0")}
-        )
-        data = _spectrogram_csv(
-            chirp, *(params[k] for k in ("noise_power", "fft_len", "hop", "n_samples")), seed
-        )
+        chirp = ChirpParams(**{k: params[k] for k in chirp_keys})
+        data = _spectrogram_csv(chirp, **frames)
     except ValueError as exc:
-        # the chirp's and the frames' messages lead with the offending field
-        # name; anchor the error at that key's line when possible
-        first_word = str(exc).split(" ", 1)[0]
-        where = "spectrogram" + (f".{first_word}" if first_word in _SPECTROGRAM_KEYS else "")
-        raise ConfigError(where, str(exc)) from exc
+        raise _anchored(exc, "spectrogram", _SPECTROGRAM_KEYS) from exc
     return _publish(config, "spectrogram", [_file("spectrogram.csv", data)])
 
 

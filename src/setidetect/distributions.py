@@ -206,12 +206,22 @@ class ScaledGamma:
     _bracket_seeds = _spread_seeds
 
     def _pdf(self, x):
+        # About the mean, y = x/θ = a·(1 + e), with δ the Stirling error of
+        # log Γ(a): f = exp(a·(log(1 + e) − e) − log(1 + e) − δ(a))/(√(2πa)·θ),
+        # free of the cancelling terms of (a − 1)·log y − y − log Γ(a)
+        a = self.shape
         out = np.zeros_like(x)
-        pos = x > 0
-        xs = x[pos] / self.scale
-        out[pos] = np.exp(
-            (self.shape - 1.0) * np.log(xs) - xs - special.gammaln(self.shape)
-        ) / self.scale
+        with np.errstate(over="ignore"):
+            y = x / self.scale
+        inside = (y > 0.0) & (y < np.inf)
+        y = y[inside]
+        e = y / a - 1.0
+        # far below the mean e rounds away y's digits; log y keeps them
+        far = e < -0.5
+        log1pe = np.log1p(np.maximum(e, -0.5))
+        log1pe[far] = np.log(y[far]) - math.log(a)
+        log_dens = a * (log1pe - e) - log1pe - _stirling_error(a)
+        out[inside] = np.exp(log_dens) / (math.sqrt(2.0 * math.pi * a) * self.scale)
         return out
 
     def _cdf(self, x):
@@ -465,27 +475,36 @@ class _Conditioned:
         )
 
     def _args(self, t):
-        """(points inside the support, canonical arguments u, |du/dt|)."""
+        """(points inside the support, canonical arguments u); a mirrored
+        ratio's u = 1/t is inf where it overflows."""
         inside = t > 0 if self.ratio else np.ones(t.shape, dtype=bool)
         ts = t[inside]
         if not self.mirror:
-            return inside, ts, np.ones_like(ts)
+            return inside, ts
         if self.ratio:
-            return inside, 1.0 / ts, 1.0 / ts**2
-        return inside, -ts, np.ones_like(ts)
+            with np.errstate(over="ignore"):
+                return inside, 1.0 / ts
+        return inside, -ts
 
     def cdf(self, t):
         n = self.size
-        inside, u, _ = self._args(t)
+        inside, u = self._args(t)
         out = np.zeros_like(t)
         out[inside] = self._sum(u, n, False)
         return np.clip(out, 0.0, 1.0)
 
     def pdf(self, t):
         n = self.size
-        inside, u, du = self._args(t)
+        inside, u = self._args(t)
+        dens = np.maximum(self._sum(u, n, True), 0.0)
+        if self.mirror and self.ratio:
+            # times |du/dt| = 1/t², and 0 where that overflows
+            with np.errstate(divide="ignore", over="ignore"):
+                du = 1.0 / t[inside] ** 2
+            du[du == np.inf] = 0.0
+            dens *= du
         out = np.zeros_like(t)
-        out[inside] = np.maximum(self._sum(u, n, True), 0.0) * du
+        out[inside] = dens
         return out
 
 

@@ -53,6 +53,9 @@ _MAP_P_EDGE = 1.0 / 16385
 # spreads around the law's centre (its bracket seeds lie 4 spreads out).
 _ENDS_POINTS = 65
 _ENDS_SPREADS = 8.0
+# A swept 1 − cdf at or below this few ulps of 1 may be a rounding residue,
+# not the upper mass; such a point is no upper end.
+_ENDS_SF_FLOOR = 2.0**-49
 # Exact cdf knots of the map, evenly spaced in the law's variable.
 _MAP_KNOTS = 128
 # Normal-score span of a knot interval above which it is bisected.
@@ -80,9 +83,9 @@ def _ends(h0: Law) -> tuple[float, float, float, float]:
     own variable (log t for positive laws, t otherwise; see
     distributions._Axis) over ±_ENDS_SPREADS spreads around the centre of
     its bracket seeds.  t_lo is the last point with 0 < cdf ≤ _MAP_P_EDGE,
-    t_hi the first with 0 < 1 − cdf ≤ _MAP_P_EDGE; points beyond the float
-    range are dropped, and an end with no such point is law_quantile's
-    solution of order _MAP_P_EDGE (1 − _MAP_P_EDGE).
+    t_hi the first with _ENDS_SF_FLOOR < 1 − cdf ≤ _MAP_P_EDGE; points
+    beyond the float range are dropped, and an end with no such point is
+    law_quantile's solution of order _MAP_P_EDGE (1 − _MAP_P_EDGE).
     """
     axis = _axis(h0)
     lo, hi = axis.seeds(h0)
@@ -94,7 +97,7 @@ def _ends(h0: Law) -> tuple[float, float, float, float]:
     cdf = np.asarray(h0.cdf(t), dtype=float) if t.size else t
     sf = 1.0 - cdf
     below = np.flatnonzero((cdf > 0.0) & (cdf <= _MAP_P_EDGE))
-    above = np.flatnonzero((sf > 0.0) & (sf <= _MAP_P_EDGE))
+    above = np.flatnonzero((sf > _ENDS_SF_FLOOR) & (sf <= _MAP_P_EDGE))
     if below.size:
         t_lo, m_lo = t[below[-1]], cdf[below[-1]]
     else:

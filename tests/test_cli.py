@@ -139,6 +139,20 @@ class TestLoadConfig:
             load_config(doc)
         assert err.value.path == "scenario.bandwidth"
 
+    @pytest.mark.parametrize("block", ["scenario", "sweeps", "spectrogram"])
+    def test_each_block_is_a_mapping_of_known_keys(self, block):
+        valid = {
+            "scenario": base_config()["scenario"],
+            "sweeps": {"parameter": "gain", "values": [1.0]},
+            "spectrogram": spectrogram_block(),
+        }[block]
+        with pytest.raises(ConfigError) as err:
+            load_config(base_config(**{block: [1, 2]}))
+        assert (err.value.path, err.value.message) == (block, "expected a mapping, got [1, 2]")
+        with pytest.raises(ConfigError) as err:
+            load_config(base_config(**{block: {**valid, "bogus": 1}}))
+        assert (err.value.path, err.value.message) == (f"{block}.bogus", "unknown key")
+
     def test_scenario_field_errors_anchor_at_field(self):
         doc = base_config()
         doc["scenario"]["rfi_power"] = -2.0
@@ -458,6 +472,12 @@ class TestMainEntry:
         code, _, stderr = self.run(capsys, "roc", "--config", str(cfg))
         assert code == 2
         assert f"{cfg}:{lineno}: scenario.rfi_power:" in stderr
+
+    def test_document_that_is_no_mapping_has_no_empty_path(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "top.json", [1, 2])
+        code, _, stderr = self.run(capsys, "roc", "--config", str(cfg))
+        assert code == 2
+        assert stderr == f"{cfg}: expected a mapping, got [1, 2]\n"
 
     @staticmethod
     def line_of(path: Path, key: str, after: str = "") -> int:

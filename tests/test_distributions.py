@@ -99,6 +99,46 @@ def inc_beta(u, a, b):
     return f_table(2.0 * a, 2.0 * b).cdf(b * u / (a * (1.0 - u)))
 
 
+def gamma_pdf_mp(x, shape, scale):
+    """ScaledGamma(shape, scale) density at x with 50 mpmath digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        x, a, s = (mpmath.mpf(v) for v in (x, shape, scale))
+        return float(mpmath.exp((a - 1) * mpmath.log(x / s) - x / s - mpmath.loggamma(a)) / s)
+
+
+class TestScaledGammaPdf:
+    @pytest.mark.parametrize("shape", [1, 2, 5, 16, 64, 1024, 1e5])
+    @pytest.mark.parametrize("scale", ["1/shape", 0.7, 3e-200])
+    def test_matches_50_digit_density(self, shape, scale):
+        # exp((a − 1)·log y − y − log Γ(a)) cancelled: 7.0e-14 off at shape
+        # 64, 1.6e-12 at 1024 and 3.0e-10 at 1e5 over ±6 spreads.  The
+        # reference takes the float scale
+        scale = 1.0 / shape if scale == "1/shape" else scale
+        law = ScaledGamma(shape, scale)
+        xs = law.mean + np.sqrt(law.variance) * np.linspace(-6.0, 6.0, 25)
+        xs = xs[xs > 0]
+        expected = np.array([gamma_pdf_mp(x, shape, scale) for x in xs])
+        rtol = 5e-14 if shape <= 1024 else 1e-12
+        assert np.allclose(law.pdf(xs), expected, rtol=rtol, atol=0.0)
+
+    def test_limits_without_warnings(self):
+        x = np.array([1e-300, 5e-324])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # y⁻½·e^(−y)/(Γ(½)·θ), e^(−y)/θ, y·e^(−y)/θ and 0 as y = x/θ → 0
+            half = ScaledGamma(0.5, 0.7).pdf(x)
+            # a log-density of about 370 carries 370 ulps
+            assert half == pytest.approx((x / 0.7) ** -0.5 / (np.sqrt(np.pi) * 0.7), rel=1e-13)
+            assert ScaledGamma(1, 0.7).pdf(x) == pytest.approx(1 / 0.7, rel=1e-15)
+            assert ScaledGamma(2, 0.7).pdf(1e-300) == pytest.approx(1e-300 / 0.49, rel=1e-14)
+            assert np.all(ScaledGamma(1e5, 0.7).pdf(x) == 0.0)
+            # x/θ beyond the float range, and x = inf
+            assert ScaledGamma(2, 3e-200).pdf(1e200) == 0.0
+            for shape in (0.5, 1, 2, 1e5):
+                assert ScaledGamma(shape, 0.7)._pdf(np.array([np.inf]))[0] == 0.0
+
+
 class TestRegIncBeta:
     def test_symmetry_at_half(self):
         for a in (0.5, 1.0, 3.7, 64.0):
@@ -229,6 +269,42 @@ def ncx2_pdf_bessel(x, k, lam):
         )
 
 
+def ncx2_sf_poisson(x, k, lam):
+    """χ²_k(λ) survival function as its Poisson mixture of central ones,
+    Σⱼ e^(−λ/2)·(λ/2)^j/j!·Q(k/2 + j, x/2), with 40 mpmath digits; Q steps
+    up by Q(s + 1, z) = Q(s, z) + z^s·e^(−z)/Γ(s + 1)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        z, s, m = mpmath.mpf(x) / 2, mpmath.mpf(k) / 2, mpmath.mpf(lam) / 2
+        weight, q = mpmath.exp(-m), mpmath.gammainc(s, z, mpmath.inf, regularized=True)
+        step = mpmath.exp(s * mpmath.log(z) - z - mpmath.loggamma(s + 1))
+        total, j = weight * q, 0
+        # past the Poisson mode the weights fall geometrically and Q ≤ 1
+        while j <= m or weight > total * mpmath.mpf(10) ** -45:
+            j += 1
+            weight *= m / j
+            q += step
+            step *= z / (s + j)
+            total += weight * q
+        return float(total)
+
+
+class TestNcChi2Sf:
+    @pytest.mark.parametrize(
+        "dof, lam", [(2, 1.8), (8, 7.2), (32, 28.8), (2048, 40.0), (2, 200.0)]
+    )
+    def test_private_boost_sf_matches_poisson_mixture(self, dof, lam):
+        # pins scipy.special._ufuncs._ncx2_sf, which NoncentralChi2C._sf
+        # calls, out to 25 spreads, where 1 − chndtr is 0
+        spread = np.sqrt(2.0 * (dof + 2.0 * lam))
+        xs = dof + lam + spread * np.arange(-3.0, 26.0)
+        xs = xs[xs > 0]
+        expected = np.array([ncx2_sf_poisson(x, dof, lam) for x in xs])
+        assert np.all(expected > 0.0)
+        got = distributions._ncx2_sf(xs, float(dof), lam)
+        assert np.allclose(got, expected, rtol=1e-13, atol=0.0)
+
+
 class TestNcChi2Pdf:
     @pytest.mark.parametrize(
         "dof, lam", [(2, 1.8), (8, 7.2), (32, 28.8), (2048, 40.0), (2, 200.0)]
@@ -356,6 +432,25 @@ def beta_prime_pdf(x, dof_num, dof_den, scale):
         dy_dx = n1 / (n2 * s)
         y = dy_dx * x
         return float(dy_dx * y ** (a - 1) * (1 + y) ** (-a - b) / mpmath.beta(a, b))
+
+
+class TestMirroredRatioAtTinyT:
+    @pytest.mark.parametrize(
+        "law",
+        [
+            f_table(32, 32, 1, lambda_num=10),
+            FLaw(NoncentralChi2C(2, 1.0, 40.0), ScaledGamma(2, 0.5)),
+        ],
+        ids=["hermite", "legendre"],
+    )
+    def test_cdf_and_pdf_are_zero_without_warnings(self, law):
+        # 1/t² overflows below t ≈ 1e-154, 1/t below 5.6e-309
+        assert law._conditioned.mirror
+        t = np.array([1e-160, 1e-300, 1e-320])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(law.cdf(t) == 0.0)
+            assert np.all(law.pdf(t) == 0.0)
 
 
 class TestFLawCentralPdf:

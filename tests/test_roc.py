@@ -631,8 +631,8 @@ class TestEnds:
             # the lower quantile of order 1/16385, about 4e-43, lies far below the sweep
             (ScaledGamma(0.1, 1.0), ["lo"]),
             # the exponential tail of −Exp(10001) reaches beyond 8 spreads below; above,
-            # the mirrored law's 1 − cdf is a rounding residue (1.1e-16) past the edge
-            (detector_laws(single_sample(0.001), "on_off")[0], ["lo"]),
+            # 1 − cdf past the edge is no more than a rounding residue
+            (detector_laws(single_sample(0.001), "on_off")[0], ["lo", "hi"]),
         ],
         ids=["gamma-0.1", "on_off-N1"],
     )
@@ -648,6 +648,21 @@ class TestEnds:
             assert t_hi == law_quantile(law, 1.0 - self.edge)
             assert m_hi == pytest.approx(self.edge, abs=1e-10)
         assert 0.0 < m_lo and 0.0 < m_hi
+
+    @pytest.mark.parametrize("gain, swept", [(0.001, False), (0.01, True)])
+    def test_upper_mass_is_the_laws_not_a_rounding_residue(self, monkeypatch, gain, swept):
+        # H0 of on_off at N = 1 is Exp(a) − Exp(b), whose mass above t > 0 is
+        # a/(a + b)·exp(−t/a).  At g = 0.001 the sweep's 1 − cdf reads one
+        # ulp where that mass is 7.8e-103, so the end is solved for; at
+        # g = 0.01 the swept 6.5e-14 stands, within 1 − cdf's rounding
+        law = detector_laws(single_sample(gain), "on_off")[0]
+        a, b = law.pos.scale, law.neg.scale
+        orders = _quantile_orders(monkeypatch)
+        _, t_hi, _, m_hi = roc_module._ends(law)
+        assert (1.0 - self.edge not in orders) == swept
+        assert t_hi > 0.0
+        tol = {"abs": 2.0**-52} if swept else {"rel": 1e-6, "abs": 0.0}
+        assert m_hi == pytest.approx(a / (a + b) * np.exp(-t_hi / a), **tol)
 
     def test_overflowing_sweep_is_a_computation_error(self):
         # at scale 5e305 the sweep's upper points leave the float range and

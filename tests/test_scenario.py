@@ -25,6 +25,7 @@ from setidetect import (
     run_paired_estimates,
     run_trials,
 )
+from setidetect import roc
 from setidetect.cli import _ks_bound
 from setidetect.scenario import _pointing_components
 
@@ -376,6 +377,43 @@ class TestDetectorLaws:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             detector_laws(wide_wide(), "matched_filter")
+
+
+def inr_10_snr_0(rfi_kind, et_kind, n, gain):
+    """INR 10 dB and SNR 0 dB per sample, of the given kinds."""
+    strength = {"wideband": ("power", 10.0), "narrowband": ("energy", 10.0 * n)}
+    fields = {}
+    if rfi_kind != "none":
+        suffix, level = strength[rfi_kind]
+        fields[f"rfi_{suffix}"] = level
+    suffix, level = strength[et_kind]
+    fields[f"et_{suffix}"] = level / 10.0
+    return ScenarioSpec(rfi_kind, et_kind, 1.0, gain=gain, n_samples=n, **fields)
+
+
+class TestLimitIdentities:
+    KINDS = [(r, e) for r in ("wideband", "narrowband", "none") for e in ("wideband", "narrowband")]
+    SIZES = [1, 2, 3, 16, 1024]
+
+    @pytest.mark.parametrize("rfi_kind, et_kind", KINDS)
+    def test_each_law_against_itself_has_auc_one_half(self, rfi_kind, et_kind):
+        # and its cdf between the AUC's ends is non-decreasing within [0, 1]
+        for n in self.SIZES:
+            for kind in DetectorKind:
+                for law in detector_laws(inr_10_snr_0(rfi_kind, et_kind, n, 0.9), kind):
+                    case = (n, kind.value, law)
+                    assert abs(roc.auc(law, law) - 0.5) <= roc.AUC_TOL, case
+                    t_lo, t_hi = roc._ends(law)[:2]
+                    cdf = law.cdf(np.linspace(t_lo, t_hi, 257))
+                    assert np.all((cdf >= 0.0) & (cdf <= 1.0)), case
+                    assert np.all(np.diff(cdf) >= 0.0), case
+
+    @pytest.mark.parametrize("rfi_kind, et_kind", KINDS)
+    def test_unit_gain_f_ratio_has_median_one(self, rfi_kind, et_kind):
+        # at g = 1, ON and OFF have one law under H0, so their ratio's median is 1
+        for n in self.SIZES:
+            law = f_ratio_law(inr_10_snr_0(rfi_kind, et_kind, n, 1.0), Hypothesis.H0)
+            assert abs(float(law.cdf(1.0)) - 0.5) <= 1e-12, (n, law)
 
 
 class TestPointingComponents:
