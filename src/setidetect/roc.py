@@ -17,10 +17,22 @@ statistics.  The map and the integral share their ends, which one vectorized
 H0 cdf sweep places: the outermost sweep points inside H0's tails of mass
 1/16385, with the exact mass beyond each; a scalar `law_quantile` solve places
 an end only where the sweep has no such point.
+
+A gain sweep (`compare_detectors`) integrates over another law.  For the
+paired detectors S = ON ⊘ OFF, S₁ > S₀ exactly when the ON pair ON₁ ⊘ ON₀
+exceeds the OFF pair OFF′ ⊘ OFF, whose law no gain changes.  One integral
+over the OFF pair's mass, its nodes and H0 densities computed once, serves
+every gain, each at the cost of one ON-pair cdf call.  Where the ON pair's
+spread is under half the OFF pair's, the integral runs over the swapped ON
+pair ON₀ ⊘ ON₁ instead, as P(Δ > D) = P(D⁻ > Δ⁻): a law much narrower than
+the panels steps inside one of them, where two rule sizes can agree on a
+wrong value.  Those AUCs match `auc(h0, h1)` within AUC_TOL, not bit for bit.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -29,7 +41,16 @@ import numpy as np
 from scipy.special import ndtri
 
 from ._pool import ordered_map
-from .distributions import QUANTILE_TOL, ComputationError, Law, _axis, _legendre, law_quantile
+from .distributions import (
+    QUANTILE_TOL,
+    ComputationError,
+    FLaw,
+    GammaDifference,
+    Law,
+    _axis,
+    _legendre,
+    law_quantile,
+)
 from .scenario import DetectorKind, ScenarioSpec, detector_laws
 
 __all__ = [
@@ -73,6 +94,12 @@ _AUC_CORE_PANELS = 4
 _AUC_TAIL_PANELS = 8
 # Gauss–Legendre nodes per panel, tried in turn.
 _AUC_RULE_SIZES = (8, 12, 16, 24, 32, 48, 64)
+# compare_detectors integrates over the swapped ON pair, not the OFF pair,
+# where the ON pair's spread is under this fraction of the OFF pair's.  A law
+# much narrower than the OFF pair's panels steps from 0 to 1 inside one panel,
+# and there the 8- and 12-node rules can agree on a wrong value (5e-6 off, with
+# no error, for on_off at N = 1, rfi_power 1e4, g = 0.001).
+_SIDE_SPREAD = 0.5
 
 
 def _ends(h0: Law) -> tuple[float, float, float, float]:
@@ -277,105 +304,128 @@ def _closed_curve(ts, pfa, pd):
     return thresholds, pfa, pd
 
 
-def _auc(h0: Law, h1: Law, ends: tuple[float, float, float, float]) -> float:
-    """P(S₁ > S₀) = ∫ SF₁(t)·f₀(t) dt over H0's mass, given the ends
-    (t_lo, t_hi, cdf(t_lo), 1 − cdf(t_hi)) that _ends places.
+class _AucIntegral:
+    """P(S₁ > S₀) = ∫ SF₁(t)·f₀(t) dt over one H0 law's mass, for any H1 law.
 
-    The variable is the law's own x (log t for positive laws, t otherwise;
-    see distributions._Axis), with a panel edge at 0 for differences, where
-    small-N ones have a kink.  _AUC_CORE_PANELS equal panels cover
-    [t_lo, t_hi]; beyond each end, panels doubling in width from the tail's
-    local decay length (the mass beyond the end over the density at it,
-    exact for an exponential tail) reach out to where H0 leaves at most
-    _AUC_TAIL.
-    The first pair of rule sizes whose results agree within AUC_TOL decides,
-    and the larger rule must also integrate f₀ to 1 within AUC_TOL: two
-    rules can agree on a value that both miss.
+    It is built from H0 and the ends (t_lo, t_hi, cdf(t_lo), 1 − cdf(t_hi))
+    that _ends places.  The variable is the law's own x (log t for positive
+    laws, t otherwise; see distributions._Axis), with a panel edge at 0 for
+    differences, where small-N ones have a kink.  _AUC_CORE_PANELS equal
+    panels cover [t_lo, t_hi]; beyond each end, panels doubling in width from
+    the tail's local decay length (the mass beyond the end over the density
+    at it, exact for an exponential tail) reach out to where H0 leaves at
+    most _AUC_TAIL.  The nodes, f₀·w and mass of each rule size are computed
+    once, by the first call that needs them, and serve every later call,
+    from any thread.
+
+    Called with an H1 law, the first pair of rule sizes whose results agree
+    within AUC_TOL decides, and the larger rule must also integrate f₀ to 1
+    within AUC_TOL: two rules can agree on a value that both miss.
     """
-    axis = _axis(h0)
-    to_t = axis.to_t
-    masses = np.array(ends[2:])
-    ends = np.array(ends[:2])
-    density = np.asarray(h0.pdf(ends)) * (ends if axis.log else 1.0)
-    a, b = axis.to_x(ends)
-    # a density that underflowed to 0 gives the widest panels, the core's width
-    with np.errstate(divide="ignore"):
-        decay = np.minimum(masses / density, b - a)
-    reach = 2.0 ** np.arange(1, _AUC_TAIL_PANELS + 1) - 1.0
-    below, above = a - decay[0] * reach, b + decay[1] * reach
-    # tail panels end where the float range does
-    with np.errstate(over="ignore"):
-        below = below[np.isfinite(to_t(below))]
-        above = above[np.isfinite(to_t(above))]
-    # masses beyond each end, then beyond each tail panel, from one cdf call
-    tails = np.asarray(h0.cdf(to_t(np.concatenate([below, above]))))
-    cdf_below = np.r_[masses[0], tails[: below.size]]
-    sf_above = np.r_[masses[1], 1.0 - tails[below.size :]]
-    tail = max(cdf_below[-1], sf_above[-1])
-    if tail > _AUC_TAIL:
-        raise ComputationError(
-            f"H0 leaves mass {tail:.2e} beyond its tail panels (at most "
-            f"{_AUC_TAIL_PANELS} a side, within the float range)",
-            achieved=tail,
-        )
-    n_below = np.argmax(cdf_below <= _AUC_TAIL)
-    n_above = np.argmax(sf_above <= _AUC_TAIL)
-    edges = np.concatenate(
-        [
-            below[:n_below][::-1],
-            np.linspace(a, b, _AUC_CORE_PANELS + 1),
-            above[:n_above],
-        ]
-    )
-    if not axis.log and edges[0] < 0.0 < edges[-1]:
-        edges = np.union1d(edges, [0.0])
-    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    rad = 0.5 * np.diff(edges)[:, None]
 
-    def rules(*sizes):
-        """(auc, mass) of each rule size, from one h0.pdf and one h1.cdf
-        call over all their nodes."""
-        nodes = []
-        for n in sizes:
-            x, w = _legendre(n)
-            t = to_t((mid + rad * x).ravel())
-            nodes.append((t, (rad * w).ravel() * (t if axis.log else 1.0)))
-        ts = np.concatenate([t for t, _ in nodes])
-        pdf0, sf1 = np.asarray(h0.pdf(ts)), 1.0 - np.asarray(h1.cdf(ts))
+    def __init__(self, h0: Law, ends: tuple[float, float, float, float]):
+        self.law = h0
+        axis = _axis(h0)
+        to_t = self._to_t = axis.to_t
+        self._log = axis.log
+        masses = np.array(ends[2:])
+        ends = np.array(ends[:2])
+        density = np.asarray(h0.pdf(ends)) * (ends if axis.log else 1.0)
+        a, b = axis.to_x(ends)
+        # a density that underflowed to 0 gives the widest panels, the core's width
+        with np.errstate(divide="ignore"):
+            decay = np.minimum(masses / density, b - a)
+        reach = 2.0 ** np.arange(1, _AUC_TAIL_PANELS + 1) - 1.0
+        below, above = a - decay[0] * reach, b + decay[1] * reach
+        # tail panels end where the float range does
+        with np.errstate(over="ignore"):
+            below = below[np.isfinite(to_t(below))]
+            above = above[np.isfinite(to_t(above))]
+        # masses beyond each end, then beyond each tail panel, from one cdf call
+        tails = np.asarray(h0.cdf(to_t(np.concatenate([below, above]))))
+        cdf_below = np.r_[masses[0], tails[: below.size]]
+        sf_above = np.r_[masses[1], 1.0 - tails[below.size :]]
+        tail = max(cdf_below[-1], sf_above[-1])
+        if tail > _AUC_TAIL:
+            raise ComputationError(
+                f"H0 leaves mass {tail:.2e} beyond its tail panels (at most "
+                f"{_AUC_TAIL_PANELS} a side, within the float range)",
+                achieved=tail,
+            )
+        n_below = np.argmax(cdf_below <= _AUC_TAIL)
+        n_above = np.argmax(sf_above <= _AUC_TAIL)
+        edges = np.concatenate(
+            [
+                below[:n_below][::-1],
+                np.linspace(a, b, _AUC_CORE_PANELS + 1),
+                above[:n_above],
+            ]
+        )
+        if not axis.log and edges[0] < 0.0 < edges[-1]:
+            edges = np.union1d(edges, [0.0])
+        self._mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+        self._rad = 0.5 * np.diff(edges)[:, None]
+        self._rules = {}  # rule size → (nodes t, f₀·w, mass)
+        self._lock = threading.Lock()
+        # every call runs the first two rules, so they share one h0.pdf call
+        self._f0(*_AUC_RULE_SIZES[:2])
+
+    def _f0(self, *sizes):
+        """(t, f₀·w, mass) of each rule size.  Those not yet cached come from
+        one h0.pdf call over all their nodes, under the lock, so that none is
+        computed twice; cached ones are read without waiting for it."""
+        if any(n not in self._rules for n in sizes):
+            with self._lock:
+                new = [n for n in sizes if n not in self._rules]
+                if new:
+                    nodes = []
+                    for n in new:
+                        x, w = _legendre(n)
+                        t = self._to_t((self._mid + self._rad * x).ravel())
+                        nodes.append((t, (self._rad * w).ravel() * (t if self._log else 1.0)))
+                    pdf0 = np.asarray(self.law.pdf(np.concatenate([t for t, _ in nodes])))
+                    start = 0
+                    for n, (t, w) in zip(new, nodes):
+                        f0 = pdf0[start : start + t.size] * w
+                        self._rules[n] = t, f0, float(np.sum(f0))
+                        start += t.size
+        return [self._rules[n] for n in sizes]
+
+    def _rules_at(self, h1: Law, *sizes):
+        """(auc, mass) of each rule size, from one h1.cdf call over all their nodes."""
+        rules = self._f0(*sizes)
+        sf1 = 1.0 - np.asarray(h1.cdf(np.concatenate([t for t, _, _ in rules])))
         out, start = [], 0
-        for t, w in nodes:
-            part = slice(start, start + t.size)
-            f0 = pdf0[part] * w
-            mass = float(np.sum(f0))
-            out.append((float(np.sum(f0 * sf1[part])) / mass, mass))
+        for t, f0, mass in rules:
+            out.append((float(np.sum(f0 * sf1[start : start + t.size])) / mass, mass))
             start += t.size
         return out
 
-    # the first two rules always run, so they share their calls
-    (prev, _), second = rules(*_AUC_RULE_SIZES[:2])
-    for n in _AUC_RULE_SIZES[1:]:
-        auc, mass = second if n == _AUC_RULE_SIZES[1] else rules(n)[0]
-        miss = abs(auc - prev)
-        if miss <= AUC_TOL:
-            if abs(mass - 1.0) > AUC_TOL:
-                raise ComputationError(
-                    f"AUC rule of {n} nodes per panel integrates the H0 density "
-                    f"to {mass:.12f}, not 1",
-                    achieved=abs(mass - 1.0),
-                )
-            return auc
-        prev = auc
-    raise ComputationError(
-        f"AUC integral did not settle: rules of {_AUC_RULE_SIZES[-2]} and "
-        f"{_AUC_RULE_SIZES[-1]} nodes per panel differ by {miss:.3e}",
-        achieved=miss,
-    )
+    def __call__(self, h1: Law) -> float:
+        (prev, _), second = self._rules_at(h1, *_AUC_RULE_SIZES[:2])
+        for n in _AUC_RULE_SIZES[1:]:
+            auc, mass = second if n == _AUC_RULE_SIZES[1] else self._rules_at(h1, n)[0]
+            miss = abs(auc - prev)
+            if miss <= AUC_TOL:
+                if abs(mass - 1.0) > AUC_TOL:
+                    raise ComputationError(
+                        f"AUC rule of {n} nodes per panel integrates the H0 density "
+                        f"to {mass:.12f}, not 1",
+                        achieved=abs(mass - 1.0),
+                    )
+                return auc
+            prev = auc
+        raise ComputationError(
+            f"AUC integral did not settle: rules of {_AUC_RULE_SIZES[-2]} and "
+            f"{_AUC_RULE_SIZES[-1]} nodes per panel differ by {miss:.3e}",
+            achieved=miss,
+        )
 
 
 def auc(h0: Law, h1: Law) -> float:
     """P(S₁ > S₀), accurate to AUC_TOL: the AUC of roc_curve(h0, h1), bit
     for bit, without building the curve or its H0 quantile map."""
-    return _auc(h0, h1, _ends(h0))
+    return _AucIntegral(h0, _ends(h0))(h1)
 
 
 def roc_curve(
@@ -411,7 +461,7 @@ def roc_curve(
         thresholds=thresholds,
         pfa=pfa,
         pd=pd,
-        auc=_auc(h0, h1, h0_map.ends),
+        auc=_AucIntegral(h0, h0_map.ends)(h1),
         detector=detector,
         spec=spec,
         h0_map=h0_map,
@@ -448,6 +498,64 @@ class _NoLaw(ValueError):
         self.gain = gain
 
 
+def _spread(law: Law) -> float:
+    """A paired law's spread as _Conditioned._centred takes it: √variance for
+    a difference, √(rv_num + rv_den) in log t for a ratio; inf where it
+    overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(law, FLaw):
+            return float(np.sqrt(law.num.rel_variance + law.den.rel_variance))
+        return float(np.sqrt(law.variance))
+
+
+def _within_float_range(on, off, ratio: bool) -> bool:
+    """Whether S₀ = ON ⊘ OFF passes the largest float M with probability
+    _AUC_TAIL at most, by a union bound: a ratio beyond M needs ON > c·√M or
+    OFF < c/√M, c² the product of their means; a difference, ON or OFF > M."""
+    big = np.finfo(float).max
+    with np.errstate(over="ignore"):
+        if ratio:
+            c = np.sqrt(on.mean) * np.sqrt(off.mean)
+            beyond = on._sf(np.array([c * np.sqrt(big)])) + off._cdf(np.array([c / np.sqrt(big)]))
+        else:
+            beyond = on._sf(np.array([big])) + off._sf(np.array([big]))
+    return float(beyond[0]) <= _AUC_TAIL
+
+
+def _auc_sides(h0: Law, h1: Law) -> tuple[Law, Law, bool]:
+    """(X, Y, shared) with P(S₁ > S₀) = P(Y > X), to be integrated over X's
+    mass, and whether X is the OFF pair, the same law at every gain.
+
+    For paired laws S = ON ⊘ OFF (FLaw or GammaDifference, h0 and h1 sharing
+    their OFF side), S₁ > S₀ exactly when the ON pair Δ = ON₁ ⊘ ON₀ exceeds
+    the OFF pair D = OFF′ ⊘ OFF, OFF and OFF′ being i.i.d.: X is D and Y is
+    Δ.  Where Δ's spread is under _SIDE_SPREAD of D's, X is the swapped ON
+    pair Δ⁻ = ON₀ ⊘ ON₁ and Y is D, since P(Δ > D) = P(D⁻ > Δ⁻) and D⁻ has
+    D's law.  Any other pair of laws gives (h0, h1, False), and so do paired
+    laws whose spreads overflow or whose S₀ may pass the largest float:
+    there auc(h0, h1) names what fails.
+    """
+    if isinstance(h0, FLaw) and isinstance(h1, FLaw) and h0.den == h1.den:
+        on0, on1, off = h0.num, h1.num, h0.den
+    elif (
+        isinstance(h0, GammaDifference)
+        and isinstance(h1, GammaDifference)
+        and h0.neg == h1.neg
+    ):
+        on0, on1, off = h0.pos, h1.pos, h0.neg
+    else:
+        return h0, h1, False
+    pair = type(h0)
+    on_pair, off_pair = pair(on1, on0), pair(off, off)
+    spread_on, spread_off = _spread(on_pair), _spread(off_pair)
+    finite = math.isfinite(spread_on) and math.isfinite(spread_off)
+    if not (finite and _within_float_range(on0, off, pair is FLaw)):
+        return h0, h1, False
+    if spread_on < _SIDE_SPREAD * spread_off:
+        return pair(on0, on1), off_pair, False
+    return off_pair, on_pair, True
+
+
 def compare_detectors(
     spec: ScenarioSpec,
     gains: Sequence[float],
@@ -461,8 +569,21 @@ def compare_detectors(
     detector at gain 1 is reported (the baseline is computed even when 1 is
     not in `gains`).  Every distinct (gain, detector)'s laws are built once,
     before any AUC; then one AUC is computed per pair, the AUCs
-    concurrently, and no ROC curve is built.  A failure names the first
-    failing law or AUC in the order baselines, then `gains` as given.
+    concurrently, and no ROC curve is built.
+
+    A paired detector S = ON ⊘ OFF (⊘ the ratio or the difference) has
+    S₁ > S₀ exactly when the ON pair ON₁ ⊘ ON₀ exceeds the OFF pair
+    OFF′ ⊘ OFF, two i.i.d. OFF estimates whose law no gain changes.  So each
+    paired detector integrates over its OFF pair's mass once, and every gain
+    costs one ON-pair cdf call at those shared nodes.  Where the ON pair's
+    spread is under half the OFF pair's, the integral runs over the swapped
+    ON pair ON₀ ⊘ ON₁ instead (see _auc_sides).  The energy detector, and a
+    gain whose S₀ may pass the largest float, take `auc(h0, h1)`.  Each AUC
+    is accurate to AUC_TOL and matches `auc(h0, h1)` within it, not bit for
+    bit; `auc_delta` is exactly `auc` less the same detector's gain-1 `auc`.
+    A failure names the first failing law or AUC in the order baselines,
+    then `gains` as given; a failure of a shared integral is named like the
+    first task that uses it.
     """
     gains = [float(g) for g in gains]
     if not gains:
@@ -476,10 +597,24 @@ def compare_detectors(
             except ValueError as exc:
                 raise _NoLaw(g, exc) from exc
 
+    # OFF-pair law → [its lock, its AUC integral once the first task to use
+    # it has built it]; each has its own lock, so two detectors build theirs
+    # side by side
+    integrals = {}
+    lock = threading.Lock()
+
     def auc_at(task) -> float:
         (g, kind), (h0, h1) = task
         with _named_computation(f"{kind.value} law at gain {g:g}", h0, h1):
-            return auc(h0, h1)
+            x, y, shared = _auc_sides(h0, h1)
+            if not shared:
+                return auc(x, y)
+            with lock:
+                entry = integrals.setdefault(x, [threading.Lock(), None])
+            with entry[0]:
+                if entry[1] is None:
+                    entry[1] = _AucIntegral(x, _ends(x))
+            return entry[1](y)
 
     aucs = dict(zip(laws, ordered_map(auc_at, list(laws.items()))))
     return [

@@ -44,6 +44,7 @@ from setidetect.cli import (
     main,
     run_experiment,
 )
+from setidetect.distributions import FLaw, GammaDifference
 
 
 def base_config(**kw):
@@ -1048,6 +1049,20 @@ SINGLE_SAMPLE = {
     "pfa_grid": 128,
     "gains": [0.001, 0.01, 0.5, 1.0],
 }
+# N = 2: both detectors' shared OFF-pair integrals need a rule past (8, 12)
+NARROWBAND_LADDER = {
+    "scenario": {
+        "rfi_kind": "narrowband",
+        "et_kind": "narrowband",
+        "noise_power": 1.0,
+        "inr_db": 0.0,
+        "snr_db": 0.0,
+        "n_samples": 2,
+    },
+    "detectors": ["f_ratio", "on_off"],
+    "pfa_grid": 64,
+    "gains": [0.5, 0.75, 1.25, 2.0],
+}
 POOL_CASES = {
     "roc-analytic": ("roc", NARROWBAND_SWEEP),
     "roc-both": ("roc", dict(NARROWBAND_SWEEP, mode="both", trials=1000)),
@@ -1066,6 +1081,7 @@ POOL_CASES = {
     ),
     "compare-ladder": ("compare", GAIN_LADDER),
     "compare-single-sample": ("compare", SINGLE_SAMPLE),
+    "compare-narrowband-ladder": ("compare", NARROWBAND_LADDER),
 }
 
 
@@ -1119,6 +1135,29 @@ class TestWorkerCount:
         capsys.readouterr()
         assert outputs == serial_outputs
 
+    def test_narrowband_ladder_escalates_shared_integrals(self, tmp_path, monkeypatch, capsys):
+        # what the compare-narrowband-ladder case is there for: each shared
+        # OFF-pair integral computes a rule size past (8, 12) inside a pool task
+        integrals = []
+
+        class Kept(setidetect.roc._AucIntegral):
+            def __init__(self, h0, ends):
+                super().__init__(h0, ends)
+                integrals.append(self)
+
+        monkeypatch.setattr(setidetect.roc, "_AucIntegral", Kept)
+        monkeypatch.setattr(_pool, "worker_count", lambda: 2)
+        cfg = write_json(tmp_path / "cfg.json", NARROWBAND_LADDER)
+        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        escalated = [i.law for i in integrals if is_off_pair(i.law) and max(i._rules) > 12]
+        assert sorted(type(law).__name__ for law in escalated) == ["FLaw", "GammaDifference"]
+
+
+def is_off_pair(law) -> bool:
+    """Whether a paired law is some estimate against an i.i.d. copy of itself."""
+    return law.num == law.den if isinstance(law, FLaw) else law.pos == law.neg
+
 
 class FailingLaw(ScaledGamma):
     """A law whose every cdf fails; shape 4 fails only after a delay, so a
@@ -1155,6 +1194,33 @@ class TestPoolFailures:
         assert code == 3
         assert "on_off law at gain 0.9 failed: shape 4 did not settle" in err
         assert "FailingLaw(shape=4.0, scale=1.0)" in err
+
+    def test_shared_integral_failure_is_named_by_its_first_task(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # every on_off task integrates over the same OFF pair; its failure,
+        # slow or not, is reported as the first of them in serial order, the
+        # gain-1 baseline
+        class FailingIntegral(setidetect.roc._AucIntegral):
+            def __init__(self, h0, ends):
+                if isinstance(h0, GammaDifference) and is_off_pair(h0):
+                    if threading.current_thread() is threading.main_thread():
+                        time.sleep(0.3)
+                    raise ComputationError("off pair did not settle", achieved=2e-3)
+                super().__init__(h0, ends)
+
+        monkeypatch.setattr(setidetect.roc, "_AucIntegral", FailingIntegral)
+        monkeypatch.setattr(_pool, "worker_count", lambda: 3)
+        doc = base_config(gains=[0.9, 1.1], pfa_grid=16)
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        before = threading.active_count()
+        code = main(["compare", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert threading.active_count() == before
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "on_off law at gain 1 failed: off pair did not settle" in err
+        h0, h1 = detector_laws(load_config(doc).scenario, "on_off")
+        assert f"(h0={h0!r}, h1={h1!r})" in err
 
     def test_roc_sweep_names_earlier_failure(self, tmp_path, capsys, monkeypatch):
         real_laws = setidetect.cli.detector_laws

@@ -695,19 +695,19 @@ class TestCompareDetectors:
         for r in rows:
             assert r.auc_delta == pytest.approx(r.auc - base[r.detector], abs=1e-15)
 
-    def test_rows_equal_curve_aucs_bit_for_bit(self):
+    def test_rows_match_curve_aucs(self):
+        # the OFF-pair integral is not the curve's H0 integral, so the AUCs
+        # agree to rounding, not bit for bit; the deltas are exact
         spec = wide_wide()
         rows = compare_detectors(spec, [0.8, 0.9, 1.0, 1.1, 1.25])
         assert len(rows) == 10
-
-        def curve_auc(g, kind):
-            return roc_curve(*detector_laws(spec.with_gain(g), kind), grid=64).auc
-
-        base = {kind: curve_auc(1.0, kind) for kind in (DetectorKind.F_RATIO, DetectorKind.ON_OFF)}
+        base = {r.detector: r.auc for r in rows if r.gain == 1.0}
         for r in rows:
-            exact = curve_auc(r.gain, r.detector)
-            assert r.auc == exact
-            assert r.auc_delta == exact - base[r.detector]
+            curve = roc_curve(*detector_laws(spec.with_gain(r.gain), r.detector), grid=64)
+            assert r.auc == pytest.approx(curve.auc, abs=1e-12, rel=0.0)
+            assert r.auc_delta == r.auc - base[r.detector]
+            if r.gain == 1.0:
+                assert r.auc_delta == 0.0
             assert r.spec == spec.with_gain(r.gain)
 
     def test_difference_detector_is_less_gain_sensitive(self):
@@ -718,27 +718,40 @@ class TestCompareDetectors:
         assert worst[DetectorKind.ON_OFF] < worst[DetectorKind.F_RATIO]
 
     @pytest.mark.parametrize("gains", [[0.9, 1.1, 0.9], [1.0, 0.9, 1.0, 1.1]])
-    def test_one_curve_per_distinct_gain_and_detector(self, monkeypatch, gains):
+    def test_one_on_pair_evaluation_per_distinct_gain_and_detector(self, monkeypatch, gains):
         spec = wide_wide()
         kinds = (DetectorKind.F_RATIO, DetectorKind.ON_OFF)
-        task_of = {
-            detector_laws(spec.with_gain(g), k): (g, k) for g in {1.0, *gains} for k in kinds
-        }
-        real_auc = roc_module.auc
-        built = []
+        task_of = {}
+        for g in {1.0, *gains}:
+            for k in kinds:
+                _, on_pair, shared = roc_module._auc_sides(*detector_laws(spec.with_gain(g), k))
+                assert shared
+                task_of[on_pair] = g, k
+        integrated, evaluated = [], []
 
-        def counted(h0, h1):
-            built.append(task_of[h0, h1])
-            return real_auc(h0, h1)
+        class Counted(roc_module._AucIntegral):
+            def __init__(self, h0, ends):
+                integrated.append(h0)
+                super().__init__(h0, ends)
+
+            def __call__(self, h1):
+                evaluated.append(task_of[h1])
+                return super().__call__(h1)
 
         def no_map(h0):
             raise AssertionError("compare_detectors built an H0 quantile map")
 
-        monkeypatch.setattr(roc_module, "auc", counted)
+        monkeypatch.setattr(roc_module, "_AucIntegral", Counted)
         # every ROC curve builds a map, so this also shows that none is built
         monkeypatch.setattr(roc_module, "_H0Map", no_map)
         rows = compare_detectors(spec, gains)
-        assert sorted(built) == sorted((g, k) for g in {1.0, 0.9, 1.1} for k in kinds)
+        # one OFF-pair integral per detector (the OFF pair is H0's law at
+        # gain 1), one ON-pair evaluation per task
+        off = spec.with_gain(1.0)
+        assert sorted(integrated, key=repr) == sorted(
+            (detector_laws(off, k)[0] for k in kinds), key=repr
+        )
+        assert sorted(evaluated) == sorted((g, k) for g in {1.0, 0.9, 1.1} for k in kinds)
         assert [(r.gain, r.detector) for r in rows] == [(g, k) for g in gains for k in kinds]
 
     def test_rejects_empty_gains(self):
