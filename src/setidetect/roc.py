@@ -22,17 +22,18 @@ A gain sweep (`compare_detectors`) integrates over another law.  For the
 paired detectors S = ON ⊘ OFF, S₁ > S₀ exactly when the ON pair ON₁ ⊘ ON₀
 exceeds the OFF pair OFF′ ⊘ OFF, whose law no gain changes.  One integral
 over the OFF pair's mass, its nodes and H0 densities computed once, serves
-every gain, each at the cost of one ON-pair cdf call.  Where the ON pair's
-spread is under half the OFF pair's, the integral runs over the swapped ON
-pair ON₀ ⊘ ON₁ instead, as P(Δ > D) = P(D⁻ > Δ⁻): a law much narrower than
-the panels steps inside one of them, where two rule sizes can agree on a
-wrong value.  Those AUCs match `auc(h0, h1)` within AUC_TOL, not bit for bit.
+every gain, each at the cost of one ON-pair cdf call.  A gain whose ON
+pair's spread is under half the OFF pair's takes `auc(h0, h1)` instead: a
+law much narrower than the OFF pair's panels steps inside one of them, where
+two rule sizes can agree on a wrong value.  The shared AUCs match
+`auc(h0, h1)` within AUC_TOL, not bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -94,12 +95,16 @@ _AUC_CORE_PANELS = 4
 _AUC_TAIL_PANELS = 8
 # Gauss–Legendre nodes per panel, tried in turn.
 _AUC_RULE_SIZES = (8, 12, 16, 24, 32, 48, 64)
-# compare_detectors integrates over the swapped ON pair, not the OFF pair,
-# where the ON pair's spread is under this fraction of the OFF pair's.  A law
-# much narrower than the OFF pair's panels steps from 0 to 1 inside one panel,
-# and there the 8- and 12-node rules can agree on a wrong value (5e-6 off, with
-# no error, for on_off at N = 1, rfi_power 1e4, g = 0.001).
+# compare_detectors takes auc(h0, h1), not the OFF-pair integral, where the ON
+# pair's spread is under this fraction of the OFF pair's.  A law much narrower
+# than the OFF pair's panels steps from 0 to 1 inside one panel, and there the
+# 8- and 12-node rules can agree on a wrong value (5e-6 off, with no error, for
+# on_off at N = 1, rfi_power 1e4, g = 0.001).
 _SIDE_SPREAD = 0.5
+# compare_detectors shares an OFF-pair integral only among at least this many
+# tasks: two tasks would each build their own side by side, in the time one
+# shared build takes while the other task waits for it.
+_SHARED_TASKS = 3
 
 
 def _ends(h0: Law) -> tuple[float, float, float, float]:
@@ -529,11 +534,10 @@ def _auc_sides(h0: Law, h1: Law) -> tuple[Law, Law, bool]:
     For paired laws S = ON ⊘ OFF (FLaw or GammaDifference, h0 and h1 sharing
     their OFF side), S₁ > S₀ exactly when the ON pair Δ = ON₁ ⊘ ON₀ exceeds
     the OFF pair D = OFF′ ⊘ OFF, OFF and OFF′ being i.i.d.: X is D and Y is
-    Δ.  Where Δ's spread is under _SIDE_SPREAD of D's, X is the swapped ON
-    pair Δ⁻ = ON₀ ⊘ ON₁ and Y is D, since P(Δ > D) = P(D⁻ > Δ⁻) and D⁻ has
-    D's law.  Any other pair of laws gives (h0, h1, False), and so do paired
-    laws whose spreads overflow or whose S₀ may pass the largest float:
-    there auc(h0, h1) names what fails.
+    Δ.  Any other pair of laws gives (h0, h1, False), and so do paired laws
+    whose Δ has a spread under _SIDE_SPREAD of D's, whose spreads overflow,
+    or whose S₀ may pass the largest float: there auc(h0, h1) names what
+    fails.
     """
     if isinstance(h0, FLaw) and isinstance(h1, FLaw) and h0.den == h1.den:
         on0, on1, off = h0.num, h1.num, h0.den
@@ -548,12 +552,15 @@ def _auc_sides(h0: Law, h1: Law) -> tuple[Law, Law, bool]:
     pair = type(h0)
     on_pair, off_pair = pair(on1, on0), pair(off, off)
     spread_on, spread_off = _spread(on_pair), _spread(off_pair)
-    finite = math.isfinite(spread_on) and math.isfinite(spread_off)
-    if not (finite and _within_float_range(on0, off, pair is FLaw)):
+    if not (math.isfinite(spread_on) and math.isfinite(spread_off)):
         return h0, h1, False
     if spread_on < _SIDE_SPREAD * spread_off:
-        return pair(on0, on1), off_pair, False
-    return off_pair, on_pair, True
+        return h0, h1, False
+    try:
+        inside = _within_float_range(on0, off, pair is FLaw)
+    except ComputationError:
+        inside = False
+    return (off_pair, on_pair, True) if inside else (h0, h1, False)
 
 
 def compare_detectors(
@@ -573,17 +580,17 @@ def compare_detectors(
 
     A paired detector S = ON ⊘ OFF (⊘ the ratio or the difference) has
     S₁ > S₀ exactly when the ON pair ON₁ ⊘ ON₀ exceeds the OFF pair
-    OFF′ ⊘ OFF, two i.i.d. OFF estimates whose law no gain changes.  So each
-    paired detector integrates over its OFF pair's mass once, and every gain
-    costs one ON-pair cdf call at those shared nodes.  Where the ON pair's
-    spread is under half the OFF pair's, the integral runs over the swapped
-    ON pair ON₀ ⊘ ON₁ instead (see _auc_sides).  The energy detector, and a
-    gain whose S₀ may pass the largest float, take `auc(h0, h1)`.  Each AUC
-    is accurate to AUC_TOL and matches `auc(h0, h1)` within it, not bit for
-    bit; `auc_delta` is exactly `auc` less the same detector's gain-1 `auc`.
-    A failure names the first failing law or AUC in the order baselines,
-    then `gains` as given; a failure of a shared integral is named like the
-    first task that uses it.
+    OFF′ ⊘ OFF, two i.i.d. OFF estimates whose law no gain changes.  So a
+    paired detector with at least _SHARED_TASKS such (gain, detector) tasks
+    integrates over its OFF pair's mass once, before any AUC, and each of
+    them costs one ON-pair cdf call at those shared nodes.  The energy
+    detector, a gain whose ON pair's spread is under half the OFF pair's,
+    and a gain whose S₀ may pass the largest float take `auc(h0, h1)` (see
+    _auc_sides).  Each AUC is accurate to AUC_TOL and matches `auc(h0, h1)`
+    within it, not bit for bit; `auc_delta` is exactly `auc` less the same
+    detector's gain-1 `auc`.  A failure names the first failing law or AUC
+    in the order baselines, then `gains` as given; a failed shared integral
+    fails each task that uses it, so it is named like the first of them.
     """
     gains = [float(g) for g in gains]
     if not gains:
@@ -597,24 +604,28 @@ def compare_detectors(
             except ValueError as exc:
                 raise _NoLaw(g, exc) from exc
 
-    # OFF-pair law → [its lock, its AUC integral once the first task to use
-    # it has built it]; each has its own lock, so two detectors build theirs
-    # side by side
-    integrals = {}
-    lock = threading.Lock()
+    sides = {task: _auc_sides(h0, h1) for task, (h0, h1) in laws.items()}
+    uses = Counter(x for x, _, shared in sides.values() if shared)
+    off_pairs = [x for x, n in uses.items() if n >= _SHARED_TASKS]
+
+    def build(x):
+        try:
+            return _AucIntegral(x, _ends(x))
+        except ComputationError as exc:  # raised by each task that uses it
+            return exc
+
+    integrals = dict(zip(off_pairs, ordered_map(build, off_pairs)))
 
     def auc_at(task) -> float:
         (g, kind), (h0, h1) = task
+        x, y, shared = sides[g, kind]
+        integral = integrals.get(x) if shared else None
         with _named_computation(f"{kind.value} law at gain {g:g}", h0, h1):
-            x, y, shared = _auc_sides(h0, h1)
-            if not shared:
-                return auc(x, y)
-            with lock:
-                entry = integrals.setdefault(x, [threading.Lock(), None])
-            with entry[0]:
-                if entry[1] is None:
-                    entry[1] = _AucIntegral(x, _ends(x))
-            return entry[1](y)
+            if integral is None:
+                return auc(h0, h1)
+            if isinstance(integral, ComputationError):
+                raise integral
+            return integral(y)
 
     aucs = dict(zip(laws, ordered_map(auc_at, list(laws.items()))))
     return [
