@@ -444,12 +444,22 @@ class _Conditioned:
         # ∂h/∂u is y for the ratio and 1 for the difference
         return np.sum(self.a._pdf(h) * (y * w if self.ratio else w), axis=1)
 
+    @cached_property
+    def spread(self) -> float:
+        """√(var_A + var_B) for the difference, √(rv_A + rv_B) in log t for
+        the ratio (rv the relative variance); inf where it overflows."""
+        a, b = self.a, self.b
+        with np.errstate(over="ignore"):
+            if self.ratio:
+                return float(np.sqrt(a.rel_variance + b.rel_variance))
+            return float(np.sqrt(a.variance + b.variance))
+
     def _centred(self, k):
         """Points k spreads from the centre of the conditioned law."""
         a, b = self.a, self.b
         if self.ratio:
-            return a.mean / b.mean * np.exp(np.sqrt(a.rel_variance + b.rel_variance) * k)
-        return a.mean - b.mean + np.sqrt(a.variance + b.variance) * k
+            return a.mean / b.mean * np.exp(self.spread * k)
+        return a.mean - b.mean + self.spread * k
 
     @cached_property
     def size(self) -> int:
@@ -581,7 +591,7 @@ class FLaw:
         # ratio of the means with a log-symmetric spread; seeds only,
         # refined by expansion in law_quantile
         centre = self.num.mean / self.den.mean
-        rel = math.sqrt(self.num.rel_variance + self.den.rel_variance)
+        rel = self._conditioned.spread
         # a huge centre overflows to inf, which law_quantile reports
         with np.errstate(over="ignore"):
             return centre * np.exp(-4.0 * rel), centre * np.exp(4.0 * rel)

@@ -23,17 +23,16 @@ paired detectors S = ON ⊘ OFF, S₁ > S₀ exactly when the ON pair ON₁ ⊘ 
 exceeds the OFF pair OFF′ ⊘ OFF, whose law no gain changes.  One integral
 over the OFF pair's mass, its nodes and H0 densities computed once, serves
 every gain, each at the cost of one ON-pair cdf call.  A gain whose ON
-pair's spread is under half the OFF pair's takes `auc(h0, h1)` instead: a
-law much narrower than the OFF pair's panels steps inside one of them, where
-two rule sizes can agree on a wrong value.  The shared AUCs match
-`auc(h0, h1)` within AUC_TOL, not bit for bit.
+pair's spread is under half the OFF pair's integrates over its own H0 law
+instead: a law much narrower than the OFF pair's panels steps inside one of
+them, where two rule sizes can agree on a wrong value.  The shared AUCs
+match `auc(h0, h1)` within AUC_TOL, not bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -95,16 +94,12 @@ _AUC_CORE_PANELS = 4
 _AUC_TAIL_PANELS = 8
 # Gauss–Legendre nodes per panel, tried in turn.
 _AUC_RULE_SIZES = (8, 12, 16, 24, 32, 48, 64)
-# compare_detectors takes auc(h0, h1), not the OFF-pair integral, where the ON
-# pair's spread is under this fraction of the OFF pair's.  A law much narrower
-# than the OFF pair's panels steps from 0 to 1 inside one panel, and there the
-# 8- and 12-node rules can agree on a wrong value (5e-6 off, with no error, for
+# compare_detectors integrates over H0, not the OFF pair, where the ON pair's
+# spread is under this fraction of the OFF pair's.  A law much narrower than
+# the OFF pair's panels steps from 0 to 1 inside one panel, and there the 8-
+# and 12-node rules can agree on a wrong value (5e-6 off, with no error, for
 # on_off at N = 1, rfi_power 1e4, g = 0.001).
 _SIDE_SPREAD = 0.5
-# compare_detectors shares an OFF-pair integral only among at least this many
-# tasks: two tasks would each build their own side by side, in the time one
-# shared build takes while the other task waits for it.
-_SHARED_TASKS = 3
 
 
 def _ends(h0: Law) -> tuple[float, float, float, float]:
@@ -503,16 +498,6 @@ class _NoLaw(ValueError):
         self.gain = gain
 
 
-def _spread(law: Law) -> float:
-    """A paired law's spread as _Conditioned._centred takes it: √variance for
-    a difference, √(rv_num + rv_den) in log t for a ratio; inf where it
-    overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(law, FLaw):
-            return float(np.sqrt(law.num.rel_variance + law.den.rel_variance))
-        return float(np.sqrt(law.variance))
-
-
 def _within_float_range(on, off, ratio: bool) -> bool:
     """Whether S₀ = ON ⊘ OFF passes the largest float M with probability
     _AUC_TAIL at most, by a union bound: a ratio beyond M needs ON > c·√M or
@@ -527,17 +512,16 @@ def _within_float_range(on, off, ratio: bool) -> bool:
     return float(beyond[0]) <= _AUC_TAIL
 
 
-def _auc_sides(h0: Law, h1: Law) -> tuple[Law, Law, bool]:
-    """(X, Y, shared) with P(S₁ > S₀) = P(Y > X), to be integrated over X's
-    mass, and whether X is the OFF pair, the same law at every gain.
+def _auc_sides(h0: Law, h1: Law) -> tuple[Law, Law]:
+    """(X, Y) with P(S₁ > S₀) = P(Y > X), to be integrated over X's mass.
 
     For paired laws S = ON ⊘ OFF (FLaw or GammaDifference, h0 and h1 sharing
     their OFF side), S₁ > S₀ exactly when the ON pair Δ = ON₁ ⊘ ON₀ exceeds
-    the OFF pair D = OFF′ ⊘ OFF, OFF and OFF′ being i.i.d.: X is D and Y is
-    Δ.  Any other pair of laws gives (h0, h1, False), and so do paired laws
-    whose Δ has a spread under _SIDE_SPREAD of D's, whose spreads overflow,
-    or whose S₀ may pass the largest float: there auc(h0, h1) names what
-    fails.
+    the OFF pair D = OFF′ ⊘ OFF, OFF and OFF′ being i.i.d.: X is D, the same
+    law at every gain, and Y is Δ.  Any other pair of laws gives (h0, h1),
+    and so do paired laws whose Δ has a spread under _SIDE_SPREAD of D's,
+    whose spreads overflow, or whose S₀ may pass the largest float: there
+    the integral over h0 names what fails.
     """
     if isinstance(h0, FLaw) and isinstance(h1, FLaw) and h0.den == h1.den:
         on0, on1, off = h0.num, h1.num, h0.den
@@ -548,19 +532,19 @@ def _auc_sides(h0: Law, h1: Law) -> tuple[Law, Law, bool]:
     ):
         on0, on1, off = h0.pos, h1.pos, h0.neg
     else:
-        return h0, h1, False
+        return h0, h1
     pair = type(h0)
     on_pair, off_pair = pair(on1, on0), pair(off, off)
-    spread_on, spread_off = _spread(on_pair), _spread(off_pair)
+    spread_on, spread_off = on_pair._conditioned.spread, off_pair._conditioned.spread
     if not (math.isfinite(spread_on) and math.isfinite(spread_off)):
-        return h0, h1, False
+        return h0, h1
     if spread_on < _SIDE_SPREAD * spread_off:
-        return h0, h1, False
+        return h0, h1
     try:
         inside = _within_float_range(on0, off, pair is FLaw)
     except ComputationError:
         inside = False
-    return (off_pair, on_pair, True) if inside else (h0, h1, False)
+    return (off_pair, on_pair) if inside else (h0, h1)
 
 
 def compare_detectors(
@@ -580,17 +564,18 @@ def compare_detectors(
 
     A paired detector S = ON ⊘ OFF (⊘ the ratio or the difference) has
     S₁ > S₀ exactly when the ON pair ON₁ ⊘ ON₀ exceeds the OFF pair
-    OFF′ ⊘ OFF, two i.i.d. OFF estimates whose law no gain changes.  So a
-    paired detector with at least _SHARED_TASKS such (gain, detector) tasks
-    integrates over its OFF pair's mass once, before any AUC, and each of
-    them costs one ON-pair cdf call at those shared nodes.  The energy
-    detector, a gain whose ON pair's spread is under half the OFF pair's,
-    and a gain whose S₀ may pass the largest float take `auc(h0, h1)` (see
-    _auc_sides).  Each AUC is accurate to AUC_TOL and matches `auc(h0, h1)`
+    OFF′ ⊘ OFF, two i.i.d. OFF estimates whose law no gain changes.  So each
+    (gain, detector) task integrates over the law _auc_sides gives it: its
+    detector's OFF pair, or its own H0 for the energy detector, a gain whose
+    ON pair's spread is under half the OFF pair's and a gain whose S₀ may
+    pass the largest float.  One integral is built per distinct law, before
+    any AUC, and a task then costs one cdf call of its other law at those
+    nodes per rule size tried; a row depends only on its own gain and
+    detector.  Each AUC is accurate to AUC_TOL and matches `auc(h0, h1)`
     within it, not bit for bit; `auc_delta` is exactly `auc` less the same
     detector's gain-1 `auc`.  A failure names the first failing law or AUC
-    in the order baselines, then `gains` as given; a failed shared integral
-    fails each task that uses it, so it is named like the first of them.
+    in the order baselines, then `gains` as given; a failed integral fails
+    each task that uses it, so it is named like the first of them.
     """
     gains = [float(g) for g in gains]
     if not gains:
@@ -605,25 +590,22 @@ def compare_detectors(
                 raise _NoLaw(g, exc) from exc
 
     sides = {task: _auc_sides(h0, h1) for task, (h0, h1) in laws.items()}
-    uses = Counter(x for x, _, shared in sides.values() if shared)
-    off_pairs = [x for x, n in uses.items() if n >= _SHARED_TASKS]
+    xs = list(dict.fromkeys(x for x, _ in sides.values()))
 
     def build(x):
         try:
             return _AucIntegral(x, _ends(x))
-        except ComputationError as exc:  # raised by each task that uses it
+        except Exception as exc:  # raised by each task that uses it
             return exc
 
-    integrals = dict(zip(off_pairs, ordered_map(build, off_pairs)))
+    integrals = dict(zip(xs, ordered_map(build, xs)))
 
     def auc_at(task) -> float:
         (g, kind), (h0, h1) = task
-        x, y, shared = sides[g, kind]
-        integral = integrals.get(x) if shared else None
+        x, y = sides[g, kind]
+        integral = integrals[x]
         with _named_computation(f"{kind.value} law at gain {g:g}", h0, h1):
-            if integral is None:
-                return auc(h0, h1)
-            if isinstance(integral, ComputationError):
+            if isinstance(integral, Exception):
                 raise integral
             return integral(y)
 

@@ -1082,6 +1082,8 @@ POOL_CASES = {
     "compare-ladder": ("compare", GAIN_LADDER),
     "compare-single-sample": ("compare", SINGLE_SAMPLE),
     "compare-narrowband-ladder": ("compare", NARROWBAND_LADDER),
+    # one gain: each shared OFF-pair integral serves only two tasks
+    "compare-single-gain": ("compare", dict(NARROWBAND_LADDER, gains=[1.25])),
 }
 
 

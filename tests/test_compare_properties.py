@@ -1,7 +1,7 @@
 """compare_detectors integrates each paired detector over its OFF pair once
 and shares that integral across gains, save where a gain's ON pair is much
 narrower; its AUCs must match auc(h0, h1) of each gain's own laws across the
-scenario space."""
+scenario space, and a row must not depend on the other gains compared."""
 
 import pytest
 
@@ -44,18 +44,12 @@ def scenario(rfi_kind, et_kind, n, inr_db, snr_db) -> ScenarioSpec:
     )
 
 
-# Gains compared beside the one under test, so that with the baseline each
-# paired detector has enough tasks to share its OFF-pair integral.
-NEIGHBOURS = [0.9, 1.1]
-
-
 def assert_rows_match(spec, gain):
-    """Every row at `gain` of a compare that shares its OFF-pair integrals
-    matches auc(h0, h1) of its laws."""
-    rows = [r for r in compare_detectors(spec, [gain, *NEIGHBOURS]) if r.gain == gain]
+    """Every row at `gain` of a compare matches auc(h0, h1) of its laws."""
+    rows = compare_detectors(spec, [gain])
     for row in rows:
         h0, h1 = detector_laws(row.spec, row.detector)
-        _, _, shared = roc_module._auc_sides(h0, h1)
+        shared = roc_module._auc_sides(h0, h1) != (h0, h1)
         wideband = spec.rfi_kind == spec.et_kind == "wideband" and spec.n_samples >= 64
         settled = row.detector == "f_ratio" or gain <= WIDEBAND_ON_OFF_GAIN
         tol = WIDEBAND_TOL if wideband and shared and settled else AUC_TOL
@@ -94,36 +88,62 @@ def test_fixed_rows_match_each_gains_auc(kinds, n, inr_db, snr_db, gain):
     assert_rows_match(scenario(*kinds, n, inr_db, snr_db), gain)
 
 
+SIDE_RULE_SPEC = ScenarioSpec(
+    rfi_kind="wideband",
+    et_kind="wideband",
+    noise_power=1.0,
+    rfi_power=1e4,
+    et_power=0.1,
+    n_samples=1,
+)
+
+
+@pytest.mark.parametrize("gain", [0.5, 0.001])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        scenario("narrowband", "narrowband", 2, 10.0, 0.0),
+        scenario("wideband", "wideband", 64, 10.0, -10.0),
+        SIDE_RULE_SPEC,
+    ],
+    ids=["narrow-N2", "wide-N64", "wide-N1-side-rule"],
+)
+def test_rows_depend_only_on_their_own_gain_and_detector(spec, gain):
+    # other gains compared beside change neither the rows at `gain` nor the
+    # baseline's, bit for bit; listing gain 1 adds no task, only its rows
+    detectors = ["energy", "f_ratio", "on_off"]
+    alone = compare_detectors(spec, [gain, 1.0], detectors)
+    beside = compare_detectors(spec, [gain, 1.0, 0.9, 1.1], detectors)
+    assert len(alone) == 6
+    for row, other in zip(alone, beside):
+        assert (row.gain, row.detector) == (other.gain, other.detector)
+        assert (row.auc, row.auc_delta) == (other.auc, other.auc_delta), row.detector
+
+
 class TestSideRule:
     """N = 1, rfi_power 1e4: at small gains the on_off ON pair is about g
     times as wide as the OFF pair, a step inside one OFF-pair panel."""
 
-    spec = ScenarioSpec(
-        rfi_kind="wideband",
-        et_kind="wideband",
-        noise_power=1.0,
-        rfi_power=1e4,
-        et_power=0.1,
-        n_samples=1,
-    )
+    spec = SIDE_RULE_SPEC
 
     @pytest.mark.parametrize("gain", [0.001, 0.01])
     def test_narrow_on_pair_takes_its_own_auc(self, monkeypatch, gain):
-        calls = []
-        real = roc_module.auc
+        built = []
 
-        def recorded(h0, h1):
-            calls.append((h0, h1))
-            return real(h0, h1)
+        class Counted(roc_module._AucIntegral):
+            def __init__(self, h0, ends):
+                built.append(h0)
+                super().__init__(h0, ends)
 
-        monkeypatch.setattr(roc_module, "auc", recorded)
-        rows = compare_detectors(self.spec, [gain, *NEIGHBOURS], detectors=["on_off"])
+        monkeypatch.setattr(roc_module, "_AucIntegral", Counted)
+        rows = compare_detectors(self.spec, [gain], detectors=["on_off"])
         monkeypatch.undo()
         h0, h1 = detector_laws(self.spec.with_gain(gain), "on_off")
-        # the baseline and the neighbours share the OFF-pair integral; only
-        # this gain integrates over its own H0 law
-        assert roc_module._auc_sides(h0, h1) == (h0, h1, False)
-        assert calls == [(h0, h1)]
+        # the baseline integrates over the OFF pair, this gain over its own
+        # H0 law
+        assert roc_module._auc_sides(h0, h1) == (h0, h1)
+        off_pair = GammaDifference(h0.neg, h0.neg)
+        assert sorted(built, key=repr) == sorted([off_pair, h0], key=repr)
         assert rows[0].auc == auc(h0, h1)
 
     def test_off_pair_integral_misses_a_narrow_on_pair(self):
@@ -137,11 +157,12 @@ class TestSideRule:
 
     def test_overflowing_spreads_do_not_warn(self):
         # ScaledGamma.variance overflows above a gain of about 1e154 at N = 64;
-        # the spread reads inf, and the gain falls back to auc(h0, h1)
+        # the spread reads inf, and the gain integrates over its own H0 law
         spec = ScenarioSpec(
             rfi_kind="wideband", et_kind="wideband", noise_power=1.0, rfi_power=1.0,
             et_power=1.0, n_samples=64, gain=1e160,
         )
         h0, h1 = detector_laws(spec, "on_off")
-        assert roc_module._spread(GammaDifference(h1.pos, h0.pos)) == float("inf")
-        assert roc_module._auc_sides(h0, h1) == (h0, h1, False)
+        on_pair = GammaDifference(h1.pos, h0.pos)
+        assert on_pair._conditioned.spread == float("inf")
+        assert roc_module._auc_sides(h0, h1) == (h0, h1)
