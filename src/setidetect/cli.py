@@ -620,12 +620,7 @@ def run_experiment(config: ExperimentConfig, *, ks_table: bool = False) -> list[
     for index, (_, spec) in enumerate(points):
         try:
             assumed.append(default_assumed_noise(spec))
-            laws.append(
-                {
-                    kind: detector_laws(spec, kind, assumed_noise=assumed[-1])
-                    for kind in config.detectors
-                }
-            )
+            laws.append({kind: detector_laws(spec, kind) for kind in config.detectors})
         except ValueError as exc:
             where = "scenario" if config.sweeps is None else f"sweeps.values[{index}]"
             raise ConfigError(where, f"no sampling law for this scenario: {exc}")
@@ -656,7 +651,7 @@ def run_experiment(config: ExperimentConfig, *, ks_table: bool = False) -> list[
         ident = (spec.scenario_id, spec.gain, _snr_db(spec), spec.n_samples)
         if run_analytic:
             with _named_computation(f"{kind.value} law", h0, h1):
-                curve = roc_curve(h0, h1, grid=config.pfa_grid, detector=kind, spec=spec)
+                curve = roc_curve(h0, h1, grid=config.pfa_grid)
                 pd_ref = [
                     pd_pfa(h0, h1, curve.h0_map.threshold(pfa_ref))[0]
                     for pfa_ref in SUMMARY_PFA

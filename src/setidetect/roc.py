@@ -268,8 +268,6 @@ class RocCurve:
     pfa: np.ndarray
     pd: np.ndarray
     auc: float
-    detector: Optional[DetectorKind] = None
-    spec: Optional[ScenarioSpec] = None
     h0_map: Optional[_H0Map] = field(default=None, repr=False)
 
     @property
@@ -428,13 +426,7 @@ def auc(h0: Law, h1: Law) -> float:
     return _AucIntegral(h0, _ends(h0))(h1)
 
 
-def roc_curve(
-    h0: Law,
-    h1: Law,
-    grid: int = DEFAULT_GRID,
-    detector: Optional[DetectorKind] = None,
-    spec: Optional[ScenarioSpec] = None,
-) -> RocCurve:
+def roc_curve(h0: Law, h1: Law, grid: int = DEFAULT_GRID) -> RocCurve:
     """ROC curve over `grid` thresholds at H0 quantiles of equispaced pfa.
 
     Thresholds are read from an H0 quantile map (kept as `h0_map`), or
@@ -462,8 +454,6 @@ def roc_curve(
         pfa=pfa,
         pd=pd,
         auc=_AucIntegral(h0, h0_map.ends)(h1),
-        detector=detector,
-        spec=spec,
         h0_map=h0_map,
     )
 
@@ -551,7 +541,6 @@ def compare_detectors(
     spec: ScenarioSpec,
     gains: Sequence[float],
     detectors: Sequence = (DetectorKind.F_RATIO, DetectorKind.ON_OFF),
-    assumed_noise: float | None = None,
 ) -> list[DetectorComparison]:
     """Gain sweep of detector AUCs around the calibrated gain-1 baseline.
 
@@ -585,7 +574,7 @@ def compare_detectors(
     for g in dict.fromkeys([1.0, *gains]):
         for kind in detectors:
             try:
-                laws[g, kind] = detector_laws(spec.with_gain(g), kind, assumed_noise)
+                laws[g, kind] = detector_laws(spec.with_gain(g), kind)
             except ValueError as exc:
                 raise _NoLaw(g, exc) from exc
 

@@ -44,18 +44,15 @@ from .scenario import (
     RfiKind,
     ScenarioSpec,
     _pointing_components,
-    default_assumed_noise,
 )
 
 __all__ = [
     "ChirpParams",
     "Steering",
-    "TrialBatch",
     "default_chirps",
     "detector_stat",
     "power_estimate",
     "run_paired_estimates",
-    "run_trials",
     "spectrogram",
     "synth_stream",
 ]
@@ -95,17 +92,6 @@ class ChirpParams:
             self.start_freq * k + 0.5 * self.drift_rate * k**2
         )
         return self.amplitude * np.exp(1j * phase)
-
-
-@dataclass(eq=False)
-class TrialBatch:
-    """Detector statistics from `trials` synthesized ON/OFF stream pairs."""
-
-    detector: DetectorKind
-    hyp: Hypothesis
-    stats: np.ndarray
-    seed: int
-    spec: ScenarioSpec
 
 
 def default_chirps(spec: ScenarioSpec) -> tuple[ChirpParams | None, ChirpParams | None]:
@@ -274,29 +260,6 @@ def run_paired_estimates(
         on_est[lo : lo + m] = on[:m]
         off_est[lo : lo + m] = off[:m]
     return on_est, off_est
-
-
-def run_trials(
-    spec: ScenarioSpec,
-    kind,
-    hyp,
-    trials: int,
-    seed: int,
-    assumed_noise: float | None = None,
-) -> TrialBatch:
-    """Monte Carlo detector statistics over freshly synthesized stream pairs.
-
-    Deterministic in (seed, spec, kind, hyp): statistics for the same seed
-    are identical run to run, and the energy detector's reference level
-    defaults to the calibrated H0 mean of the scenario.
-    """
-    kind = DetectorKind(kind)
-    hyp = Hypothesis(hyp)
-    on_est, off_est = run_paired_estimates(spec, hyp, trials, seed)
-    if kind is DetectorKind.ENERGY and assumed_noise is None:
-        assumed_noise = default_assumed_noise(spec)
-    stats = detector_stat(kind, on_est, off_est, assumed_noise)
-    return TrialBatch(detector=kind, hyp=hyp, stats=stats, seed=int(seed), spec=spec)
 
 
 def spectrogram(stream, fft_len: int, hop: int, window=None) -> np.ndarray:

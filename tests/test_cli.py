@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import threading
@@ -559,6 +560,62 @@ class TestMainEntry:
         code, _, stderr = self.run(capsys, "mc-validate", *argv)
         self.assert_clean_exit_2(code, stderr, out)
         assert f"trials: must be at most 2**53, got {2**60}" in stderr
+
+    @pytest.mark.parametrize(
+        "verb, edits, flags, key, message, anchor",
+        [
+            ("roc", {"scenario.rfi_kind": None}, [], "scenario.rfi_kind",
+             "missing required key", ("scenario", "")),
+            ("roc", {"sweeps": {"parameter": "gain", "values": [0.5, "x"]}}, [],
+             "sweeps.values[1]", "expected a number, got 'x'", ("values", "sweeps")),
+            ("roc", {"scenario": None}, [], "scenario", "missing required key", None),
+            ("roc", {"detectors": []}, [], "detectors", "must be a non-empty list",
+             ("detectors", "")),
+            ("roc", {"mode": "fast"}, [], "mode",
+             "must be one of analytic, monte_carlo, both", ("mode", "")),
+            ("compare", {"gains": []}, [], "gains", "must be a non-empty list",
+             ("gains", "")),
+            ("compare", {"gains": [0.9, 0]}, [], "gains[1]",
+             "expected a positive number, got 0", ("gains", "")),
+            ("compare", {"gains": [True]}, [], "gains[0]",
+             "expected a positive number, got True", ("gains", "")),
+            ("roc", {}, ["--trials", "0"], "trials", "must be positive", None),
+            ("roc", {"pfa_grid": 1}, [], "pfa_grid", "must be at least 2", ("pfa_grid", "")),
+        ],
+        ids=["no-rfi-kind", "non-number-sweep-value", "no-scenario", "no-detectors",
+             "unknown-mode", "no-gains", "zero-gain", "boolean-gain", "zero-trials",
+             "pfa-grid-1"],
+    )
+    def test_load_time_error_exits_2_at_its_key(
+        self, tmp_path, capsys, verb, edits, flags, key, message, anchor
+    ):
+        doc = base_config()
+        for dotted, value in edits.items():
+            block, _, name = dotted.rpartition(".")
+            target = doc[block] if block else doc
+            if value is None:
+                del target[name]
+            else:
+                target[name] = value
+        cfg = write_json(tmp_path / "bad.json", doc)
+        out = tmp_path / "out"
+        code, _, stderr = self.run(capsys, verb, "--config", str(cfg), "--out", str(out), *flags)
+        self.assert_clean_exit_2(code, stderr, out)
+        where = f"{cfg}:{self.line_of(cfg, *anchor)}" if anchor else str(cfg)
+        assert stderr == f"{where}: {key}: {message}\n"
+
+    @pytest.mark.parametrize("verb", ["roc", "compare", "spectrogram"])
+    def test_unwritable_output_exits_4(self, tmp_path, capsys, verb):
+        doc = base_config(pfa_grid=16, gains=[0.9, 1.0], spectrogram=spectrogram_block())
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file, so no directory can be made under it\n")
+        out = blocker / "out"
+        code, stdout, stderr = self.run(capsys, verb, "--config", str(cfg), "--out", str(out))
+        assert code == 4
+        assert stdout == ""
+        assert len(stderr.splitlines()) == 1 and "Traceback" not in stderr
+        assert stderr.startswith("cannot write results:")
 
     def test_low_trial_override_fails_validation(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", base_config(mode="both", trials=5000))
@@ -1344,13 +1401,19 @@ class TestPoolFailures:
 class TestCurveCount:
     @pytest.mark.parametrize("mode", ["analytic", "both"])
     def test_one_curve_per_point_and_detector(self, tmp_path, monkeypatch, mode):
-        real_curve = setidetect.cli.roc_curve
-        built = []
+        real_laws, real_curve = setidetect.cli.detector_laws, setidetect.cli.roc_curve
+        owner, built = {}, []
 
-        def counted(h0, h1, grid, detector, spec):
-            built.append((spec.n_samples, detector.value))
-            return real_curve(h0, h1, grid=grid, detector=detector, spec=spec)
+        def laws(spec, kind, assumed_noise=None):
+            h0, h1 = real_laws(spec, kind, assumed_noise)
+            owner[id(h0), id(h1)] = (spec.n_samples, DetectorKind(kind).value)
+            return h0, h1
 
+        def counted(h0, h1, grid):
+            built.append(owner[id(h0), id(h1)])
+            return real_curve(h0, h1, grid=grid)
+
+        monkeypatch.setattr(setidetect.cli, "detector_laws", laws)
         monkeypatch.setattr(setidetect.cli, "roc_curve", counted)
         doc = dict(NARROWBAND_SWEEP, mode=mode, trials=1000, output_dir=str(tmp_path))
         run_experiment(load_config(doc))
@@ -1572,13 +1635,17 @@ class TestImportCost:
         # and scipy.stats about half a second more.  Running the verbs, and
         # law_quantile on a positive and a difference law, catches imports
         # made inside functions too.
-        src = str(Path(__file__).resolve().parents[1] / "src")
+        # a caller's PYTHONDONTWRITEBYTECODE holds here too, so the run
+        # leaves no .pyc files in src/ where none are wanted
+        env = {"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        if "PYTHONDONTWRITEBYTECODE" in os.environ:
+            env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
         out = subprocess.run(
             [sys.executable, "-c", IMPORT_GUARD, str(tmp_path)],
             capture_output=True,
             text=True,
             check=True,
-            env={"PYTHONPATH": src},
+            env=env,
         )
         loaded = set(json.loads(out.stdout.splitlines()[-1]))
         for package in ("optimize", "interpolate", "linalg", "stats", "integrate"):

@@ -639,6 +639,50 @@ class TestLawQuantile:
         assert abs(float(law.cdf(law_quantile(law, p))) - p) <= QUANTILE_RTOL * p
 
 
+class _StepLaw:
+    """A stub law whose cdf is `below` left of 1 and `above` from 1 on, on
+    positive support (solved in log t) or the whole line (solved in t)."""
+
+    def __init__(self, below, above, positive):
+        self.below, self.above = below, above
+        self.support_lo = 0.0 if positive else -np.inf
+
+    def _bracket_seeds(self):
+        return 0.5, 2.0
+
+    def cdf(self, t):
+        return np.where(np.asarray(t) < 1.0, self.below, self.above)
+
+
+class TestQuantileFailures:
+    def test_bracket_that_never_closes_raises(self):
+        # a constant cdf below p: the bracket grows upward 80 times in vain
+        with pytest.raises(ComputationError, match="quantile bracket expansion did not close"):
+            law_quantile(_StepLaw(0.5, 0.5, positive=False), 0.9)
+
+    def test_relative_miss_on_positive_support_raises(self):
+        # the cdf jumps from 0.4 to 0.6 across p = 0.5: the closest end misses by 0.1
+        with pytest.raises(ComputationError, match=r"\|cdf−p\|/p = 2\.00e-01 > 1\.0e-06") as info:
+            law_quantile(_StepLaw(0.4, 0.6, positive=True), 0.5)
+        assert info.value.achieved == pytest.approx(0.2)
+
+    def test_absolute_miss_on_the_line_raises(self):
+        with pytest.raises(ComputationError, match=r"\|cdf−p\| = 1\.00e-01 > 1\.0e-10") as info:
+            law_quantile(_StepLaw(0.4, 0.6, positive=False), 0.5)
+        assert info.value.achieved == pytest.approx(0.1)
+
+    def test_unsettled_conditional_quadrature_raises(self, monkeypatch):
+        # no two rule sizes agree exactly, so a zero tolerance exhausts them
+        monkeypatch.setattr(distributions, "QUADRATURE_TOL", 0.0)
+        law = GammaDifference(NoncentralChi2C(4, 1.0, 2.0), ScaledGamma(4, 0.25))
+        with pytest.raises(
+            ComputationError,
+            match=r"conditional quadrature over .* did not settle: rules of 96 and 128 nodes",
+        ) as info:
+            law.cdf(1.0)
+        assert info.value.achieved > 0.0
+
+
 # law_quantile's problems: every family, two non-central laws whose 1e-100
 # quantile lies far below their bracket seeds, and orders from 1e-100 to
 # 1 − 1e-12 through the ROC quantile map's edge 1/16385

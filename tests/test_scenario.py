@@ -23,7 +23,6 @@ from setidetect import (
     detector_stat,
     onoff_law,
     run_paired_estimates,
-    run_trials,
 )
 from setidetect import roc
 from setidetect.cli import _ks_bound
@@ -277,8 +276,8 @@ class TestFRatioLaw:
     def test_narrow_narrow_h1_matches_pipeline_monte_carlo(self):
         spec = narrow_narrow(rfi_energy=4.0, et_energy=9.0, gain=1.0)
         law = f_ratio_law(spec, "H1")
-        batch = run_trials(spec, DetectorKind.F_RATIO, "H1", MC_TRIALS, MC_SEED + 2)
-        stats = np.sort(batch.stats)
+        on, off = run_paired_estimates(spec, "H1", MC_TRIALS, MC_SEED + 2)
+        stats = np.sort(detector_stat(DetectorKind.F_RATIO, on, off))
         probes = np.asarray([0.9, 1.1, 1.3, 1.6])
         emp = np.searchsorted(stats, probes, side="right") / stats.size
         ana = np.asarray(law.cdf(probes))
@@ -323,8 +322,8 @@ class TestOnoffLaw:
             n_samples=64,
         )
         law = onoff_law(spec, "H1")
-        batch = run_trials(spec, "on_off", "H1", MC_TRIALS, MC_SEED + 3)
-        stats = np.sort(batch.stats)
+        on, off = run_paired_estimates(spec, "H1", MC_TRIALS, MC_SEED + 3)
+        stats = np.sort(detector_stat("on_off", on, off))
         probes = np.asarray([1.0, 1.4, 1.8])
         emp = np.searchsorted(stats, probes, side="right") / stats.size
         ana = np.asarray(law.cdf(probes))

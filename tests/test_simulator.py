@@ -21,13 +21,12 @@ from setidetect import (
     ScaledGamma,
     ScenarioSpec,
     Steering,
-    TrialBatch,
+    default_assumed_noise,
     detector_stat,
     f_ratio_law,
     law_quantile,
     power_estimate,
     run_paired_estimates,
-    run_trials,
     spectrogram,
     synth_stream,
 )
@@ -281,29 +280,35 @@ class TestFoldedWidebandDraw:
         assert _ks_bound(off_est, ScaledGamma(n, p_off / n), nodes=4096) < eps
 
 
-class TestRunTrials:
-    def test_batch_fields_and_determinism(self):
+def trial_stats(spec, kind, hyp, trials, seed):
+    """Monte Carlo statistics of one detector, as the CLI draws them: paired
+    estimates, then the statistic, the energy detector's reference being
+    the calibrated H0 mean."""
+    energy = DetectorKind(kind) is DetectorKind.ENERGY
+    assumed = default_assumed_noise(spec) if energy else None
+    return detector_stat(kind, *run_paired_estimates(spec, hyp, trials, seed), assumed)
+
+
+class TestTrialStatistics:
+    def test_shape_and_determinism(self):
         spec = gaussian_only()
-        a = run_trials(spec, "f_ratio", "H0", 5000, SEED)
-        b = run_trials(spec, DetectorKind.F_RATIO, "H0", 5000, SEED)
-        assert isinstance(a, TrialBatch)
-        assert a.detector is DetectorKind.F_RATIO
-        assert a.hyp.value == "H0"
-        assert a.seed == SEED and a.spec == spec
-        assert a.stats.shape == (5000,)
-        assert np.array_equal(a.stats, b.stats)
+        a = trial_stats(spec, "f_ratio", "H0", 5000, SEED)
+        b = trial_stats(spec, DetectorKind.F_RATIO, Hypothesis.H0, 5000, SEED)
+        assert a.shape == (5000,)
+        assert np.array_equal(a, b)
 
     def test_single_trial_reproducible(self):
         spec = gaussian_only()
-        a = run_trials(spec, "on_off", "H1", 1, SEED)
-        b = run_trials(spec, "on_off", "H1", 1, SEED)
-        assert a.stats[0] == b.stats[0]
+        a = trial_stats(spec, "on_off", "H1", 1, SEED)
+        b = trial_stats(spec, "on_off", "H1", 1, SEED)
+        assert a.shape == (1,)
+        assert a[0] == b[0]
 
     def test_shorter_runs_are_prefixes(self):
         spec = gaussian_only()
-        short = run_trials(spec, "f_ratio", "H0", 3000, SEED)
-        long = run_trials(spec, "f_ratio", "H0", 5000, SEED)
-        assert np.array_equal(short.stats, long.stats[:3000])
+        short = trial_stats(spec, "f_ratio", "H0", 3000, SEED)
+        long = trial_stats(spec, "f_ratio", "H0", 5000, SEED)
+        assert np.array_equal(short, long[:3000])
 
     def test_equal_dof_median_is_one(self):
         spec = ScenarioSpec(
@@ -314,12 +319,12 @@ class TestRunTrials:
             gain=1.0,
             n_samples=64,
         )
-        batch = run_trials(spec, "f_ratio", "H0", 100_000, SEED + 2)
+        stats = trial_stats(spec, "f_ratio", "H0", 100_000, SEED + 2)
         law = f_ratio_law(spec, "H0")
         h = 1e-4
         density_at_one = (float(law.cdf(1 + h)) - float(law.cdf(1 - h))) / (2 * h)
-        se_median = 1.0 / (2 * density_at_one * np.sqrt(batch.stats.size))
-        assert abs(np.median(batch.stats) - 1.0) < 5 * se_median
+        se_median = 1.0 / (2 * density_at_one * np.sqrt(stats.size))
+        assert abs(np.median(stats) - 1.0) < 5 * se_median
 
     def test_stats_match_analytic_law(self):
         spec = ScenarioSpec(
@@ -331,19 +336,19 @@ class TestRunTrials:
             gain=0.9,
             n_samples=64,
         )
-        batch = run_trials(spec, "f_ratio", "H1", 100_000, SEED + 3)
+        stats = trial_stats(spec, "f_ratio", "H1", 100_000, SEED + 3)
         law = f_ratio_law(spec, "H1")
-        assert _ks_bound(batch.stats, law, nodes=4096) < 0.01
+        assert _ks_bound(stats, law, nodes=4096) < 0.01
 
-    def test_energy_defaults_to_calibrated_reference(self):
+    def test_calibrated_energy_reference_centres_h0_at_one(self):
         spec = gaussian_only(noise_power=0.8)
-        batch = run_trials(spec, "energy", "H0", 20_000, SEED + 4)
-        sem = batch.stats.std() / np.sqrt(batch.stats.size)
-        assert abs(batch.stats.mean() - 1.0) < 5 * sem
+        stats = trial_stats(spec, "energy", "H0", 20_000, SEED + 4)
+        sem = stats.std() / np.sqrt(stats.size)
+        assert abs(stats.mean() - 1.0) < 5 * sem
 
     def test_rejects_bad_trial_count(self):
-        with pytest.raises(ValueError):
-            run_trials(gaussian_only(), "f_ratio", "H0", 0, SEED)
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            run_paired_estimates(gaussian_only(), "H0", 0, SEED)
 
 
 def sequential_estimates(spec, hyp, trials, seed):
