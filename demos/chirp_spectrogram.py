@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from setidetect import ChirpParams, Hypothesis, ScenarioSpec, Steering, spectrogram, synth_stream
+from setidetect import ChirpParams, Hypothesis, ScenarioSpec, spectrogram, synth_stream
 from setidetect.cli import emit_spectrogram_demo
 
 FFT_LEN = 64
@@ -34,9 +34,8 @@ def main() -> None:
         et_energy=float(n),  # unit amplitude over the stream
         n_samples=n,
     )
-    stream = synth_stream(
+    stream, _ = synth_stream(
         spec,
-        Steering.ON,
         Hypothesis.H1,
         chirp_et=CHIRP,
         rng_state=np.random.default_rng(7),

@@ -402,9 +402,12 @@ def load_config(
         if not gains:
             raise ConfigError("gains", "must be a non-empty list")
         for i, g in enumerate(gains):
+            where = f"gains[{i}]"
             if isinstance(g, bool) or not isinstance(g, (int, float)) or g <= 0:
-                raise ConfigError(f"gains[{i}]", f"expected a positive number, got {g!r}")
-            _in_float_range(g, f"gains[{i}]")
+                raise ConfigError(where, f"expected a positive number, got {g!r}")
+            # JSON's NaN and Infinity load as floats
+            if not np.isfinite(float(_in_float_range(g, where))):
+                raise ConfigError(where, f"must be finite, got {g!r}")
         cfg.gains = [float(g) for g in gains]
     if "spectrogram" in source:
         cfg.spectrogram_params = _resolve_spectrogram_block(source["spectrogram"])

@@ -231,7 +231,9 @@ class ScaledGamma:
         return special.gammaincc(self.shape, np.maximum(x, 0.0) / self.scale)
 
     def _ppf(self, p):
-        return special.gammaincinv(self.shape, p) * self.scale
+        # inf past the float range
+        with np.errstate(over="ignore"):
+            return special.gammaincinv(self.shape, p) * self.scale
 
     def pdf(self, t):
         return _eval_1d(self._pdf, t)
@@ -331,10 +333,10 @@ class NoncentralChi2C:
         return out
 
     def _ppf(self, p):
-        return self._checked(
-            special.chndtrix(p, 2.0 * self.shape, self.noncentrality)
-            * (self.power / (2.0 * self.shape))
-        )
+        # inf past the float range
+        with np.errstate(over="ignore"):
+            x = special.chndtrix(p, 2.0 * self.shape, self.noncentrality)
+            return self._checked(x * (self.power / (2.0 * self.shape)))
 
     def cdf(self, t):
         return _eval_1d(self._cdf, t)
@@ -402,7 +404,7 @@ class _Conditioned:
                 z, w = _hermite(n)
                 # Φ(z) rounds to 1 beyond z ≈ 8.3; those nodes carry weight < 1e-16
                 p = np.minimum(special.ndtr(z), 1.0 - np.finfo(float).epsneg)
-                self._hermite_nodes[n] = self.b._ppf(p)[None, :], w[None, :]
+                self._hermite_nodes[n] = self._placed(self.b._ppf(p))[None, :], w[None, :]
             return self._hermite_nodes[n]
         # Panels split where h crosses A's support edge (a kink of F_A) and
         # A's mean; the ratio's panels are uniform in log y.
@@ -426,7 +428,18 @@ class _Conditioned:
     @cached_property
     def _panel_range(self):
         """B's range covered by the Gauss–Legendre panels."""
-        return self.b._ppf(np.array([_PANEL_TAIL, 1.0 - _PANEL_TAIL]))
+        return self._placed(self.b._ppf(np.array([_PANEL_TAIL, 1.0 - _PANEL_TAIL])))
+
+    def _placed(self, y):
+        """B's quantiles y, checked to lie inside the float range: finite, and
+        for the ratio, whose panels are uniform in log y, positive."""
+        inside = np.isfinite(y) & (y > 0) if self.ratio else np.isfinite(y)
+        if not np.all(inside):
+            raise ComputationError(
+                f"conditional quadrature over {self.b!r} cannot be placed: "
+                "its nodes leave the float range"
+            )
+        return y
 
     def _h(self, u, y):
         return u[:, None] * y if self.ratio else u[:, None] + y
@@ -464,6 +477,11 @@ class _Conditioned:
     @cached_property
     def size(self) -> int:
         """Smallest rule size that agrees with the next one at the probes."""
+        if self.spread == np.inf:
+            raise ComputationError(
+                f"conditional quadrature over {self.b!r} cannot be placed: "
+                "the law's spread overflows the float range"
+            )
         u = self._centred(_PROBES)
         # the first two rules always run, so one component call serves both
         (y0, w0), (y1, w1) = (self._nodes(u, n) for n in _RULE_SIZES[:2])

@@ -12,8 +12,11 @@ deterministic energy E.  Each pointing's mean power is then exactly
 p/(2N)·χ²_{2N}(2E/p).  `_pointing_components` keeps that bookkeeping for
 ON and OFF, for the laws here and for the simulator's draws alike.  ON's E
 includes the interference–signal cross term 2√g·Re C, where C is the sum
-of the interference chirp times the conjugate signal chirp.  From those two
-quantities every detector law follows:
+of the interference chirp times the conjugate signal chirp.
+
+`detector_laws` turns those components into one ON/OFF pair of estimate
+laws per hypothesis; the OFF law is the same object under H0 and H1.  Every
+detector law follows from the pair:
 
 * F-ratio — the ratio law of the two power estimates.
 * ON−OFF — the difference law of the two power estimates.
@@ -38,11 +41,6 @@ __all__ = [
     "ScenarioSpec",
     "default_assumed_noise",
     "detector_laws",
-    "energy_law",
-    "f_ratio_law",
-    "off_distribution",
-    "on_distribution",
-    "onoff_law",
 ]
 
 
@@ -187,62 +185,34 @@ def _pointing_components(
     return (p_on, e_on), (p_off, e_off)
 
 
-def on_distribution(spec: ScenarioSpec, hyp) -> Law:
-    """Law of the ON-stream mean-power estimate under the given hypothesis."""
-    (power, energy), _ = _pointing_components(spec, Hypothesis(hyp))
-    return _estimate(spec.n_samples, power, energy)
-
-
-def off_distribution(spec: ScenarioSpec) -> Law:
-    """Law of the OFF-stream mean-power estimate (no signal, unit gain)."""
-    _, (power, energy) = _pointing_components(spec, Hypothesis.H0)
-    return _estimate(spec.n_samples, power, energy)
-
-
-def f_ratio_law(spec: ScenarioSpec, hyp) -> FLaw:
-    """Law of the ON/OFF power-estimate ratio."""
-    return FLaw(num=on_distribution(spec, hyp), den=off_distribution(spec))
-
-
-def onoff_law(spec: ScenarioSpec, hyp) -> GammaDifference:
-    """Law of the ON − OFF power-estimate difference."""
-    return GammaDifference(
-        pos=on_distribution(spec, hyp),
-        neg=off_distribution(spec),
-    )
-
-
 def default_assumed_noise(spec: ScenarioSpec) -> float:
     """Calibrated reference level of the energy detector: the mean ON
     estimate with no signal present."""
-    return on_distribution(spec, Hypothesis.H0).mean
-
-
-def energy_law(spec: ScenarioSpec, hyp, assumed_noise: float | None = None) -> Law:
-    """Law of the ON estimate divided by an assumed noise level.
-
-    Scaling a mean-power law by 1/c keeps its family: power and energy both
-    divide by c.  The assumed level defaults to the calibrated H0 mean; pass
-    an explicit value to model miscalibration.
-    """
-    if assumed_noise is None:
-        assumed_noise = default_assumed_noise(spec)
-    if not (np.isfinite(assumed_noise) and assumed_noise > 0):
-        raise ValueError("assumed_noise must be a positive real")
-    (power, energy), _ = _pointing_components(spec, Hypothesis(hyp))
-    return _estimate(spec.n_samples, power / assumed_noise, energy / assumed_noise)
+    (power, energy), _ = _pointing_components(spec, Hypothesis.H0)
+    return _estimate(spec.n_samples, power, energy).mean
 
 
 def detector_laws(
     spec: ScenarioSpec, kind, assumed_noise: float | None = None
 ) -> tuple[Law, Law]:
-    """(H0 law, H1 law) of a detector statistic for one scenario."""
+    """(H0 law, H1 law) of a detector statistic for one scenario.
+
+    Each hypothesis pairs its ON estimate law with the one OFF law, which
+    the H0 and H1 laws share: f_ratio is their ratio (`FLaw`), on_off their
+    difference (`GammaDifference`).  energy is the ON estimate divided by an
+    assumed noise level; scaling a mean-power law by 1/c keeps its family,
+    with power and energy both divided by c.  The level defaults to the
+    calibrated H0 mean (`default_assumed_noise`); pass an explicit value to
+    model miscalibration.
+    """
     kind = DetectorKind(kind)
-    if kind is DetectorKind.F_RATIO:
-        return f_ratio_law(spec, Hypothesis.H0), f_ratio_law(spec, Hypothesis.H1)
-    if kind is DetectorKind.ON_OFF:
-        return onoff_law(spec, Hypothesis.H0), onoff_law(spec, Hypothesis.H1)
-    return (
-        energy_law(spec, Hypothesis.H0, assumed_noise),
-        energy_law(spec, Hypothesis.H1, assumed_noise),
-    )
+    n = spec.n_samples
+    (on_h0, off), (on_h1, _) = (_pointing_components(spec, hyp) for hyp in Hypothesis)
+    if kind is DetectorKind.ENERGY:
+        c = default_assumed_noise(spec) if assumed_noise is None else assumed_noise
+        if not (np.isfinite(c) and c > 0):
+            raise ValueError("assumed_noise must be a positive real")
+        return tuple(_estimate(n, p / c, e / c) for p, e in (on_h0, on_h1))
+    on_h0, off, on_h1 = (_estimate(n, p, e) for p, e in (on_h0, off, on_h1))
+    pair = FLaw if kind is DetectorKind.F_RATIO else GammaDifference
+    return pair(on_h0, off), pair(on_h1, off)

@@ -8,7 +8,8 @@ noise and wideband components form a single CN(0, p) stream: p is noise +
 g·interference (+ signal under H1) on ON, noise + interference on OFF.  The
 narrowband interference waveform is common to both pointings (scaled by √g
 on the ON stream); the Gaussian parts are independent between ON and OFF.
-`synth_stream` returns such a complex stream, for any chirps.
+`synth_stream` returns such an (ON, OFF) pair of complex streams, for any
+chirps, in the order `run_paired_estimates` returns its estimates.
 
 The Monte Carlo trials need only each pointing's mean power
 (1/N)Σ|x[k] + s[k]|², where x[k] ~ CN(0, p) and s is the pointing's chirp
@@ -30,7 +31,6 @@ points side by side (the CLI) keep their own pool unnested.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -48,7 +48,6 @@ from .scenario import (
 
 __all__ = [
     "ChirpParams",
-    "Steering",
     "default_chirps",
     "detector_stat",
     "power_estimate",
@@ -59,11 +58,6 @@ __all__ = [
 
 #: Trials per RNG chunk; fixed so that results never depend on scheduling.
 TRIAL_CHUNK = 2048
-
-
-class Steering(str, Enum):
-    ON = "on"
-    OFF = "off"
 
 
 @dataclass(frozen=True)
@@ -160,20 +154,20 @@ def _synth_pair(
 
 def synth_stream(
     spec: ScenarioSpec,
-    steering,
     hyp,
     chirp_et: ChirpParams | None = None,
     chirp_rfi: ChirpParams | None = None,
     rng_state=None,
-) -> np.ndarray:
-    """One length-N complex stream for the given pointing and hypothesis.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(ON, OFF) length-N complex streams of one pointing pair under the
+    given hypothesis.
 
     Narrowband kinds require their chirp parameters; the signal appears only
     on the ON stream under H1, and interference amplitude is scaled by √g on
-    the ON stream.  Any chirps are accepted here, but the laws model only
-    those of `default_chirps`.
+    the ON stream.  ON's Gaussian part is drawn first, then OFF's.  Any
+    chirps are accepted here, but the laws model only those of
+    `default_chirps`.
     """
-    steering = Steering(steering)
     hyp = Hypothesis(hyp)
     _check_chirps(spec, chirp_et, chirp_rfi)
     rng = _as_generator(rng_state)
@@ -186,7 +180,7 @@ def synth_stream(
         on += np.sqrt(spec.gain) * wave
     if hyp is Hypothesis.H1 and spec.et_kind is EtKind.NARROWBAND:
         on += chirp_et.waveform(n)
-    return on if steering is Steering.ON else off
+    return on, off
 
 
 def power_estimate(stream) -> float:

@@ -23,11 +23,8 @@ from setidetect import (
     default_assumed_noise,
     detector_laws,
     detector_stat,
-    energy_law,
-    f_ratio_law,
     law_quantile,
     law_sample,
-    onoff_law,
     pd_pfa,
     roc_curve,
     run_paired_estimates,
@@ -88,10 +85,8 @@ def test_criterion_01_matrix_of_laws_matches_synthesis():
             on, off = run_paired_estimates(
                 spec, hyp, 100_000, BASE_SEED + 10 * index + h_index
             )
-            for kind, law in (
-                (DetectorKind.F_RATIO, f_ratio_law(spec, hyp)),
-                (DetectorKind.ON_OFF, onoff_law(spec, hyp)),
-            ):
+            for kind in (DetectorKind.F_RATIO, DetectorKind.ON_OFF):
+                law = detector_laws(spec, kind)[h_index]
                 stats = detector_stat(kind, on, off)
                 cells.append(
                     (f"{spec.scenario_id}/{kind.value}/{hyp.value}/N={n}",
@@ -201,13 +196,13 @@ def test_criterion_04_injection_histograms_and_median_ordering():
     on, off = run_paired_estimates(specs[0.0], "H0", trials, BASE_SEED + 300)
     h0_stats = on / off
     ks_values["H0"] = _ks_bound(
-        h0_stats, f_ratio_law(specs[0.0], "H0"), nodes=4096
+        h0_stats, detector_laws(specs[0.0], "f_ratio")[0], nodes=4096
     )
     for offset, (snr_db, spec) in enumerate(specs.items()):
         on, off = run_paired_estimates(spec, "H1", trials, BASE_SEED + 301 + offset)
         stats = on / off
         ks_values[f"{snr_db:g} dB"] = _ks_bound(
-            stats, f_ratio_law(spec, "H1"), nodes=4096
+            stats, detector_laws(spec, "f_ratio")[1], nodes=4096
         )
         medians[snr_db] = float(np.median(stats))
     worst_ks = max(ks_values.values())
@@ -346,14 +341,17 @@ def test_criterion_08_energy_detector_hits_the_noise_wall():
         gain=1.0, n_samples=n,
     )
 
-    t_energy = threshold_for_pfa(energy_law(believed, "H0", assumed), target)
-    realized_energy = 1.0 - float(energy_law(truth, "H0", assumed).cdf(t_energy))
+    believed_energy = detector_laws(believed, "energy", assumed)[0]
+    t_energy = threshold_for_pfa(believed_energy, target)
+    truth_energy = detector_laws(truth, "energy", assumed)[0]
+    realized_energy = 1.0 - float(truth_energy.cdf(t_energy))
 
-    t_f = threshold_for_pfa(f_ratio_law(believed, "H0"), target)
-    realized_f = 1.0 - float(f_ratio_law(truth, "H0").cdf(t_f))
+    t_f = threshold_for_pfa(detector_laws(believed, "f_ratio")[0], target)
+    realized_f = 1.0 - float(detector_laws(truth, "f_ratio")[0].cdf(t_f))
 
-    t_oo = threshold_for_pfa(onoff_law(truth, "H0"), target)
-    realized_oo = 1.0 - float(onoff_law(truth, "H0").cdf(t_oo))
+    truth_on_off = detector_laws(truth, "on_off")[0]
+    t_oo = threshold_for_pfa(truth_on_off, target)
+    realized_oo = 1.0 - float(truth_on_off.cdf(t_oo))
 
     ok = (
         realized_energy > 0.1

@@ -579,12 +579,16 @@ class TestMainEntry:
              "expected a positive number, got 0", ("gains", "")),
             ("compare", {"gains": [True]}, [], "gains[0]",
              "expected a positive number, got True", ("gains", "")),
+            ("compare", {"gains": [0.9, float("nan")]}, [], "gains[1]",
+             "must be finite, got nan", ("gains", "")),
+            ("roc", {"gains": [float("inf")]}, [], "gains[0]",
+             "must be finite, got inf", ("gains", "")),
             ("roc", {}, ["--trials", "0"], "trials", "must be positive", None),
             ("roc", {"pfa_grid": 1}, [], "pfa_grid", "must be at least 2", ("pfa_grid", "")),
         ],
         ids=["no-rfi-kind", "non-number-sweep-value", "no-scenario", "no-detectors",
-             "unknown-mode", "no-gains", "zero-gain", "boolean-gain", "zero-trials",
-             "pfa-grid-1"],
+             "unknown-mode", "no-gains", "zero-gain", "boolean-gain", "nan-gain",
+             "infinite-gain", "zero-trials", "pfa-grid-1"],
     )
     def test_load_time_error_exits_2_at_its_key(
         self, tmp_path, capsys, verb, edits, flags, key, message, anchor
@@ -1060,6 +1064,53 @@ class TestHugeGains:
         assert code == 2
         reason = "noncentrality_energy must be finite (got inf)"
         assert f"{where}: no sampling law for this scenario: {reason}" in err
+
+
+class TestPowersAtTheFloatLimits:
+    """Paired laws whose quadrature cannot be placed inside the float range
+    exit 3 naming why, with no RuntimeWarning (an error under the suite's
+    filter) on the way."""
+
+    NARROWBAND = {"rfi_kind": "narrowband", "rfi_power": 0.0, "n_samples": 1}
+
+    @pytest.mark.parametrize(
+        "scenario, detectors, reason",
+        [
+            # B's upper panel edge, 1e308 times a χ²₂ quantile, overflows
+            ({**NARROWBAND, "rfi_energy": 1.0, "noise_power": 1e308, "gain": 0.0,
+              "et_power": 0.0},
+             ["f_ratio", "on_off"], "its nodes leave the float range"),
+            # the same for a central B, 1e308 times a χ²₂ quantile
+            ({"et_kind": "narrowband", "et_power": 0.0, "et_energy": 1.0,
+              "rfi_power": 1e308, "n_samples": 1},
+             ["f_ratio"], "its nodes leave the float range"),
+            # the H1 difference's variance 36·(1e308/36)² overflows
+            ({"et_power": 1e308, "n_samples": 36},
+             ["on_off", "f_ratio"], "the law's spread overflows the float range"),
+            # B's lower panel edge underflows to 0, whose log the ratio's
+            # panels would take
+            ({**NARROWBAND, "rfi_energy": 1e-320, "noise_power": 1e-320, "gain": 0.5,
+              "et_power": 1e-320},
+             ["f_ratio"], "its nodes leave the float range"),
+        ],
+        ids=["narrowband-noise", "wideband-interference", "wideband-signal",
+             "subnormal-noise"],
+    )
+    def test_roc_exits_3_naming_the_cause(
+        self, tmp_path, capsys, scenario, detectors, reason
+    ):
+        doc = base_config(detectors=detectors)
+        doc["scenario"].update(scenario)
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        out = tmp_path / "out"
+        code = main(["roc", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 3
+        failed = f"computation failed: {detectors[0]} law failed: conditional quadrature"
+        assert err.startswith(failed)
+        assert f"cannot be placed: {reason}" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 # --- the worker pool ------------------------------------------------------------

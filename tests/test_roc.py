@@ -20,9 +20,7 @@ from setidetect import (
     auc,
     compare_detectors,
     detector_laws,
-    f_ratio_law,
     law_quantile,
-    onoff_law,
     pd_pfa,
     roc_curve,
     threshold_for_pfa,
@@ -176,8 +174,7 @@ class TestPdPfa:
 
     def test_equal_power_scenario_matches_frozen_oracle(self):
         spec = wide_wide(et_power=1.0, rfi_power=1.0)
-        h0 = f_ratio_law(spec, "H0")
-        h1 = f_ratio_law(spec, "H1")
+        h0, h1 = detector_laws(spec, "f_ratio")
         t = threshold_for_pfa(h0, 0.1)
         assert t == pytest.approx(F_128_THRESHOLD_PFA_01, abs=1e-9)
         pd, pfa = pd_pfa(h0, h1, t)
@@ -188,7 +185,7 @@ class TestPdPfa:
 class TestThresholdForPfa:
     def test_symmetric_difference_law_crosses_zero(self):
         spec = wide_wide(gain=1.0)
-        law = onoff_law(spec, "H0")
+        law = detector_laws(spec, "on_off")[0]
         assert threshold_for_pfa(law, 0.5) == pytest.approx(0.0, abs=1e-9)
 
     def test_central_equal_dof_ratio_crosses_scale(self):

@@ -15,17 +15,13 @@ from setidetect import (
     ScenarioSpec,
     default_assumed_noise,
     detector_laws,
-    energy_law,
-    f_ratio_law,
-    off_distribution,
-    on_distribution,
     default_chirps,
     detector_stat,
-    onoff_law,
     run_paired_estimates,
 )
 from setidetect import roc
 from setidetect.cli import _ks_bound
+from setidetect.distributions import _estimate
 from setidetect.scenario import _pointing_components
 
 MC_TRIALS = 1_000_000
@@ -58,6 +54,12 @@ def narrow_narrow(**kw):
     )
     base.update(kw)
     return ScenarioSpec(**base)
+
+
+def estimate_pair(spec, hyp):
+    """(ON, OFF) estimate laws built by hand from the pointing components."""
+    on, off = _pointing_components(spec, Hypothesis(hyp))
+    return _estimate(spec.n_samples, *on), _estimate(spec.n_samples, *off)
 
 
 class TestScenarioSpec:
@@ -141,7 +143,7 @@ class TestScenarioSpec:
 class TestOnDistribution:
     def test_wide_wide_h1_mean_is_power_sum(self):
         spec = wide_wide(noise_power=1.0, rfi_power=2.0, et_power=1.5, gain=1.0)
-        law = on_distribution(spec, Hypothesis.H1)
+        law = detector_laws(spec, "f_ratio")[1].num
         assert isinstance(law, ScaledGamma)
         assert law.mean == pytest.approx(1.5 + 2.0 + 1.0, rel=1e-15)
 
@@ -157,7 +159,7 @@ class TestOnDistribution:
             gain=g,
             n_samples=n,
         )
-        law = on_distribution(wide_narrow, "H1")
+        law = detector_laws(wide_narrow, "f_ratio")[1].num
         assert isinstance(law, NoncentralChi2C)
         assert law.power == pytest.approx(1.0 + g * 2.0)
         assert law.noncentrality_energy == pytest.approx(9.0)
@@ -171,17 +173,17 @@ class TestOnDistribution:
             gain=g,
             n_samples=n,
         )
-        law = on_distribution(narrow_wide, "H1")
+        law = detector_laws(narrow_wide, "f_ratio")[1].num
         assert isinstance(law, NoncentralChi2C)
         assert law.power == pytest.approx(1.0 + 1.5)
         assert law.noncentrality_energy == pytest.approx(g * 4.0)
 
-        law = on_distribution(narrow_narrow(gain=g), "H1")
+        law = detector_laws(narrow_narrow(gain=g), "f_ratio")[1].num
         assert isinstance(law, NoncentralChi2C)
         assert law.power == pytest.approx(1.0)
         assert law.noncentrality_energy == pytest.approx(9.0 + g * 4.0)
 
-        law = on_distribution(wide_wide(gain=g), "H1")
+        law = detector_laws(wide_wide(gain=g), "f_ratio")[1].num
         assert isinstance(law, ScaledGamma)
         assert law.mean == pytest.approx(1.5 + g * 2.0 + 1.0)
 
@@ -194,15 +196,14 @@ class TestOnDistribution:
         ],
     )
     def test_h1_with_zero_signal_equals_h0(self, spec):
-        h0 = on_distribution(spec, "H0")
-        h1 = on_distribution(spec, "H1")
+        h0, h1 = (law.num for law in detector_laws(spec, "f_ratio"))
         assert h0 == h1
         ts = np.linspace(0.0, 5.0 * h0.mean, 257)
         assert np.max(np.abs(np.asarray(h1.cdf(ts)) - np.asarray(h0.cdf(ts)))) <= 1e-12
 
     def test_narrow_narrow_h0_half_gain(self):
         spec = narrow_narrow(rfi_energy=10.0, et_energy=9.0, gain=0.5)
-        law = on_distribution(spec, "H0")
+        law = detector_laws(spec, "f_ratio")[0].num
         assert law == NoncentralChi2C(shape=64, power=1.0, noncentrality_energy=5.0)
 
         on_est, _ = run_paired_estimates(spec, "H0", MC_TRIALS, MC_SEED)
@@ -212,24 +213,24 @@ class TestOnDistribution:
 
 class TestOffDistribution:
     def test_wideband_mean(self):
-        law = off_distribution(wide_wide(noise_power=1.0, rfi_power=2.0, gain=0.3))
+        law = detector_laws(wide_wide(noise_power=1.0, rfi_power=2.0, gain=0.3), "f_ratio")[0].den
         assert isinstance(law, ScaledGamma)
         assert law.mean == pytest.approx(3.0, rel=1e-15)
 
     def test_no_rfi_mean_is_noise(self):
         spec = ScenarioSpec(rfi_kind="none", et_kind="wideband", noise_power=0.7, et_power=1.0)
-        law = off_distribution(spec)
+        law = detector_laws(spec, "f_ratio")[0].den
         assert isinstance(law, ScaledGamma)
         assert law.mean == pytest.approx(0.7, rel=1e-15)
 
     def test_gain_and_signal_do_not_reach_off(self):
-        a = off_distribution(wide_wide(gain=0.25, et_power=3.0))
-        b = off_distribution(wide_wide(gain=2.0, et_power=0.0))
+        a = detector_laws(wide_wide(gain=0.25, et_power=3.0), "f_ratio")[0].den
+        b = detector_laws(wide_wide(gain=2.0, et_power=0.0), "f_ratio")[0].den
         assert a == b
 
     def test_narrowband_matches_monte_carlo(self):
         spec = narrow_narrow(rfi_energy=10.0, et_energy=0.0, gain=0.5)
-        law = off_distribution(spec)
+        law = detector_laws(spec, "f_ratio")[0].den
         assert law == NoncentralChi2C(shape=64, power=1.0, noncentrality_energy=10.0)
 
         _, off_est = run_paired_estimates(spec, "H0", MC_TRIALS, MC_SEED + 1)
@@ -246,28 +247,25 @@ class TestFRatioLaw:
     def test_h0_unit_gain_is_central_scale_one(self):
         for rfi_power in (0.5, 3.0, 10.0):
             spec = wide_wide(rfi_power=rfi_power, gain=1.0)
-            law = f_ratio_law(spec, "H0")
+            law = detector_laws(spec, "f_ratio")[0]
             assert isinstance(law, FLaw)
-            assert law.num == on_distribution(spec, "H0")
-            assert law.den == off_distribution(spec)
+            assert (law.num, law.den) == estimate_pair(spec, "H0")
             # equal central sides of N = 64 samples: F(128, 128) at scale 1
             assert law.num == law.den == ScaledGamma(64, (1.0 + rfi_power) / 64)
 
     def test_wide_wide_h1_scale(self):
         for g in (0.6, 1.0, 1.4):
             spec = wide_wide(noise_power=1.0, rfi_power=2.0, et_power=1.5, gain=g)
-            law = f_ratio_law(spec, "H1")
-            assert law.num == on_distribution(spec, "H1")
-            assert law.den == off_distribution(spec)
+            law = detector_laws(spec, "f_ratio")[1]
+            assert (law.num, law.den) == estimate_pair(spec, "H1")
             assert isinstance(law.num, ScaledGamma) and isinstance(law.den, ScaledGamma)
             scale = law.num.mean / law.den.mean
             assert scale == pytest.approx((1.5 + g * 2.0 + 1.0) / (2.0 + 1.0), rel=1e-15)
 
     def test_narrow_narrow_h1_noncentralities(self):
         spec = narrow_narrow(rfi_energy=4.0, et_energy=9.0, gain=1.0)
-        law = f_ratio_law(spec, "H1")
-        assert law.num == on_distribution(spec, "H1")
-        assert law.den == off_distribution(spec)
+        law = detector_laws(spec, "f_ratio")[1]
+        assert (law.num, law.den) == estimate_pair(spec, "H1")
         assert law.num.power == law.den.power == 1.0
         # numerator energy 9 + 4 = 13, denominator energy 4, unit powers
         assert law.num.noncentrality == pytest.approx(26.0, rel=1e-15)
@@ -275,7 +273,7 @@ class TestFRatioLaw:
 
     def test_narrow_narrow_h1_matches_pipeline_monte_carlo(self):
         spec = narrow_narrow(rfi_energy=4.0, et_energy=9.0, gain=1.0)
-        law = f_ratio_law(spec, "H1")
+        law = detector_laws(spec, "f_ratio")[1]
         on, off = run_paired_estimates(spec, "H1", MC_TRIALS, MC_SEED + 2)
         stats = np.sort(detector_stat(DetectorKind.F_RATIO, on, off))
         probes = np.asarray([0.9, 1.1, 1.3, 1.6])
@@ -287,7 +285,7 @@ class TestFRatioLaw:
 
 class TestOnoffLaw:
     def test_h0_unit_gain_is_symmetric(self):
-        law = onoff_law(wide_wide(gain=1.0), "H0")
+        law = detector_laws(wide_wide(gain=1.0), "on_off")[0]
         assert isinstance(law, GammaDifference)
         assert law.mean == pytest.approx(0.0, abs=1e-15)
         assert float(law.cdf(0.0)) == pytest.approx(0.5, abs=1e-6)
@@ -295,7 +293,7 @@ class TestOnoffLaw:
     def test_wide_wide_h1_mean(self):
         for g in (0.6, 1.0, 1.4):
             spec = wide_wide(noise_power=1.0, rfi_power=2.0, et_power=1.5, gain=g)
-            law = onoff_law(spec, "H1")
+            law = detector_laws(spec, "on_off")[1]
             assert law.mean == pytest.approx(1.5 + (g - 1.0) * 2.0, abs=1e-12)
 
     @pytest.mark.parametrize("gain", [0.7, 1.0, 1.3])
@@ -307,8 +305,7 @@ class TestOnoffLaw:
         else:
             spec = wide_wide(gain=gain, et_power=1.5)
             shift = 1.5
-        h0 = onoff_law(spec, "H0")
-        h1 = onoff_law(spec, "H1")
+        h0, h1 = detector_laws(spec, "on_off")
         assert h1.mean - h0.mean == pytest.approx(shift, abs=1e-12)
 
     def test_narrow_rfi_wide_et_h1_matches_pipeline_monte_carlo(self):
@@ -321,7 +318,7 @@ class TestOnoffLaw:
             gain=0.8,
             n_samples=64,
         )
-        law = onoff_law(spec, "H1")
+        law = detector_laws(spec, "on_off")[1]
         on, off = run_paired_estimates(spec, "H1", MC_TRIALS, MC_SEED + 3)
         stats = np.sort(detector_stat("on_off", on, off))
         probes = np.asarray([1.0, 1.4, 1.8])
@@ -337,15 +334,15 @@ class TestEnergyLaw:
         assert default_assumed_noise(spec) == pytest.approx(1.0 + 0.5 * 2.0, rel=1e-15)
 
     def test_default_calibration_normalizes_h0_mean(self):
-        law = energy_law(wide_wide(gain=0.5), "H0")
+        law = detector_laws(wide_wide(gain=0.5), "energy")[0]
         assert law.mean == pytest.approx(1.0, rel=1e-15)
 
-    def test_scaling_identity_against_on_distribution(self):
+    def test_scaling_identity_against_the_on_law(self):
         c = 1.1
         for spec in (wide_wide(gain=0.9), narrow_narrow(gain=0.9)):
-            for hyp in ("H0", "H1"):
-                scaled = energy_law(spec, hyp, assumed_noise=c)
-                raw = on_distribution(spec, hyp)
+            laws = detector_laws(spec, "energy", assumed_noise=c)
+            for hyp, scaled in zip(Hypothesis, laws):
+                raw, _ = estimate_pair(spec, hyp)
                 ts = np.linspace(0.05, 4.0, 301)
                 assert np.max(
                     np.abs(np.asarray(scaled.cdf(ts)) - np.asarray(raw.cdf(c * ts)))
@@ -354,24 +351,37 @@ class TestEnergyLaw:
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_bad_assumed_noise(self, bad):
         with pytest.raises(ValueError, match="assumed_noise"):
-            energy_law(wide_wide(), "H0", assumed_noise=bad)
+            detector_laws(wide_wide(), "energy", assumed_noise=bad)
 
 
 class TestDetectorLaws:
-    def test_matches_individual_constructors(self):
-        spec = narrow_narrow(gain=0.8)
-        h0, h1 = detector_laws(spec, "f_ratio")
-        assert (h0, h1) == (f_ratio_law(spec, "H0"), f_ratio_law(spec, "H1"))
-        h0, h1 = detector_laws(spec, DetectorKind.ON_OFF)
-        assert (h0.pos, h1.pos) == (
-            on_distribution(spec, "H0"),
-            on_distribution(spec, "H1"),
-        )
-        h0, h1 = detector_laws(spec, "energy", assumed_noise=2.0)
-        assert (h0, h1) == (
-            energy_law(spec, "H0", 2.0),
-            energy_law(spec, "H1", 2.0),
-        )
+    def test_one_on_off_pair_per_hypothesis(self):
+        # N = 7 with both chirps, so ON's H1 energy carries the cross term
+        spec = narrow_narrow(gain=0.8, n_samples=7)
+        n = spec.n_samples
+        (on_h0, off), (on_h1, _) = (_pointing_components(spec, hyp) for hyp in Hypothesis)
+        on_laws = [_estimate(n, *on) for on in (on_h0, on_h1)]
+        off_law = _estimate(n, *off)
+
+        # each law is the one built by hand from the components
+        f_h0, f_h1 = detector_laws(spec, "f_ratio")
+        assert (f_h0, f_h1) == tuple(FLaw(on, off_law) for on in on_laws)
+        d_h0, d_h1 = detector_laws(spec, DetectorKind.ON_OFF)
+        assert (d_h0, d_h1) == tuple(GammaDifference(on, off_law) for on in on_laws)
+        for assumed, c in ((2.0, 2.0), (None, on_laws[0].mean)):
+            expected = tuple(_estimate(n, p / c, e / c) for p, e in (on_h0, on_h1))
+            assert detector_laws(spec, "energy", assumed_noise=assumed) == expected
+
+        # the H0 and H1 laws share one OFF law
+        assert f_h0.den is f_h1.den
+        assert d_h0.neg is d_h1.neg
+
+        # the default reference is the H0 ON mean to the bit, also where
+        # shape·(p/shape) rounds away from p (N = 3, p = 0.9)
+        uneven = ScenarioSpec(rfi_kind="none", et_kind="wideband", noise_power=0.9, n_samples=3)
+        for case in (spec, uneven):
+            assert default_assumed_noise(case) == detector_laws(case, "f_ratio")[0].num.mean
+        assert default_assumed_noise(uneven) != 0.9
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -411,7 +421,7 @@ class TestLimitIdentities:
     def test_unit_gain_f_ratio_has_median_one(self, rfi_kind, et_kind):
         # at g = 1, ON and OFF have one law under H0, so their ratio's median is 1
         for n in self.SIZES:
-            law = f_ratio_law(inr_10_snr_0(rfi_kind, et_kind, n, 1.0), Hypothesis.H0)
+            law = detector_laws(inr_10_snr_0(rfi_kind, et_kind, n, 1.0), "f_ratio")[0]
             assert abs(float(law.cdf(1.0)) - 0.5) <= 1e-12, (n, law)
 
 
@@ -443,10 +453,10 @@ class TestPointingComponents:
     def test_laws_read_the_same_components(self, hyp):
         spec = narrow_narrow(gain=0.9, n_samples=7)
         (p_on, e_on), (p_off, e_off) = _pointing_components(spec, hyp)
-        on, off = on_distribution(spec, hyp), off_distribution(spec)
+        on, off = estimate_pair(spec, hyp)
         assert (on.power, on.noncentrality_energy) == (p_on, e_on)
         assert (off.power, off.noncentrality_energy) == (p_off, e_off)
-        law = f_ratio_law(spec, hyp)
+        law = detector_laws(spec, "f_ratio")[list(Hypothesis).index(hyp)]
         assert law.num == on
         assert law.den == off
 

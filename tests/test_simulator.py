@@ -20,10 +20,9 @@ from setidetect import (
     RfiKind,
     ScaledGamma,
     ScenarioSpec,
-    Steering,
     default_assumed_noise,
+    detector_laws,
     detector_stat,
-    f_ratio_law,
     law_quantile,
     power_estimate,
     run_paired_estimates,
@@ -86,13 +85,13 @@ class TestChirpParams:
 class TestSynthStream:
     def test_all_powers_zero_gives_zero_stream(self):
         spec = gaussian_only(noise_power=0.0, n_samples=128)
-        stream = synth_stream(spec, Steering.ON, "H1", rng_state=SEED)
-        assert stream.shape == (128,)
-        assert np.all(stream == 0)
+        on, off = synth_stream(spec, "H1", rng_state=SEED)
+        assert on.shape == off.shape == (128,)
+        assert np.all(on == 0) and np.all(off == 0)
 
     def test_noise_only_mean_power(self):
         spec = gaussian_only(noise_power=2.0, n_samples=1_000_000)
-        stream = synth_stream(spec, "on", "H0", rng_state=SEED)
+        stream, _ = synth_stream(spec, "H0", rng_state=SEED)
         powers = np.abs(stream) ** 2
         sem = powers.std() / np.sqrt(powers.size)
         assert abs(powers.mean() - 2.0) < 5 * sem
@@ -106,7 +105,7 @@ class TestSynthStream:
             n_samples=64,
         )
         chirp = ChirpParams(amplitude=1.0, start_freq=8 / 64)
-        stream = synth_stream(spec, "on", "H1", chirp_et=chirp, rng_state=SEED)
+        stream, _ = synth_stream(spec, "H1", chirp_et=chirp, rng_state=SEED)
         assert np.argmax(np.abs(np.fft.fft(stream))) == 8
 
     def test_signal_reaches_on_stream_only(self):
@@ -118,9 +117,8 @@ class TestSynthStream:
             n_samples=64,
         )
         chirp = ChirpParams(amplitude=0.5, start_freq=0.25)
-        on = synth_stream(spec, "on", "H1", chirp_et=chirp, rng_state=SEED)
-        off = synth_stream(spec, "off", "H1", chirp_et=chirp, rng_state=SEED)
-        h0 = synth_stream(spec, "on", "H0", chirp_et=chirp, rng_state=SEED)
+        on, off = synth_stream(spec, "H1", chirp_et=chirp, rng_state=SEED)
+        h0, _ = synth_stream(spec, "H0", chirp_et=chirp, rng_state=SEED)
         assert power_estimate(on) == pytest.approx(16.0 / 64, rel=1e-12)
         assert np.all(off == 0)
         assert np.all(h0 == 0)
@@ -136,8 +134,7 @@ class TestSynthStream:
             n_samples=64,
         )
         chirp = ChirpParams(amplitude=0.5, start_freq=0.125)
-        on = synth_stream(spec, "on", "H0", chirp_rfi=chirp, rng_state=SEED)
-        off = synth_stream(spec, "off", "H0", chirp_rfi=chirp, rng_state=SEED)
+        on, off = synth_stream(spec, "H0", chirp_rfi=chirp, rng_state=SEED)
         assert power_estimate(on) == pytest.approx(g * 16.0 / 64, rel=1e-12)
         assert power_estimate(off) == pytest.approx(16.0 / 64, rel=1e-12)
 
@@ -146,18 +143,16 @@ class TestSynthStream:
             rfi_kind="none", et_kind="narrowband", noise_power=1.0, et_energy=4.0
         )
         with pytest.raises(ValueError, match="chirp_et"):
-            synth_stream(narrow, "on", "H1", rng_state=SEED)
+            synth_stream(narrow, "H1", rng_state=SEED)
         wide = gaussian_only()
         with pytest.raises(ValueError, match="chirp_et"):
-            synth_stream(
-                wide, "on", "H1", chirp_et=ChirpParams(1.0, 0.1), rng_state=SEED
-            )
+            synth_stream(wide, "H1", chirp_et=ChirpParams(1.0, 0.1), rng_state=SEED)
 
     def test_same_seed_same_stream(self):
         spec = gaussian_only(noise_power=1.3)
-        a = synth_stream(spec, "on", "H0", rng_state=SEED)
-        b = synth_stream(spec, "on", "H0", rng_state=SEED)
-        assert np.array_equal(a, b)
+        a = synth_stream(spec, "H0", rng_state=SEED)
+        b = synth_stream(spec, "H0", rng_state=SEED)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 class TestPowerEstimate:
@@ -320,7 +315,7 @@ class TestTrialStatistics:
             n_samples=64,
         )
         stats = trial_stats(spec, "f_ratio", "H0", 100_000, SEED + 2)
-        law = f_ratio_law(spec, "H0")
+        law = detector_laws(spec, "f_ratio")[0]
         h = 1e-4
         density_at_one = (float(law.cdf(1 + h)) - float(law.cdf(1 - h))) / (2 * h)
         se_median = 1.0 / (2 * density_at_one * np.sqrt(stats.size))
@@ -337,7 +332,7 @@ class TestTrialStatistics:
             n_samples=64,
         )
         stats = trial_stats(spec, "f_ratio", "H1", 100_000, SEED + 3)
-        law = f_ratio_law(spec, "H1")
+        law = detector_laws(spec, "f_ratio")[1]
         assert _ks_bound(stats, law, nodes=4096) < 0.01
 
     def test_calibrated_energy_reference_centres_h0_at_one(self):
@@ -561,10 +556,11 @@ class TestNoncentralPowerDraw:
         assert np.allclose(off, 1e300, rtol=1e-12)
         assert np.allclose(on, spec.gain * 1e300, rtol=1e-12)
 
-    @pytest.mark.parametrize("steering, power", [("on", 2.9), ("off", 3.0)])
-    def test_synth_stream_stays_complex(self, steering, power):
+    @pytest.mark.parametrize("pointing, power", [("on", 2.9), ("off", 3.0)])
+    def test_synth_stream_stays_complex(self, pointing, power):
         spec = dataclasses.replace(WIDEBAND_PAIR, n_samples=200_000)
-        stream = synth_stream(spec, steering, "H1", rng_state=SEED)
+        on, off = synth_stream(spec, "H1", rng_state=SEED)
+        stream = on if pointing == "on" else off
         assert stream.dtype == np.complex128 and stream.shape == (200_000,)
         powers = np.abs(stream) ** 2
         sem = powers.std() / np.sqrt(powers.size)
@@ -682,11 +678,9 @@ class TestMiscalibrationWall:
 
         # the relative detectors calibrate from their own H0 laws, which do
         # not involve the assumed level
-        from setidetect import onoff_law
-
-        t_f = law_quantile(f_ratio_law(believed, "H0"), 1 - target)
+        t_f = law_quantile(detector_laws(believed, "f_ratio")[0], 1 - target)
         realized_f = np.mean(on_est / off_est > t_f)
-        t_oo = law_quantile(onoff_law(truth, "H0"), 1 - target)
+        t_oo = law_quantile(detector_laws(truth, "on_off")[0], 1 - target)
         realized_oo = np.mean(on_est - off_est > t_oo)
         assert 0.8 * target < realized_f < 1.2 * target
         assert 0.8 * target < realized_oo < 1.2 * target
@@ -720,7 +714,7 @@ class TestSpectrogram:
 
     def test_noise_bin_level_matches_power(self):
         spec = gaussian_only(noise_power=2.0, n_samples=4096)
-        stream = synth_stream(spec, "on", "H0", rng_state=SEED)
+        stream, _ = synth_stream(spec, "H0", rng_state=SEED)
         out = spectrogram(stream, fft_len=64, hop=64)
         mean_level = out.mean()
         se = 2.0 / np.sqrt(out.size)
