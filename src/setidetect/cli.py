@@ -81,7 +81,6 @@ from .simulator import (
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
-    "emit_spectrogram_demo",
     "load_config",
     "main",
     "run_experiment",
@@ -403,8 +402,8 @@ def load_config(
             raise ConfigError("gains", "must be a non-empty list")
         for i, g in enumerate(gains):
             where = f"gains[{i}]"
-            if isinstance(g, bool) or not isinstance(g, (int, float)) or g <= 0:
-                raise ConfigError(where, f"expected a positive number, got {g!r}")
+            if isinstance(g, bool) or not isinstance(g, (int, float)) or g < 0:
+                raise ConfigError(where, f"expected a non-negative number, got {g!r}")
             # JSON's NaN and Infinity load as floats
             if not np.isfinite(float(_in_float_range(g, where))):
                 raise ConfigError(where, f"must be finite, got {g!r}")
@@ -443,8 +442,11 @@ def _resolve_spectrogram_block(raw) -> dict:
         key: _expect(raw, key, types, path, default, required=default is _REQUIRED)
         for key, (types, default) in _SPECTROGRAM_KEYS.items()
     }
-    if params["noise_power"] < 0:
-        raise ConfigError(f"{path}.noise_power", "must be non-negative")
+    noise_power = params["noise_power"]
+    if not 0.0 <= noise_power < np.inf:
+        raise ConfigError(
+            f"{path}.noise_power", f"must be non-negative and finite, got {noise_power!r}"
+        )
     if params["seed"] is not None and params["seed"] < 0:
         raise ConfigError(f"{path}.seed", f"must be non-negative, got {params['seed']}")
     return params
@@ -712,55 +714,30 @@ def run_experiment(config: ExperimentConfig, *, ks_table: bool = False) -> list[
     return _publish(config, "mc-validate" if ks_table else "roc", written)
 
 
-def _spectrogram_csv(chirp: ChirpParams, noise_power, fft_len, hop, n_samples, seed) -> bytes:
-    """The bytes of emit_spectrogram_demo's file."""
-    if not (np.isfinite(noise_power) and noise_power >= 0):
-        raise ValueError("noise_power must be non-negative")
-    if n_samples is None:
-        n_samples = fft_len + 63 * hop
-    n_samples = int(n_samples)
-    if n_samples < fft_len:
-        raise ValueError("n_samples must cover at least one frame")
-    stream = chirp.waveform(n_samples)
-    if noise_power > 0:
-        stream = stream + _cgauss(np.random.default_rng(seed), n_samples, noise_power)
-    frames = spectrogram(stream, fft_len, hop)
-    return "".join(",".join(map(repr, row)) + "\n" for row in frames.tolist()).encode()
-
-
-def emit_spectrogram_demo(
-    chirp: ChirpParams,
-    noise_power: float,
-    fft_len: int,
-    hop: int,
-    path,
-    *,
-    n_samples: Optional[int] = None,
-    seed: int = 0,
-) -> Path:
-    """Write the spectrogram of a chirp in complex Gaussian noise as a
-    headerless CSV matrix, one frame per row, one frequency bin per column.
-
-    The stream length defaults to 64 frames' worth of samples.
-    """
-    path = Path(path)
-    path.write_bytes(_spectrogram_csv(chirp, noise_power, fft_len, hop, n_samples, seed))
-    return path
-
-
 def _run_spectrogram_verb(config: ExperimentConfig) -> list[Path]:
+    """The spectrogram of a chirp in complex Gaussian noise, written as a
+    headerless CSV matrix, one frame per row, one frequency bin per column.
+    The stream length defaults to 64 frames' worth of samples."""
     params = config.spectrogram_params
     if params is None:
         raise ConfigError("spectrogram", "missing required key for this command")
     chirp_keys = {f.name for f in dataclasses.fields(ChirpParams)}
-    frames = {k: v for k, v in params.items() if k not in chirp_keys}
-    if frames["seed"] is None:
-        frames["seed"] = config.seed
+    fft_len, hop, n_samples = params["fft_len"], params["hop"], params["n_samples"]
+    noise_power = params["noise_power"]
+    if n_samples is None:
+        n_samples = fft_len + 63 * hop
+    seed = config.seed if params["seed"] is None else params["seed"]
     try:
         chirp = ChirpParams(**{k: params[k] for k in chirp_keys})
-        data = _spectrogram_csv(chirp, **frames)
+        if n_samples < fft_len:
+            raise ValueError("n_samples must cover at least one frame")
+        stream = chirp.waveform(n_samples)
+        if noise_power > 0:
+            stream = stream + _cgauss(np.random.default_rng(seed), n_samples, noise_power)
+        frames = spectrogram(stream, fft_len, hop)
     except ValueError as exc:
         raise _anchored(exc, "spectrogram", _SPECTROGRAM_KEYS) from exc
+    data = "".join(",".join(map(repr, row)) + "\n" for row in frames.tolist()).encode()
     return _publish(config, "spectrogram", [_file("spectrogram.csv", data)])
 
 

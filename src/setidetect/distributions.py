@@ -211,17 +211,18 @@ class ScaledGamma:
         # free of the cancelling terms of (a − 1)·log y − y − log Γ(a)
         a = self.shape
         out = np.zeros_like(x)
+        # y, and the density of a subnormal scale, are inf past the float range
         with np.errstate(over="ignore"):
             y = x / self.scale
-        inside = (y > 0.0) & (y < np.inf)
-        y = y[inside]
-        e = y / a - 1.0
-        # far below the mean e rounds away y's digits; log y keeps them
-        far = e < -0.5
-        log1pe = np.log1p(np.maximum(e, -0.5))
-        log1pe[far] = np.log(y[far]) - math.log(a)
-        log_dens = a * (log1pe - e) - log1pe - _stirling_error(a)
-        out[inside] = np.exp(log_dens) / (math.sqrt(2.0 * math.pi * a) * self.scale)
+            inside = (y > 0.0) & (y < np.inf)
+            y = y[inside]
+            e = y / a - 1.0
+            # far below the mean e rounds away y's digits; log y keeps them
+            far = e < -0.5
+            log1pe = np.log1p(np.maximum(e, -0.5))
+            log1pe[far] = np.log(y[far]) - math.log(a)
+            log_dens = a * (log1pe - e) - log1pe - _stirling_error(a)
+            out[inside] = np.exp(log_dens) / (math.sqrt(2.0 * math.pi * a) * self.scale)
         return out
 
     def _cdf(self, x):
@@ -297,17 +298,23 @@ class NoncentralChi2C:
     _bracket_seeds = _spread_seeds
 
     def _checked(self, out):
-        # NaN where Boost's series fails: λ ≳ 5e10, or λ ≳ 5e6 far out in the tails
+        # NaN where Boost's series fails (λ ≳ 5e10, or λ ≳ 5e6 far out in the
+        # tails), and at 0 where 2N/power overflows (see _chi2)
         if np.any(np.isnan(out)):
+            with np.errstate(over="ignore"):
+                rate = 2.0 * self.shape / self.power
+            why = "" if np.isfinite(rate) else ": 2N/power overflows the float range"
             raise ComputationError(
                 f"non-central χ² with 2N = {2.0 * self.shape:g}, "
-                f"λ = {self.noncentrality:g} could not be evaluated"
+                f"λ = {self.noncentrality:g} could not be evaluated{why}"
             )
         return out
 
     def _chi2(self, x):
-        """χ²_{2N} argument of the estimate value x (clamped at 0; inf past the float range)."""
-        with np.errstate(over="ignore"):
+        """χ²_{2N} argument of the estimate value x (clamped at 0; inf past the
+        float range).  Where 2N/power overflows it is inf at every x > 0 and
+        NaN at 0, which _checked reports."""
+        with np.errstate(over="ignore", invalid="ignore"):
             return np.maximum(x, 0.0) * (2.0 * self.shape / self.power)
 
     def _cdf(self, x):
@@ -410,7 +417,9 @@ class _Conditioned:
         # A's mean; the ratio's panels are uniform in log y.
         x, w = _legendre(n)
         lo, hi = self._panel_range
-        cuts = [self.a.mean / u] if self.ratio else [-u, self.a.mean - u]
+        # a ratio's cut past the float range is inf, and clipped to hi
+        with np.errstate(over="ignore"):
+            cuts = [self.a.mean / u] if self.ratio else [-u, self.a.mean - u]
         edges = np.sort(np.clip([np.full_like(u, lo), *cuts, np.full_like(u, hi)], lo, hi), 0).T
         if self.ratio:
             edges = np.log(edges)
@@ -418,12 +427,18 @@ class _Conditioned:
         shape = (u.size, half.shape[1] * n)
         v = (0.5 * (edges[:, 1:] + edges[:, :-1])[..., None] + half * x).reshape(shape)
         y = np.exp(v) if self.ratio else v
-        w = (half * w).reshape(shape) * self.b._pdf(y)
+        # B's density is inf, or 0 at every node, where its scale leaves the
+        # float range; an empty panel times inf is NaN
+        with np.errstate(invalid="ignore"):
+            w = (half * w).reshape(shape) * self.b._pdf(y)
         if self.ratio:
             w *= y
+        total = np.sum(w, axis=1, keepdims=True)
+        if not np.all((0.0 < total) & (total < np.inf)):
+            raise self._unplaced("its weights leave the float range")
         # unit total weight makes Σw·F_A = 1 − Σw·(1 − F_A) exactly, so the
         # upper tail is as accurate as the lower one
-        return y, w / np.sum(w, axis=1, keepdims=True)
+        return y, w / total
 
     @cached_property
     def _panel_range(self):
@@ -435,14 +450,20 @@ class _Conditioned:
         for the ratio, whose panels are uniform in log y, positive."""
         inside = np.isfinite(y) & (y > 0) if self.ratio else np.isfinite(y)
         if not np.all(inside):
-            raise ComputationError(
-                f"conditional quadrature over {self.b!r} cannot be placed: "
-                "its nodes leave the float range"
-            )
+            raise self._unplaced("its nodes leave the float range")
         return y
 
+    def _unplaced(self, reason: str) -> ComputationError:
+        return ComputationError(
+            f"conditional quadrature over {self.b!r} cannot be placed: {reason}"
+        )
+
     def _h(self, u, y):
-        return u[:, None] * y if self.ratio else u[:, None] + y
+        if not self.ratio:
+            return u[:, None] + y
+        # inf past the float range, where F_A is 1 and A's sf and density 0
+        with np.errstate(over="ignore"):
+            return u[:, None] * y
 
     @property
     def _mass(self):
@@ -478,10 +499,7 @@ class _Conditioned:
     def size(self) -> int:
         """Smallest rule size that agrees with the next one at the probes."""
         if self.spread == np.inf:
-            raise ComputationError(
-                f"conditional quadrature over {self.b!r} cannot be placed: "
-                "the law's spread overflows the float range"
-            )
+            raise self._unplaced("the law's spread overflows the float range")
         u = self._centred(_PROBES)
         # the first two rules always run, so one component call serves both
         (y0, w0), (y1, w1) = (self._nodes(u, n) for n in _RULE_SIZES[:2])

@@ -22,16 +22,15 @@ A gain sweep (`compare_detectors`) integrates over another law.  For the
 paired detectors S = ON ⊘ OFF, S₁ > S₀ exactly when the ON pair ON₁ ⊘ ON₀
 exceeds the OFF pair OFF′ ⊘ OFF, whose law no gain changes.  One integral
 over the OFF pair's mass, its nodes and H0 densities computed once, serves
-every gain, each at the cost of one ON-pair cdf call.  A gain whose ON
-pair's spread is under half the OFF pair's integrates over its own H0 law
-instead: a law much narrower than the OFF pair's panels steps inside one of
-them, where two rule sizes can agree on a wrong value.  The shared AUCs
-match `auc(h0, h1)` within AUC_TOL, not bit for bit.
+every gain, each at the cost of one ON-pair cdf call.  Only a gain whose
+ON pair's spread is under half the OFF pair's integrates over its own H0
+law instead: a law much narrower than the OFF pair's panels steps inside
+one of them, where two rule sizes can agree on a wrong value.  The shared
+AUCs match `auc(h0, h1)` within AUC_TOL, not bit for bit.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -488,20 +487,6 @@ class _NoLaw(ValueError):
         self.gain = gain
 
 
-def _within_float_range(on, off, ratio: bool) -> bool:
-    """Whether S₀ = ON ⊘ OFF passes the largest float M with probability
-    _AUC_TAIL at most, by a union bound: a ratio beyond M needs ON > c·√M or
-    OFF < c/√M, c² the product of their means; a difference, ON or OFF > M."""
-    big = np.finfo(float).max
-    with np.errstate(over="ignore"):
-        if ratio:
-            c = np.sqrt(on.mean) * np.sqrt(off.mean)
-            beyond = on._sf(np.array([c * np.sqrt(big)])) + off._cdf(np.array([c / np.sqrt(big)]))
-        else:
-            beyond = on._sf(np.array([big])) + off._sf(np.array([big]))
-    return float(beyond[0]) <= _AUC_TAIL
-
-
 def _auc_sides(h0: Law, h1: Law) -> tuple[Law, Law]:
     """(X, Y) with P(S₁ > S₀) = P(Y > X), to be integrated over X's mass.
 
@@ -509,9 +494,8 @@ def _auc_sides(h0: Law, h1: Law) -> tuple[Law, Law]:
     their OFF side), S₁ > S₀ exactly when the ON pair Δ = ON₁ ⊘ ON₀ exceeds
     the OFF pair D = OFF′ ⊘ OFF, OFF and OFF′ being i.i.d.: X is D, the same
     law at every gain, and Y is Δ.  Any other pair of laws gives (h0, h1),
-    and so do paired laws whose Δ has a spread under _SIDE_SPREAD of D's,
-    whose spreads overflow, or whose S₀ may pass the largest float: there
-    the integral over h0 names what fails.
+    and so do paired laws unless Δ's spread is at least _SIDE_SPREAD of D's
+    (a NaN spread included).
     """
     if isinstance(h0, FLaw) and isinstance(h1, FLaw) and h0.den == h1.den:
         on0, on1, off = h0.num, h1.num, h0.den
@@ -526,15 +510,9 @@ def _auc_sides(h0: Law, h1: Law) -> tuple[Law, Law]:
     pair = type(h0)
     on_pair, off_pair = pair(on1, on0), pair(off, off)
     spread_on, spread_off = on_pair._conditioned.spread, off_pair._conditioned.spread
-    if not (math.isfinite(spread_on) and math.isfinite(spread_off)):
+    if not spread_on >= _SIDE_SPREAD * spread_off:
         return h0, h1
-    if spread_on < _SIDE_SPREAD * spread_off:
-        return h0, h1
-    try:
-        inside = _within_float_range(on0, off, pair is FLaw)
-    except ComputationError:
-        inside = False
-    return (off_pair, on_pair) if inside else (h0, h1)
+    return off_pair, on_pair
 
 
 def compare_detectors(
@@ -555,12 +533,11 @@ def compare_detectors(
     S₁ > S₀ exactly when the ON pair ON₁ ⊘ ON₀ exceeds the OFF pair
     OFF′ ⊘ OFF, two i.i.d. OFF estimates whose law no gain changes.  So each
     (gain, detector) task integrates over the law _auc_sides gives it: its
-    detector's OFF pair, or its own H0 for the energy detector, a gain whose
-    ON pair's spread is under half the OFF pair's and a gain whose S₀ may
-    pass the largest float.  One integral is built per distinct law, before
-    any AUC, and a task then costs one cdf call of its other law at those
-    nodes per rule size tried; a row depends only on its own gain and
-    detector.  Each AUC is accurate to AUC_TOL and matches `auc(h0, h1)`
+    detector's OFF pair, or its own H0 for the energy detector and for a
+    gain whose ON pair's spread is under half the OFF pair's.  One integral
+    is built per distinct law, before any AUC, and a task then costs one cdf
+    call of its other law at those nodes per rule size tried; a row depends
+    only on its own gain and detector.  Each AUC is accurate to AUC_TOL and matches `auc(h0, h1)`
     within it, not bit for bit; `auc_delta` is exactly `auc` less the same
     detector's gain-1 `auc`.  A failure names the first failing law or AUC
     in the order baselines, then `gains` as given; a failed integral fails

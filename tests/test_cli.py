@@ -17,7 +17,6 @@ import setidetect.cli
 import setidetect.roc
 from setidetect import _pool
 from setidetect import (
-    ChirpParams,
     ComputationError,
     DetectorKind,
     ScaledGamma,
@@ -40,12 +39,13 @@ from setidetect.cli import (
     _ks_bound,
     _sorted_histogram,
     _sorted_quantile,
-    emit_spectrogram_demo,
     load_config,
     main,
     run_experiment,
 )
 from setidetect.distributions import FLaw, GammaDifference
+from setidetect.roc import AUC_TOL
+from single_sample import exact_single_sample_auc
 
 
 def base_config(**kw):
@@ -575,10 +575,10 @@ class TestMainEntry:
              "must be one of analytic, monte_carlo, both", ("mode", "")),
             ("compare", {"gains": []}, [], "gains", "must be a non-empty list",
              ("gains", "")),
-            ("compare", {"gains": [0.9, 0]}, [], "gains[1]",
-             "expected a positive number, got 0", ("gains", "")),
+            ("compare", {"gains": [0.9, -0.5]}, [], "gains[1]",
+             "expected a non-negative number, got -0.5", ("gains", "")),
             ("compare", {"gains": [True]}, [], "gains[0]",
-             "expected a positive number, got True", ("gains", "")),
+             "expected a non-negative number, got True", ("gains", "")),
             ("compare", {"gains": [0.9, float("nan")]}, [], "gains[1]",
              "must be finite, got nan", ("gains", "")),
             ("roc", {"gains": [float("inf")]}, [], "gains[0]",
@@ -587,7 +587,7 @@ class TestMainEntry:
             ("roc", {"pfa_grid": 1}, [], "pfa_grid", "must be at least 2", ("pfa_grid", "")),
         ],
         ids=["no-rfi-kind", "non-number-sweep-value", "no-scenario", "no-detectors",
-             "unknown-mode", "no-gains", "zero-gain", "boolean-gain", "nan-gain",
+             "unknown-mode", "no-gains", "negative-gain", "boolean-gain", "nan-gain",
              "infinite-gain", "zero-trials", "pfa-grid-1"],
     )
     def test_load_time_error_exits_2_at_its_key(
@@ -705,33 +705,34 @@ class TestSpectrogramVerb:
             assert np.argmax(row) == 16
             assert np.sum(row > 1e-12) == 1
 
-    def test_drifting_chirp_track_advances(self, tmp_path):
-        out = tmp_path / "spec.csv"
-        chirp = ChirpParams(amplitude=1.0, start_freq=0.0, drift_rate=0.001)
-        emit_spectrogram_demo(
-            chirp, 0.0, 64, 32, out, n_samples=64 + 32 * 11, seed=0
+    def matrix(self, tmp_path, capsys, **block):
+        """The spectrogram verb's matrix for a block with `block`'s keys."""
+        doc = {"scenario": base_config()["scenario"], "spectrogram": block}
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        out = tmp_path / "results"
+        code = main(["spectrogram", "--config", str(cfg), "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        return np.loadtxt(out / "spectrogram.csv", delimiter=",")
+
+    def test_drifting_chirp_track_advances(self, tmp_path, capsys):
+        matrix = self.matrix(
+            tmp_path, capsys, amplitude=1.0, start_freq=0.0, drift_rate=0.001, fft_len=64,
+            hop=32, n_samples=64 + 32 * 11, seed=0,
         )
-        matrix = np.loadtxt(out, delimiter=",")
         peaks = np.argmax(matrix, axis=1)
         assert peaks.size == 12
         assert np.all(np.diff(peaks) >= 1)
 
-    def test_tone_detectable_in_matched_noise(self, tmp_path):
+    def test_tone_detectable_in_matched_noise(self, tmp_path, capsys):
         """Per-sample tone power equal to the noise power concentrates the
         whole window energy in one bin, so the peak survives the noise in
-        nearly every frame."""
-        chirp = ChirpParams(amplitude=1.0, start_freq=16 / 64)
-        hits = 0
-        frames = 0
-        for seed in range(100):
-            out = tmp_path / f"s{seed}.csv"
-            emit_spectrogram_demo(
-                chirp, 1.0, 64, 64, out, n_samples=64 * 8, seed=seed
-            )
-            matrix = np.loadtxt(out, delimiter=",")
-            hits += int(np.sum(np.argmax(matrix, axis=1) == 16))
-            frames += matrix.shape[0]
-        assert hits / frames > 0.9
+        nearly every frame (800 frames that share no sample)."""
+        matrix = self.matrix(
+            tmp_path, capsys, amplitude=1.0, start_freq=16 / 64, noise_power=1.0, fft_len=64,
+            hop=64, n_samples=64 * 800, seed=0,
+        )
+        assert matrix.shape[0] == 800
+        assert np.mean(np.argmax(matrix, axis=1) == 16) > 0.9
 
     @pytest.mark.parametrize(
         "key, text, message",
@@ -742,9 +743,10 @@ class TestSpectrogramVerb:
             # keys the scenario block has too, on earlier lines
             ("n_samples", "8", "n_samples must cover at least one frame"),
             ("noise_power", "-1.0", "must be non-negative"),
+            ("noise_power", "1e400", "must be non-negative and finite, got inf"),
         ],
         ids=["negative-amplitude", "infinite-start-freq", "zero-fft-len",
-             "short-stream", "negative-noise-power"],
+             "short-stream", "negative-noise-power", "infinite-noise-power"],
     )
     def test_bad_block_value_is_anchored_config_error(
         self, tmp_path, capsys, key, text, message
@@ -767,12 +769,6 @@ class TestSpectrogramVerb:
         assert f"{cfg}:{lineno}: spectrogram.{key}: {message}" in err
         assert "Traceback" not in err
         assert not out.exists()
-
-    def test_rejects_short_stream(self):
-        with pytest.raises(ValueError):
-            emit_spectrogram_demo(
-                ChirpParams(1.0, 0.1), 0.0, 64, 32, "unused.csv", n_samples=32
-            )
 
 
 class TestCompareVerb:
@@ -872,6 +868,16 @@ class TestCompareVerb:
         assert len(rows) == 8
         assert all(0.5 <= float(r["auc"]) <= 1.0 for r in rows)
 
+    def test_zero_gain_is_accepted(self, tmp_path, capsys):
+        # no interference in the ON pointing is a scenario like any other
+        cfg = write_json(tmp_path / "cfg.json", base_config(gains=[0, 1]))
+        code = main(["compare", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 0, capsys.readouterr().err
+        rows = read_csv(tmp_path / "out" / "compare.csv")
+        assert [(r["detector"], float(r["gain"])) for r in rows] == [
+            ("f_ratio", 0.0), ("on_off", 0.0), ("f_ratio", 1.0), ("on_off", 1.0)
+        ]
+
     @pytest.mark.parametrize("detector", ["f_ratio", "on_off", "energy"])
     def test_scenario_without_gaussian_power_has_no_law(self, tmp_path, capsys, detector):
         # no noise and no interference: OFF has no Gaussian power, nor ON
@@ -915,7 +921,8 @@ class TestCompareVerb:
 
 
 class TestHugeGains:
-    """Gains whose laws leave the float range end in exit 2 or 3, never a traceback."""
+    """Gains whose laws leave the float range get an answer or end in exit 2
+    or 3, never a traceback."""
 
     def run(self, tmp_path, capsys, verb, doc):
         cfg = write_json(tmp_path / "cfg.json", doc)
@@ -927,22 +934,44 @@ class TestHugeGains:
         doc["scenario"]["n_samples"] = 1
         return doc
 
+    def assert_exact_single_sample_rows(self, tmp_path, doc):
+        """Every f_ratio row of the run of `doc` is the exact N = 1 AUC of its
+        gain's laws, and its auc_delta is its auc less the gain-1 auc."""
+        scenario = load_config(doc).scenario
+        rows = read_csv(tmp_path / "out" / "compare.csv")
+        rows = [r for r in rows if r["detector"] == "f_ratio"]
+        (base,) = (float(r["auc"]) for r in rows if float(r["gain"]) == 1.0)
+        for row in rows:
+            laws = detector_laws(scenario.with_gain(float(row["gain"])), "f_ratio")
+            assert abs(float(row["auc"]) - exact_single_sample_auc(*laws)) <= AUC_TOL
+            assert float(row["auc_delta"]) == float(row["auc"]) - base
+
+    def assert_spread_overflow(self, err, law):
+        assert err.startswith(f"computation failed: {law} failed: conditional quadrature")
+        assert "cannot be placed: the law's spread overflows the float range" in err
+        assert err.count("\n") == 1
+
     def test_difference_spread_overflow_names_the_law(self, tmp_path, capsys):
         # ScaledGamma.variance overflows above a gain of about 1e154
         code, err = self.run(
             tmp_path, capsys, "compare", base_config(detectors=["on_off"], gains=[1e160, 1.0])
         )
         assert code == 3
-        assert "on_off law at gain 1e+160 failed" in err
-        assert "has no finite quantile bracket" in err
+        self.assert_spread_overflow(err, "on_off law at gain 1e+160")
 
     @pytest.mark.parametrize("detectors", [["f_ratio"], ["f_ratio", "on_off"]])
     def test_ratio_tail_beyond_float_range_names_the_law(self, tmp_path, capsys, detectors):
-        # the N = 1 ratio's 1/t tail holds 5.6e-8 of H0 beyond the largest float
+        # the N = 1 ratio's 1/t tail holds 5.6e-8 of H0 beyond the largest
+        # float, but the OFF pair the AUC integrates over holds none: f_ratio
+        # gets its AUC, and on_off, whose ON pair's variance overflows, fails
         doc = self.single_sample(detectors=detectors, gains=[1e300, 1.0])
         code, err = self.run(tmp_path, capsys, "compare", doc)
-        assert code == 3
-        assert "f_ratio law at gain 1e+300 failed: H0 leaves mass" in err
+        if "on_off" in detectors:
+            assert code == 3
+            self.assert_spread_overflow(err, "on_off law at gain 1e+300")
+        else:
+            assert code == 0, err
+            self.assert_exact_single_sample_rows(tmp_path, doc)
 
     def test_roc_sweep_names_the_law(self, tmp_path, capsys):
         doc = self.single_sample(sweeps={"parameter": "gain", "values": [1e300]})
@@ -1028,15 +1057,16 @@ class TestHugeGains:
 
     @pytest.mark.parametrize("rfi_power", [1.0, 10.0])
     def test_single_sample_ratio_overflow_prints_one_line(self, tmp_path, capsys, rfi_power):
-        # at rfi_power 10 FLaw's bracket seeds overflow; at 1 they do not, but
-        # the bracket's expansion towards H0's upper map edge does
+        # H0's own quantile bracket overflows at this gain (its seeds at
+        # rfi_power 10, its expansion at 1), but compare integrates over the
+        # OFF pair, which no gain moves: the run prints nothing and its AUC is
+        # exactly ½, as the ON means round to one value
         doc = self.single_sample(detectors=["f_ratio"], gains=[1e306, 1.0])
         doc["scenario"]["rfi_power"] = rfi_power
         code, err = self.run(tmp_path, capsys, "compare", doc)
-        assert code == 3
-        assert err.startswith("computation failed: f_ratio law at gain 1e+306 failed:")
-        assert "has no finite quantile bracket" in err
-        assert err.count("\n") == 1
+        assert code == 0, err
+        assert err == ""
+        self.assert_exact_single_sample_rows(tmp_path, doc)
 
     @pytest.mark.parametrize(
         "verb, where, kw",
@@ -1092,9 +1122,17 @@ class TestPowersAtTheFloatLimits:
             ({**NARROWBAND, "rfi_energy": 1e-320, "noise_power": 1e-320, "gain": 0.5,
               "et_power": 1e-320},
              ["f_ratio"], "its nodes leave the float range"),
+            # 2N/power overflows, so B's density is 0 at every node
+            ({**NARROWBAND, "rfi_energy": 1e-320, "noise_power": 1e-320, "gain": 0.5,
+              "et_kind": "narrowband", "et_power": 0.0, "et_energy": 1e-320},
+             ["on_off"], "its weights leave the float range"),
+            # B's density, about 1/scale, overflows at its nodes
+            ({"rfi_power": 1e-320, "noise_power": 1e-320, "gain": 0.5, "et_power": 1e-320,
+              "n_samples": 1},
+             ["on_off"], "its weights leave the float range"),
         ],
         ids=["narrowband-noise", "wideband-interference", "wideband-signal",
-             "subnormal-noise"],
+             "subnormal-noise", "subnormal-noise-difference", "subnormal-scale-difference"],
     )
     def test_roc_exits_3_naming_the_cause(
         self, tmp_path, capsys, scenario, detectors, reason
@@ -1111,6 +1149,44 @@ class TestPowersAtTheFloatLimits:
         assert f"cannot be placed: {reason}" in err
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "huge, scale",
+        [
+            # A's argument u·y passes the float maximum at some nodes
+            ({**NARROWBAND, "rfi_energy": 1e300, "noise_power": 1e307, "et_power": 1e307,
+              "gain": 0.5, "n_samples": 36}, 1e-307),
+            # so do the Gauss–Legendre panels' cuts at A's mean over u
+            ({**NARROWBAND, "rfi_energy": 1e300, "noise_power": 1e300, "et_power": 1e300,
+              "gain": 0.5}, 1e-300),
+        ],
+        ids=["gauss-hermite", "gauss-legendre"],
+    )
+    def test_ratio_whose_arguments_overflow_matches_its_scaled_law(
+        self, tmp_path, capsys, huge, scale
+    ):
+        # where they overflow F_A is 1; the ratio is free of scale, so the
+        # curve and summary equal those of the scenario with every power
+        # scaled down to about 1, to rounding
+        powers = ("rfi_energy", "noise_power", "et_power")
+        unit = {**huge, **{key: huge[key] * scale for key in powers}}
+        tables = []
+        for name, scenario in (("huge", huge), ("unit", unit)):
+            doc = base_config(detectors=["f_ratio"], pfa_grid=8)
+            doc["scenario"].update(scenario)
+            cfg = write_json(tmp_path / f"{name}.json", doc)
+            out = tmp_path / name
+            assert main(["roc", "--config", str(cfg), "--out", str(out)]) == 0, (
+                capsys.readouterr().err
+            )
+            curve = np.loadtxt(out / "roc_f_ratio_base.csv", delimiter=",", skiprows=1,
+                               usecols=(0, 1, 2))
+            summary = np.loadtxt(out / "summary.csv", delimiter=",", skiprows=1,
+                                 usecols=(5, 6, 7))
+            tables.append((curve, summary))
+        (curve, summary), (unit_curve, unit_summary) = tables
+        np.testing.assert_allclose(curve, unit_curve, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(summary, unit_summary, rtol=0.0, atol=AUC_TOL)
 
 
 # --- the worker pool ------------------------------------------------------------

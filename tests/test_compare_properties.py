@@ -9,6 +9,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from setidetect import (  # noqa: E402
+    ComputationError,
     GammaDifference,
     ScenarioSpec,
     auc,
@@ -157,7 +158,8 @@ class TestSideRule:
 
     def test_overflowing_spreads_do_not_warn(self):
         # ScaledGamma.variance overflows above a gain of about 1e154 at N = 64;
-        # the spread reads inf, and the gain integrates over its own H0 law
+        # the ON pair's spread reads inf, and its AUC fails naming that, with
+        # no RuntimeWarning (an error under the suite's filter) on the way
         spec = ScenarioSpec(
             rfi_kind="wideband", et_kind="wideband", noise_power=1.0, rfi_power=1.0,
             et_power=1.0, n_samples=64, gain=1e160,
@@ -165,4 +167,6 @@ class TestSideRule:
         h0, h1 = detector_laws(spec, "on_off")
         on_pair = GammaDifference(h1.pos, h0.pos)
         assert on_pair._conditioned.spread == float("inf")
-        assert roc_module._auc_sides(h0, h1) == (h0, h1)
+        overflow = "on_off law at gain 1e\\+160 failed: .* the law's spread overflows"
+        with pytest.raises(ComputationError, match=overflow):
+            compare_detectors(spec, [1e160], detectors=["on_off"])

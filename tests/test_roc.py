@@ -26,6 +26,7 @@ from setidetect import (
     threshold_for_pfa,
 )
 from f_table import f_table
+from single_sample import exact_single_sample_auc
 from setidetect import roc as roc_module
 from setidetect.roc import AUC_TOL
 
@@ -746,6 +747,20 @@ class TestCompareDetectors:
         )
         assert sorted(evaluated) == sorted((g, k) for g in {1.0, 0.9, 1.1} for k in kinds)
         assert [(r.gain, r.detector) for r in rows] == [(g, k) for g in gains for k in kinds]
+
+    def test_single_sample_rows_match_the_exact_auc(self):
+        # N = 1: every side is exponential and the AUC has a closed form; at
+        # gain 1e300 the ON means round to one value and the AUC is ½
+        spec = ScenarioSpec(
+            rfi_kind="wideband", et_kind="wideband", noise_power=1.0, rfi_power=1e4,
+            et_power=0.1, n_samples=1,
+        )
+        gains = [0.0, 0.001, 0.01, 0.5, 1.0, 3.0, 1e300]
+        rows = compare_detectors(spec, gains, detectors=["f_ratio"])
+        assert [r.gain for r in rows] == gains
+        for r in rows:
+            exact = exact_single_sample_auc(*detector_laws(r.spec, "f_ratio"))
+            assert abs(r.auc - exact) <= AUC_TOL, r.gain
 
     def test_rejects_empty_gains(self):
         with pytest.raises(ValueError):
